@@ -25,7 +25,6 @@ func benchScale() exp.Scale {
 		Epoch:     5_000,
 		Workloads: 7,
 		MaxNodes:  256,
-		Workers:   2,
 		Seed:      42,
 	}
 }

@@ -13,10 +13,10 @@
 // The output file accumulates labeled runs so before/after pairs live
 // side by side in one document (schema: internal/bench; drift gate:
 // cmd/benchdiff). Re-using a label replaces that run.
-// Each record reports one (case, workers) cell: nanoseconds per
-// simulated cycle, flit-hops retired per second, and steady-state
-// heap allocations per cycle (which the pooled hot path keeps at
-// zero; see the stepbench zero-allocation test).
+// Each record reports one case: nanoseconds per simulated cycle,
+// flit-hops retired per second, and steady-state heap allocations per
+// cycle (which the pooled hot path keeps at zero; see the stepbench
+// zero-allocation test).
 package main
 
 import (
@@ -57,32 +57,25 @@ func main() {
 		}
 	}
 
-	workerSet := []int{1}
-	if p := runtime.GOMAXPROCS(0); p > 1 {
-		workerSet = append(workerSet, p)
-	}
-
 	var records []bench.Record
 	for _, c := range stepbench.Cases() {
-		for _, w := range workerSet {
-			c, w := c, w
-			r := testing.Benchmark(func(b *testing.B) {
-				stepbench.Bench(b, c, w)
-			})
-			nsPerCycle := float64(r.T.Nanoseconds()) / float64(r.N)
-			records = append(records, bench.Record{
-				Name:           c.Name,
-				Workers:        w,
-				NsPerCycle:     nsPerCycle,
-				CyclesPerSec:   r.Extra["cycles/s"],
-				FlitHopsPerSec: r.Extra["flithops/s"],
-				AllocsPerCycle: float64(r.MemAllocs) / float64(r.N),
-				BytesPerCycle:  float64(r.MemBytes) / float64(r.N),
-			})
-			fmt.Printf("%-16s w=%-2d %12.0f ns/cycle %14.0f flit-hops/s %8.2f allocs/cycle\n",
-				c.Name, w, nsPerCycle, r.Extra["flithops/s"],
-				float64(r.MemAllocs)/float64(r.N))
-		}
+		c := c
+		r := testing.Benchmark(func(b *testing.B) {
+			stepbench.Bench(b, c)
+		})
+		nsPerCycle := float64(r.T.Nanoseconds()) / float64(r.N)
+		records = append(records, bench.Record{
+			Name:           c.Name,
+			Workers:        1,
+			NsPerCycle:     nsPerCycle,
+			CyclesPerSec:   r.Extra["cycles/s"],
+			FlitHopsPerSec: r.Extra["flithops/s"],
+			AllocsPerCycle: float64(r.MemAllocs) / float64(r.N),
+			BytesPerCycle:  float64(r.MemBytes) / float64(r.N),
+		})
+		fmt.Printf("%-16s %12.0f ns/cycle %14.0f flit-hops/s %8.2f allocs/cycle\n",
+			c.Name, nsPerCycle, r.Extra["flithops/s"],
+			float64(r.MemAllocs)/float64(r.N))
 	}
 
 	snaps := measureSnapshots()
@@ -148,7 +141,6 @@ func measureSweep() (*bench.SweepRecord, error) {
 	sc := runner.DefaultScale()
 	sc.Cycles = cycles
 	sc.Epoch = 200
-	sc.Workers = 1
 	// Two-wide pool: real sweeps have far more points than cores, so the
 	// benchmark models the oversubscribed regime where saved cycles are
 	// saved wall clock, not a machine wide enough to hide every redundant

@@ -85,7 +85,6 @@ func main() {
 		nwl      = flag.Int("workloads", 0, "override workload batch size")
 		maxNodes = flag.Int("maxnodes", 0, "override scaling cap")
 		seed     = flag.Uint64("seed", 0, "override seed")
-		workers  = flag.Int("workers", 0, "override intra-simulation worker shards")
 		parallel = flag.Int("parallel", 0, "simulations in flight at once (0 = GOMAXPROCS)")
 		asJSON   = flag.Bool("json", false, "emit results as JSON instead of text")
 		asPlot   = flag.Bool("plot", false, "append an ASCII chart of each figure's series")
@@ -163,9 +162,6 @@ func main() {
 	}
 	if *seed > 0 {
 		sc.Seed = *seed
-	}
-	if *workers > 0 {
-		sc.Workers = *workers
 	}
 	if *parallel > 0 {
 		sc.Parallel = *parallel

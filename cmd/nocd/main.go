@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -37,7 +36,6 @@ func main() {
 	sampleInterval := flag.Int64("sample-interval", 1000, "interval-sampler period for streamed run events")
 	snapDir := flag.String("snapdir", "", "checkpoint store directory (enables warm starts and run extension)")
 	snapCap := flag.Int64("snapcap", 0, "checkpoint store byte cap, oldest evicted first (0 = unlimited)")
-	workers := flag.Int("workers", runtime.NumCPU(), "intra-sim worker shards per large fabric")
 	parallel := flag.Int("parallel", 0, "concurrent simulations per job (0 = GOMAXPROCS)")
 	peers := flag.String("peers", "", "comma-separated peer daemon URLs; enables coordinator mode")
 	peerWindow := flag.Int("peer-window", 2, "jobs in flight per peer")
@@ -46,7 +44,6 @@ func main() {
 	flag.Parse()
 
 	sc := runner.DefaultScale()
-	sc.Workers = *workers
 	sc.Parallel = *parallel
 
 	var peerList []string

@@ -38,7 +38,6 @@ func main() {
 		cycles     = flag.Int64("cycles", 200_000, "cycles to simulate")
 		epoch      = flag.Int64("epoch", 0, "controller epoch (default cycles/10)")
 		seed       = flag.Uint64("seed", 42, "random seed")
-		workers    = flag.Int("workers", runtime.NumCPU(), "worker shards for large meshes")
 		verbose    = flag.Bool("v", false, "per-node detail")
 		adaptive   = flag.Bool("adaptive", false, "congestion-aware productive-port routing (BLESS)")
 		sideBuffer = flag.Int("side-buffer", 0, "MinBD-style side buffer depth in flits (BLESS)")
@@ -85,11 +84,8 @@ func main() {
 	// Config assembly flows through the runner presets (nocvet's
 	// rawconfig rule): Baseline supplies the Table 2 defaults, the
 	// flags become With* options.
-	sc := runner.Scale{Cycles: *cycles, Epoch: *epoch, Workers: *workers, Seed: *seed}
-	opts := []runner.Option{
-		runner.WithSeed(*seed),
-		runner.WithWorkers(runner.WorkersFor(n, *workers)),
-	}
+	sc := runner.Scale{Cycles: *cycles, Epoch: *epoch, Seed: *seed}
+	opts := []runner.Option{runner.WithSeed(*seed)}
 	if *topo == "torus" {
 		opts = append(opts, runner.WithTopo(topology.Torus))
 	}
@@ -158,7 +154,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "observability exports written to %s/%s.*\n", *obsDir, label)
 	}
-	s.Close()
 
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)

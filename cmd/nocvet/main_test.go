@@ -24,7 +24,7 @@ func TestListNamesEveryRule(t *testing.T) {
 	}
 	for _, name := range []string{
 		"wallclock", "globalrand", "maprange", "rawconfig", "goroutine",
-		"panicmsg", "hotalloc", "atomicmix", "handleleak", "shardwrite", "staleallow",
+		"panicmsg", "hotalloc", "handleleak", "staleallow",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output is missing rule %s", name)
@@ -53,7 +53,7 @@ func TestExplainPrintsRuleDoc(t *testing.T) {
 
 func TestRuleSubsetRunsClean(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-rules", "wallclock,goroutine", "./internal/par"}, &out, &errb); code != 0 {
+	if code := run([]string{"-rules", "wallclock,goroutine", "./internal/runner"}, &out, &errb); code != 0 {
 		t.Fatalf("exit = %d, want 0 (stdout: %s, stderr: %s)", code, out.String(), errb.String())
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -76,7 +75,6 @@ func main() {
 		all      = flag.Bool("all", false, "sweep every parameter")
 		cycles   = flag.Int64("cycles", 150_000, "cycles per run")
 		seed     = flag.Uint64("seed", 42, "random seed")
-		workers  = flag.Int("workers", runtime.NumCPU(), "intra-simulation worker shards")
 		parallel = flag.Int("parallel", 0, "simulations in flight at once (0 = GOMAXPROCS)")
 		warmup   = flag.Int64("warmup", 0, "shared uncontrolled warm-start prefix in cycles (0 = cold runs)")
 		snapDir  = flag.String("snapdir", "", "checkpoint store directory for warm-start prefixes")
@@ -113,7 +111,6 @@ func main() {
 	sc.Cycles = *cycles
 	sc.Epoch = *cycles / 10
 	sc.Seed = *seed
-	sc.Workers = *workers
 	sc.Parallel = *parallel
 	sc.Warmup = *warmup
 	if *snapDir != "" {

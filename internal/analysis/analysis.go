@@ -226,9 +226,7 @@ func Rules() []*Analyzer {
 		Goroutine,
 		PanicMsg,
 		HotAlloc,
-		AtomicMix,
 		HandleLeak,
-		ShardWrite,
 		StaleAllow,
 	}
 }

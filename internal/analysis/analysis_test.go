@@ -33,19 +33,14 @@ var fixtureCases = []struct {
 	{"rawconfig_exempt", "nocsim/internal/runner"},
 	{"goroutine", "nocsim/internal/exp"},
 	{"goroutine_exempt", "nocsim/internal/runner"},
-	{"goroutine_exempt_par", "nocsim/internal/par"},
 	{"goroutine_exempt_serve", "nocsim/internal/serve"},
 	{"goroutine_exempt_fleet", "nocsim/internal/fleet"},
 	{"panicmsg", "nocsim/internal/cache"},
 	{"panicmsg_main", "nocsim/cmd/probe"},
 	{"hotalloc", "nocsim/internal/noc/fixt"},
 	{"hotalloc_clean", "nocsim/internal/noc/fixt"},
-	{"atomicmix", "nocsim/internal/fab"},
-	{"atomicmix_clean", "nocsim/internal/fab"},
 	{"handleleak", "nocsim/internal/noc/leakfix"},
 	{"handleleak_clean", "nocsim/internal/noc/leakfix"},
-	{"shardwrite", "nocsim/internal/fab"},
-	{"shardwrite_clean", "nocsim/internal/fab"},
 }
 
 func TestFixtures(t *testing.T) {

@@ -4,21 +4,16 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // This file is the lightweight per-function control-flow/dataflow layer
-// shared by the shard-safety rules (hotalloc, atomicmix, handleleak,
-// shardwrite): function collection, an intra-package static call graph
-// with reachability, an ancestor-tracking AST walk, and the mode-gate
-// detector for the sequential/parallel bifurcation pattern.
+// shared by the hot-path rules (hotalloc, handleleak): function
+// collection, an intra-package static call graph with reachability, and
+// an ancestor-tracking AST walk.
 
 // nocPkgPath is the import path of the flit/NIC core package whose
 // types (FlitPool, Handle) the hot-path rules key on.
 const nocPkgPath = modulePath + "/internal/noc"
-
-// parPkgPath is the import path of the persistent shard-worker pool.
-const parPkgPath = modulePath + "/internal/par"
 
 // A declOf pairs a declared function with its file and type object.
 type declOf struct {
@@ -131,43 +126,6 @@ func inspectStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 	})
 }
 
-// modeGated reports whether the node whose ancestors are in stack sits
-// inside an if statement whose condition reads a bool-typed struct
-// field — the sequential/parallel bifurcation pattern
-// (`if !f.atomicAct { ... }`, `if f.skip && ... { ... }`). Plain
-// accesses under such a gate are the sanctioned sequential arm of a
-// construction-time mode split, not a mixed-mode race.
-func modeGated(info *types.Info, stack []ast.Node) bool {
-	for _, n := range stack {
-		if ifs, ok := n.(*ast.IfStmt); ok && condReadsBoolField(info, ifs.Cond) {
-			return true
-		}
-	}
-	return false
-}
-
-// condReadsBoolField reports whether cond selects a bool-typed struct
-// field anywhere in its expression tree.
-func condReadsBoolField(info *types.Info, cond ast.Expr) bool {
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		v, ok := info.Uses[sel.Sel].(*types.Var)
-		if !ok || !v.IsField() {
-			return true
-		}
-		if b, ok := v.Type().Underlying().(*types.Basic); ok && b.Kind() == types.Bool {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
 // isNamed reports whether t (or its pointer element) is the named type
 // pkgPath.name.
 func isNamed(t types.Type, pkgPath, name string) bool {
@@ -194,106 +152,6 @@ func objOf(info *types.Info, id *ast.Ident) types.Object {
 	return info.Defs[id]
 }
 
-// enclosingFuncName names the innermost declared function in stack, or
-// "" when the node sits outside any declaration.
-func enclosingFuncName(stack []ast.Node) string {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if fd, ok := stack[i].(*ast.FuncDecl); ok {
-			return fd.Name.Name
-		}
-	}
-	return ""
-}
-
-// A workerLit is one barrier-phase worker function literal: a
-// func(lo, hi, worker int) body handed to (*par.Pool).Run either
-// directly or through a field or variable assigned elsewhere in the
-// package.
-type workerLit struct {
-	lit  *ast.FuncLit
-	file *File
-}
-
-// workerFuncs discovers the package's barrier-phase workers: the
-// literals registered with (*par.Pool).Run plus the declared functions
-// they statically call (the seeds of the worker-reachable set).
-func workerFuncs(pass *Pass) (lits []workerLit, seeds []*types.Func) {
-	// Pass 1: collect Run's fn arguments — literals directly, and the
-	// field/variable objects that carry a literal registered earlier.
-	targets := map[types.Object]bool{}
-	addArg := func(arg ast.Expr, f *File) {
-		switch a := ast.Unparen(arg).(type) {
-		case *ast.FuncLit:
-			lits = append(lits, workerLit{lit: a, file: f})
-		case *ast.SelectorExpr:
-			if o := pass.Info.Uses[a.Sel]; o != nil {
-				targets[o] = true
-			}
-		case *ast.Ident:
-			if o := objOf(pass.Info, a); o != nil {
-				targets[o] = true
-			}
-		}
-	}
-	for _, f := range pass.Files {
-		if f.Test {
-			continue
-		}
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 2 {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
-			if !ok || fn.Name() != "Run" || fn.Pkg() == nil || fn.Pkg().Path() != parPkgPath {
-				return true
-			}
-			addArg(call.Args[1], f)
-			return true
-		})
-	}
-	if len(targets) > 0 {
-		// Pass 2: find the literals assigned to those targets.
-		for _, f := range pass.Files {
-			if f.Test {
-				continue
-			}
-			ast.Inspect(f.AST, func(n ast.Node) bool {
-				as, ok := n.(*ast.AssignStmt)
-				if !ok || len(as.Lhs) != len(as.Rhs) {
-					return true
-				}
-				for i, rhs := range as.Rhs {
-					lit, ok := ast.Unparen(rhs).(*ast.FuncLit)
-					if !ok {
-						continue
-					}
-					var o types.Object
-					switch l := ast.Unparen(as.Lhs[i]).(type) {
-					case *ast.SelectorExpr:
-						o = pass.Info.Uses[l.Sel]
-					case *ast.Ident:
-						o = objOf(pass.Info, l)
-					}
-					if o != nil && targets[o] {
-						lits = append(lits, workerLit{lit: lit, file: f})
-					}
-				}
-				return true
-			})
-		}
-	}
-	sort.Slice(lits, func(i, j int) bool { return lits[i].lit.Pos() < lits[j].lit.Pos() })
-	for _, wl := range lits {
-		seeds = append(seeds, staticCallees(pass.Info, wl.lit.Body)...)
-	}
-	return lits, seeds
-}
-
 // isBuiltin reports whether the call invokes the named builtin.
 func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
@@ -310,14 +168,4 @@ func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
 func isPanicCall(info *types.Info, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	return ok && isBuiltin(info, call, "panic")
-}
-
-// hasPrefixAny reports whether name starts with any of the prefixes.
-func hasPrefixAny(name string, prefixes ...string) bool {
-	for _, p := range prefixes {
-		if strings.HasPrefix(name, p) {
-			return true
-		}
-	}
-	return false
 }

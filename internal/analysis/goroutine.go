@@ -2,30 +2,26 @@ package analysis
 
 import "go/ast"
 
-// Goroutine forbids go statements and sync.WaitGroup outside the four
+// Goroutine forbids go statements and sync.WaitGroup outside the three
 // sanctioned concurrency layers: internal/runner (cross-simulation —
 // the bounded pool keeps results in declaration order at any -parallel
-// level), internal/par (intra-simulation — the persistent shard pool
-// whose barrier-joined workers cover disjoint index ranges, so no
-// interleaving can reach any output), internal/serve (the service
-// daemon's HTTP listener and job-queue workers, which sit strictly
-// above the runner: a job's simulations still execute through the
-// runner's pool, and concurrent jobs share no simulator state), and
-// internal/fleet (the coordinator's dispatch workers and health
-// prober, which sit strictly above serve and touch only HTTP clients
-// and the coordinator's own mutex-guarded queues). Every fabric's
-// per-cycle parallelism must go through par.Pool rather than spawning
-// its own goroutines.
+// level), internal/serve (the service daemon's HTTP listener and
+// job-queue workers, which sit strictly above the runner: a job's
+// simulations still execute through the runner's pool, and concurrent
+// jobs share no simulator state), and internal/fleet (the
+// coordinator's dispatch workers and health prober, which sit strictly
+// above serve and touch only HTTP clients and the coordinator's own
+// mutex-guarded queues). A simulation itself always steps on one
+// goroutine.
 var Goroutine = &Analyzer{
 	Name: "goroutine",
-	Doc:  "no go statements or sync.WaitGroup outside internal/runner, internal/par, internal/serve and internal/fleet",
-	Explain: `All concurrency flows through four audited layers: internal/runner
+	Doc:  "no go statements or sync.WaitGroup outside internal/runner, internal/serve and internal/fleet",
+	Explain: `All concurrency flows through three audited layers: internal/runner
 (cross-simulation: a bounded pool that keeps results in declaration
-order at any -parallel level), internal/par (intra-simulation: the
-persistent shard pool whose barrier-joined workers cover disjoint
-index ranges), internal/serve (the daemon's listener and job queue,
-strictly above the runner), and internal/fleet (the coordinator's
-dispatch workers and health prober, strictly above serve). An ad-hoc
+order at any -parallel level), internal/serve (the daemon's listener
+and job queue, strictly above the runner), and internal/fleet (the
+coordinator's dispatch workers and health prober, strictly above
+serve). A simulation itself always steps on one goroutine. An ad-hoc
 go statement or WaitGroup anywhere else creates an interleaving the
 determinism argument does not cover. The rule flags go statements and
 any mention of sync.WaitGroup outside those packages.
@@ -35,7 +31,7 @@ touch simulator state, with the isolation argument in the
 justification.`,
 	Run: func(pass *Pass) {
 		rel := pass.Rel()
-		if rel == "internal/runner" || rel == "internal/par" || rel == "internal/serve" || rel == "internal/fleet" {
+		if rel == "internal/runner" || rel == "internal/serve" || rel == "internal/fleet" {
 			return
 		}
 		for _, f := range pass.Files {

@@ -22,19 +22,18 @@ var hotallocNocRoots = map[string]bool{
 var hotallocAllow = map[string]bool{"Reserve": true}
 
 // HotAlloc forbids heap-allocating constructs in any function reachable
-// from a fabric Step method, a barrier-phase worker, or the per-cycle
-// NIC/pool entry points of internal/noc. The zero-steady-state-allocs
-// property is what keeps cycle cost flat at 64x64+ and the GC out of
-// the measurement loop; this rule catches a reintroduced allocation at
-// review time instead of as an opaque allocs-per-cycle bump.
+// from a fabric Step method or the per-cycle NIC/pool entry points of
+// internal/noc. The zero-steady-state-allocs property is what keeps
+// cycle cost flat at 64x64+ and the GC out of the measurement loop;
+// this rule catches a reintroduced allocation at review time instead of
+// as an opaque allocs-per-cycle bump.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "no heap-allocating constructs reachable from Step/per-cycle functions in internal/noc/...",
 	Explain: `The simulator's hot path — everything reachable from a fabric's Step
-method, from a barrier-phase worker registered with (*par.Pool).Run, or
-from the per-cycle NIC/FlitPool entry points of internal/noc — must not
-allocate in steady state (PR 6's TestZeroSteadyStateAllocs pins this at
-runtime; hotalloc pins it at review time).
+method or from the per-cycle NIC/FlitPool entry points of internal/noc
+— must not allocate in steady state (TestZeroSteadyStateAllocs pins
+this at runtime; hotalloc pins it at review time).
 
 Flagged constructs: make, append (the backing array may grow), new,
 slice/map composite literals, &composite literals (escape by
@@ -62,8 +61,6 @@ high-water mark.`,
 				roots = append(roots, d.fn)
 			}
 		}
-		lits, seeds := workerFuncs(pass)
-		roots = append(roots, seeds...)
 		hot := reachableFrom(pass.Info, decls, roots, func(fn *types.Func) bool {
 			return hotallocAllow[fn.Name()]
 		})
@@ -71,9 +68,6 @@ high-water mark.`,
 			if hot[d.fn] {
 				checkHotBody(pass, d.file, d.fn.Name(), d.decl.Body)
 			}
-		}
-		for _, wl := range lits {
-			checkHotBody(pass, wl.file, "worker", wl.lit.Body)
 		}
 	},
 }

@@ -13,7 +13,7 @@ type ring struct {
 
 // drop leaks on the busy path: the slot is never freed or committed.
 func (r *ring) drop(fl *noc.Flit, busy bool) {
-	h := r.pool.Alloc(0, fl) // want "pool handle h may leak"
+	h := r.pool.Alloc(fl) // want "pool handle h may leak"
 	if busy {
 		return
 	}
@@ -21,11 +21,11 @@ func (r *ring) drop(fl *noc.Flit, busy bool) {
 }
 
 func (r *ring) discard(fl *noc.Flit) {
-	r.pool.Alloc(0, fl) // want "result of Alloc is discarded"
+	r.pool.Alloc(fl) // want "result of Alloc is discarded"
 }
 
 func (r *ring) blank(fl *noc.Flit) {
-	_ = r.pool.Alloc(0, fl) // want "result of Alloc is discarded"
+	_ = r.pool.Alloc(fl) // want "result of Alloc is discarded"
 }
 
 // stall dequeues a handle but only borrows it through a read-only

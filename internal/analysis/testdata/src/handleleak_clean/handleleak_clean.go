@@ -12,13 +12,13 @@ type ring struct {
 }
 
 // forward consumes on every path: free, commit, or nothing to do.
-func (r *ring) forward(i, w int) {
+func (r *ring) forward(i int) {
 	h := r.in[i]
 	if h == 0 {
 		return
 	}
 	if i&1 == 0 {
-		r.pool.Free(w, h)
+		r.pool.Free(h)
 		return
 	}
 	r.link[i] = uint64(h) | 1<<32 // folded into the committed link word
@@ -26,10 +26,10 @@ func (r *ring) forward(i, w int) {
 
 // eject scopes the handle to the if: the guard discharges the
 // zero-handle arm and the body frees the slot.
-func (r *ring) eject(fl *noc.Flit, w, i int) {
+func (r *ring) eject(fl *noc.Flit, i int) {
 	if h := r.in[i]; h != 0 {
 		r.pool.Get(h, fl)
-		r.pool.Free(w, h)
+		r.pool.Free(h)
 	}
 }
 

@@ -13,8 +13,10 @@ import (
 	"os"
 )
 
-// Record is one benchmark cell: a (case, workers) point of the
-// fabric-stepping matrix.
+// Record is one benchmark cell: a case of the fabric-stepping matrix.
+// Workers is the number of goroutines that stepped the fabric. New
+// records always carry 1; earlier runs also recorded wider cells, and
+// the field keeps them loadable and keys every cell for cmd/benchdiff.
 type Record struct {
 	Name           string  `json:"name"`
 	Workers        int     `json:"workers"`

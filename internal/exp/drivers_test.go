@@ -10,7 +10,6 @@ func microScale() Scale {
 		Epoch:     2_000,
 		Workloads: 7,
 		MaxNodes:  16,
-		Workers:   1,
 		Seed:      2,
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"nocsim/internal/runner"
 )
 
 // tinyScale keeps every driver fast enough for unit testing while still
@@ -16,7 +14,6 @@ func tinyScale() Scale {
 		Epoch:     4_000,
 		Workloads: 7,
 		MaxNodes:  64,
-		Workers:   1,
 		Seed:      1,
 	}
 }
@@ -187,14 +184,5 @@ func TestMeshSizesRespectCap(t *testing.T) {
 	}
 	if len(meshSizes(Scale{MaxNodes: 4096})) != 5 {
 		t.Error("full scale must include all five sizes")
-	}
-}
-
-func TestWorkersFor(t *testing.T) {
-	if runner.WorkersFor(16, 8) != 1 {
-		t.Error("small meshes must run sequentially")
-	}
-	if runner.WorkersFor(1024, 8) != 8 {
-		t.Error("large meshes must shard")
 	}
 }

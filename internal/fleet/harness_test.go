@@ -22,13 +22,8 @@ import (
 	"nocsim/internal/serve"
 )
 
-// testScale is the base daemon scale for fleet tests: single worker
-// shard, defaults otherwise.
-func testScale() runner.Scale {
-	sc := runner.DefaultScale()
-	sc.Workers = 1
-	return sc
-}
+// testScale is the base daemon scale for fleet tests.
+func testScale() runner.Scale { return runner.DefaultScale() }
 
 // testServeConfig is the base daemon configuration: fresh temp cache,
 // enough workers to keep a small sweep moving.
@@ -173,7 +168,7 @@ func (l *signalLog) String() string {
 }
 
 // referenceHashes executes the sweep's expanded points locally at
-// Workers=1 -parallel 1 — the setting the fleet's byte-identity
+// -parallel 1 — the setting the fleet's byte-identity
 // guarantee is stated against — and returns counters hash per label.
 func referenceHashes(t *testing.T, spec SweepSpec) map[string]string {
 	t.Helper()
@@ -185,7 +180,6 @@ func referenceHashes(t *testing.T, spec SweepSpec) map[string]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Workers = 1
 	sc.Parallel = 1
 	plan := runner.NewPlan(sc)
 	for _, r := range runs {

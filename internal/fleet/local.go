@@ -46,6 +46,8 @@ func (c *coordinator) runLocal(t *task) ([]serve.RunResult, string) {
 	originCycles := make([]int64, n)
 	blobs := make([][]byte, n)
 	blobCycles := make([]int64, n)
+	live := make([]*sim.Sim, n)
+	from := make([]int64, n)
 
 	plan := runner.NewPlan(sc)
 	for k, i := range t.miss {
@@ -60,6 +62,7 @@ func (c *coordinator) runLocal(t *task) ([]serve.RunResult, string) {
 			Start: func(sm *sim.Sim) {
 				starts[k] = time.Now()
 				origins[k], originCycles[k] = sm.Origin()
+				live[k], from[k] = sm, sm.Cycle()
 			},
 			Observe: func(sm *sim.Sim) {
 				if sm.Cycle() < target {
@@ -80,8 +83,10 @@ func (c *coordinator) runLocal(t *task) ([]serve.RunResult, string) {
 		if cfg.Warmup == 0 {
 			// A warm-started run may not stop before its warmup cycle
 			// (the resume path requires checkpoint cycle >= warmup), so
-			// only cold runs are preemptable.
-			run.Cancel = func() bool { return c.preemptReady(t) }
+			// only cold runs are preemptable — and only once they have
+			// advanced: a checkpoint of the cycle a run started at
+			// saves the peer nothing, so it would cold-start.
+			run.Cancel = func() bool { return live[k].Cycle() > from[k] && c.preemptReady(t) }
 		}
 		plan.AddRun(run)
 	}

@@ -15,8 +15,8 @@
 // its arriving flits, arbitrates, and commits its outputs directly onto
 // the downstream link pipelines. Every link ring carries one spare slot
 // (see Fabric.in), so the slot a router writes this cycle is never one
-// any router reads this cycle, and the pass shards safely across
-// workers with no commit barrier.
+// any router reads this cycle, and routers commit with no barrier or
+// staging buffer.
 //
 // Two hot-path structures keep stepping cheap. Flits live in a shared
 // noc.FlitPool and the link pipelines carry 4-byte handles, so an empty
@@ -35,11 +35,9 @@ package bless
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"nocsim/internal/noc"
 	"nocsim/internal/obs"
-	"nocsim/internal/par"
 	"nocsim/internal/rng"
 	"nocsim/internal/topology"
 )
@@ -108,14 +106,6 @@ type Config struct {
 	NoActiveSet bool
 	// Seed seeds the Random arbiter's per-node streams.
 	Seed uint64
-	// Workers shards the per-cycle node loop; 0 means 1 (sequential).
-	// When >1, Policy must tolerate concurrent calls for distinct nodes.
-	Workers int
-	// Pool optionally supplies a shared persistent worker pool (the
-	// system simulator passes one pool to the fabric and its own node
-	// loop). Its width must equal Workers. Nil makes the fabric create
-	// its own pool when sharding engages.
-	Pool *par.Pool
 	// Probe supplies the observability hooks; the zero Probe (nil
 	// collectors) costs one predictable branch per event.
 	Probe obs.Probe
@@ -152,16 +142,14 @@ func olderKey(a, b *arrKey) bool {
 	return a.index < b.index
 }
 
-// stepScratch is one worker's arbitration workspace: the collected
-// arrival handles and their arbitration keys, the age order, and the
-// departing flit per output port. Padded so two workers' scratch never
-// shares a cache line.
+// stepScratch is the arbitration workspace: the collected arrival
+// handles and their arbitration keys, the age order, and the departing
+// flit per output port.
 type stepScratch struct {
 	hs   [maxDirs]noc.Handle
 	keys [maxDirs]arrKey
 	ord  [maxDirs]int32
 	out  [maxDirs]noc.Handle
-	_    [64]byte
 }
 
 // Fabric is the bufferless network. It implements noc.Network.
@@ -218,22 +206,16 @@ type Fabric struct {
 
 	// load[(n*4)+d] is an exponentially-decayed busy count per output
 	// port, the local congestion estimate adaptive routing consults.
-	// Only node n's phase-1 shard touches its row.
 	load []uint32
 
-	// Active-set state (nil / unused when skip is false). Because
-	// commits happen during the node pass, activation must not race
-	// with the owner's deactivation; active[n] is a tiny atomic state
-	// machine: 0 idle, 1 active, 2 freshly woken. Activators (link
-	// committers, NIC Send notifications) Store 2; the owner
-	// normalises 2→1 with a CAS before stepping and deactivates with
-	// CAS(1→0), which fails — leaving the node awake — whenever an
-	// activation raced in. A woken node's extra step is a no-op
-	// (counter-invisible), so the set of stepped nodes may vary with
-	// worker count but every observable output is identical.
-	// lastTick[n] counts the cycles for which the policy has observed
-	// node n, so a skipped stretch is replayed in one IdleTicker call
-	// on wake-up.
+	// Active-set state (nil / unused when skip is false). active[n] is
+	// 0 idle, 1 active, 2 freshly woken. NIC Send notifications store
+	// 2; a link commit toward an idle node stores 1. The owner demotes
+	// 2 to 1 after stepping and deactivates a plain-active node once it
+	// has no work left. A woken node's extra step is a no-op
+	// (counter-invisible). lastTick[n] counts the cycles for which the
+	// policy has observed node n, so a skipped stretch is replayed in
+	// one IdleTicker call on wake-up.
 	skip     bool
 	active   []uint32
 	idle     noc.IdleTicker
@@ -245,13 +227,6 @@ type Fabric struct {
 	// common unthrottled configuration.
 	openPol bool
 
-	// atomicAct selects the activation flavour: with worker sharding,
-	// commits use the 3-state atomic protocol described on active;
-	// sequential stepping uses plain load-checked stores and scans the
-	// write stage too, which is race-free with a single goroutine and
-	// saves two atomics per link traversal.
-	atomicAct bool
-
 	// links[n*4+d] resolves the link leaving node n in direction d to
 	// its destination pipeline: idx is the in-plane offset
 	// neighbour*4+arrivalDir, nb the neighbour; idx is -1 off the mesh
@@ -259,11 +234,9 @@ type Fabric struct {
 	links []linkRef
 
 	// inCount[n] counts the flits currently queued in node n's incoming
-	// pipelines (all stages of its in-column). Maintained only under
-	// sequential stepping (atomicAct false, fixed at construction),
-	// where it replaces the per-plane alive scan with one load;
-	// sharded stepping keeps the scan because cross-shard commits
-	// would race on the counters.
+	// pipelines (all stages of its in-column), so "any flit queued
+	// toward this node" is one load. Maintained only with the active
+	// set engaged.
 	inCount []int32
 
 	// fastRT caches Topology.RouteTableInUse so the arbitration loops
@@ -271,24 +244,12 @@ type Fabric struct {
 	// query per flit.
 	fastRT bool
 
-	// scr[w] is worker w's arbitration scratch. The per-flit arrays
-	// live here rather than on stepRouter's frame so stepping a node
-	// does not re-zero ~100 bytes of locals: every slot is written
-	// before it is read (hs/hot/ord up to na, out only for ports whose
-	// free bit was claimed).
-	scr []stepScratch
-
-	// reserveNeeds is Step's per-shard Reserve argument, kept allocated.
-	reserveNeeds []int
-
-	// shards[w] are worker w's counters, cache-line padded so parallel
-	// phases never false-share; Stats() merges them.
-	shards []par.PaddedStats
-	// pool runs the node pass when sharding engages; nil means
-	// sequential stepping. p1 is the prebuilt closure, so Step
-	// allocates nothing.
-	pool *par.Pool
-	p1   func(lo, hi, worker int)
+	// scr is the arbitration scratch. The per-flit arrays live here
+	// rather than on stepRouter's frame so stepping a node does not
+	// re-zero ~100 bytes of locals: every slot is written before it is
+	// read (hs/hot/ord up to na, out only for ports whose free bit was
+	// claimed).
+	scr stepScratch
 
 	stats    noc.Stats
 	inflight int64
@@ -318,52 +279,29 @@ func New(cfg Config) *Fabric {
 	if cfg.Policy == nil {
 		cfg.Policy = noc.Open{}
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	n := cfg.Topology.Nodes()
 	f := &Fabric{
-		top:          cfg.Topology,
-		cfg:          cfg,
-		policy:       cfg.Policy,
-		depth:        cfg.HopLatency,
-		ringLen:      cfg.HopLatency + 1,
-		planeSz:      n * maxDirs,
-		nics:         make([]*noc.NIC, n),
-		fpool:        noc.NewFlitPool(cfg.Workers),
-		in:           make([]noc.Handle, n*maxDirs*(cfg.HopLatency+1)),
-		reserveNeeds: make([]int, cfg.Workers),
-		shards:       make([]par.PaddedStats, cfg.Workers),
-		tr:           cfg.Probe.Tracer,
-		sp:           cfg.Probe.Spatial,
-		ejectW:       cfg.EjectWidth,
-		injectW:      cfg.InjectWidth,
-		sideCap:      int32(cfg.SideBuffer),
-		arb:          cfg.Arb,
+		top:     cfg.Topology,
+		cfg:     cfg,
+		policy:  cfg.Policy,
+		depth:   cfg.HopLatency,
+		ringLen: cfg.HopLatency + 1,
+		planeSz: n * maxDirs,
+		nics:    make([]*noc.NIC, n),
+		fpool:   noc.NewFlitPool(),
+		in:      make([]noc.Handle, n*maxDirs*(cfg.HopLatency+1)),
+		tr:      cfg.Probe.Tracer,
+		sp:      cfg.Probe.Spatial,
+		ejectW:  cfg.EjectWidth,
+		injectW: cfg.InjectWidth,
+		sideCap: int32(cfg.SideBuffer),
+		arb:     cfg.Arb,
 	}
-	// Sharding pays only when every worker gets a few nodes; below that
-	// the fabric steps sequentially and the pool is never consulted.
-	if cfg.Workers > 1 && n >= cfg.Workers*4 {
-		if cfg.Pool != nil {
-			if cfg.Pool.Workers() != cfg.Workers {
-				panic(fmt.Sprintf("bless: shared pool width %d != Workers %d", cfg.Pool.Workers(), cfg.Workers))
-			}
-			f.pool = cfg.Pool
-		} else {
-			f.pool = par.New(cfg.Workers)
-		}
-		f.p1 = func(lo, hi, w int) { f.phase1(lo, hi, w, &f.shards[w].Stats) }
-	}
-	f.atomicAct = f.pool != nil
 	f.fastRT = cfg.Topology.RouteTableInUse()
-	f.scr = make([]stepScratch, cfg.Workers)
 	f.idle, _ = cfg.Policy.(noc.IdleTicker)
 	_, open := cfg.Policy.(noc.Open)
 	f.openPol = open
 	f.skip = !cfg.NoActiveSet && !cfg.Adaptive && (open || f.idle != nil)
-	if f.skip && !f.atomicAct {
-		f.inCount = make([]int32, n)
-	}
 	f.links = make([]linkRef, n*maxDirs)
 	for node := 0; node < n; node++ {
 		for d := 0; d < maxDirs; d++ {
@@ -380,6 +318,7 @@ func New(cfg Config) *Fabric {
 		}
 	}
 	if f.skip {
+		f.inCount = make([]int32, n)
 		f.active = make([]uint32, n)
 		f.lastTick = make([]int64, n)
 	}
@@ -409,17 +348,8 @@ func New(cfg Config) *Fabric {
 }
 
 // activate flags a node as freshly woken (see the active field's state
-// machine). Atomic because commits and NIC notifications may come from
-// any worker shard.
-func (f *Fabric) activate(node int) {
-	if !f.atomicAct {
-		// Sequential fabrics take Sends only between steps; a plain
-		// store keeps the NIC notify off the atomic path.
-		f.active[node] = 2
-		return
-	}
-	atomic.StoreUint32(&f.active[node], 2)
-}
+// machine); it is the NIC Send notification.
+func (f *Fabric) activate(node int) { f.active[node] = 2 }
 
 // Topology returns the fabric's topology.
 func (f *Fabric) Topology() *topology.Topology { return f.top }
@@ -431,12 +361,11 @@ func (f *Fabric) Cycle() int64 { return f.cycle }
 func (f *Fabric) NIC(i int) *noc.NIC { return f.nics[i] }
 
 // ActiveSet reports whether active-set skipping is engaged and, if so,
-// how many nodes are currently flagged active. Sequential regions only.
+// how many nodes are currently flagged active.
 func (f *Fabric) ActiveSet() (active int, enabled bool) {
 	if !f.skip {
 		return 0, false
 	}
-	//nocvet:allow atomicmix sequential region between Step calls; the worker pool is parked, so plain loads cannot race
 	for _, a := range f.active {
 		if a != 0 {
 			active++
@@ -445,12 +374,9 @@ func (f *Fabric) ActiveSet() (active int, enabled bool) {
 	return active, true
 }
 
-// Stats returns the accumulated counters, merging worker shards.
+// Stats returns the accumulated counters.
 func (f *Fabric) Stats() noc.Stats {
 	s := f.stats
-	for i := range f.shards {
-		s.Merge(f.shards[i].Stats)
-	}
 	s.Cycles = f.cycle
 	return s
 }
@@ -497,83 +423,34 @@ func (f *Fabric) Step() {
 	if f.wstage >= f.ringLen {
 		f.wstage -= f.ringLen
 	}
-	if f.pool == nil {
-		f.reserveNeeds[0] = nodes * f.cfg.InjectWidth
-		for w := 1; w < len(f.reserveNeeds); w++ {
-			f.reserveNeeds[w] = 0
-		}
-		f.fpool.Reserve(f.reserveNeeds)
-		f.hotp = f.fpool.HotPlane()
-		f.phase1(0, nodes, 0, &f.shards[0].Stats)
-	} else {
-		per := (nodes + f.cfg.Workers - 1) / f.cfg.Workers
-		for w := range f.reserveNeeds {
-			f.reserveNeeds[w] = per * f.cfg.InjectWidth
-		}
-		f.fpool.Reserve(f.reserveNeeds)
-		f.hotp = f.fpool.HotPlane()
-		f.pool.Run(nodes, f.p1)
-	}
-	f.updateInflight()
+	f.fpool.Reserve(nodes * f.cfg.InjectWidth)
+	f.hotp = f.fpool.HotPlane()
+	f.stepNodes(nodes, &f.stats)
+	f.inflight = f.stats.FlitsInjected - f.stats.FlitsEjected
 	f.cycle++
 }
 
-// Close releases the fabric's own worker pool. Shared pools (Config.
-// Pool) belong to their creator and are left running.
-func (f *Fabric) Close() {
-	if f.pool != nil && f.pool != f.cfg.Pool {
-		f.pool.Close()
-	}
-}
-
-// phase1 steps nodes [lo,hi), skipping inactive ones when the active
-// set is engaged. Each router touches only single-writer state: its own
-// pipeline heads, its NIC, the write-stage slots of its outgoing links
-// (disjoint from every same-cycle read; see the in field), shard
-// counters, and the atomic active words.
-func (f *Fabric) phase1(lo, hi, w int, st *noc.Stats) {
+// stepNodes steps every node in index order, skipping inactive ones
+// when the active set is engaged.
+func (f *Fabric) stepNodes(nodes int, st *noc.Stats) {
 	if !f.skip {
-		for node := lo; node < hi; node++ {
-			f.stepRouter(node, w, st)
+		for node := 0; node < nodes; node++ {
+			f.stepRouter(node, st)
 		}
 		return
 	}
-	if !f.atomicAct {
-		// Sequential stepping: nothing can race the owner between its
-		// load and its store, so the state machine runs on plain
-		// accesses (a demotion or deactivation can never clobber a
-		// concurrent wake-up — there is none).
-		for node := lo; node < hi; node++ {
-			a := f.active[node]
-			if a == 0 {
-				continue
-			}
-			alive := f.stepRouter(node, w, st)
-			if a == 2 {
-				f.active[node] = 1
-			} else if !alive {
-				f.active[node] = 0
-			}
-		}
-		return
-	}
-	for node := lo; node < hi; node++ {
-		a := atomic.LoadUint32(&f.active[node])
+	for node := 0; node < nodes; node++ {
+		a := f.active[node]
 		if a == 0 {
 			continue
 		}
-		alive := f.stepRouter(node, w, st)
+		alive := f.stepRouter(node, st)
 		if a == 2 {
-			// Freshly woken: demote to plain-active rather than ever
-			// deactivating, so a flit committed toward this node during
-			// the cycle that woke it survives to next cycle's pipeline
-			// scan. A failed CAS means another activation landed — the
-			// node simply stays at 2.
-			atomic.CompareAndSwapUint32(&f.active[node], 2, 1)
+			// Freshly woken: demote to plain-active rather than
+			// deactivating, so the node gets one more step.
+			f.active[node] = 1
 		} else if !alive {
-			// The CAS fails — leaving the node awake — whenever an
-			// activation raced in after this cycle's load.
-			atomic.CompareAndSwapUint32(&f.active[node], 1, 0)
+			f.active[node] = 0
 		}
 	}
 }
@@ -583,7 +460,7 @@ func (f *Fabric) phase1(lo, hi, w int, st *noc.Stats) {
 // still has any work (NIC traffic, side-buffered flits, or flits in its
 // incoming pipelines — everything that could make a future cycle differ
 // from a no-op, so skipping a !alive node is exact).
-func (f *Fabric) stepRouter(node, w int, st *noc.Stats) (alive bool) {
+func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 	if f.skip && f.idle != nil {
 		// Replay the skipped stretch into the policy's starvation
 		// window; inject's Tick below then covers this cycle. The
@@ -602,7 +479,7 @@ func (f *Fabric) stepRouter(node, w int, st *noc.Stats) (alive bool) {
 	// Collect arrivals at the head stage and clear the slots. The
 	// scratch arrays are reused across nodes; only the first na slots
 	// are ever read back.
-	sc := &f.scr[w]
+	sc := &f.scr
 	hs := &sc.hs
 	keys := &sc.keys
 	ord := &sc.ord
@@ -685,7 +562,7 @@ func (f *Fabric) stepRouter(node, w int, st *noc.Stats) (alive bool) {
 				st.PacketsDelivered++
 				st.PacketLatencySum += f.cycle - fl.Enq
 			}
-			f.fpool.Free(w, hs[i])
+			f.fpool.Free(hs[i])
 			continue
 		}
 		if dst != node && f.load == nil && f.fastRT {
@@ -719,7 +596,7 @@ func (f *Fabric) stepRouter(node, w int, st *noc.Stats) (alive bool) {
 	// stays false and there is no Tick to deliver), so the call is
 	// skipped outright.
 	if !f.openPol || nic.HasTraffic() {
-		f.inject(node, w, nic, &free, out, st)
+		f.inject(node, nic, &free, out, st)
 	}
 
 	// Adaptive routing's periodic decay of the local congestion
@@ -742,34 +619,22 @@ func (f *Fabric) stepRouter(node, w int, st *noc.Stats) (alive bool) {
 			d := bits.TrailingZeros8(m)
 			h := out[d]
 			if cong {
-				//nocvet:allow shardwrite the hot-plane slot of h is owned by this worker: exactly one router holds a flit's handle per cycle
 				f.hotp[h].CongBit = true
 			}
 			if f.load != nil {
 				f.load[base+d]++
 			}
 			lk := f.links[base+d]
-			//nocvet:allow shardwrite stage-major link-plane commit: the write stage is disjoint from every plane read this cycle, and each link slot has one writer
 			f.in[wbase+int(lk.idx)] = h
 			if f.sp != nil {
 				f.sp.AddLink(node, d)
 			}
 			if f.skip {
-				if !f.atomicAct {
-					// Single goroutine: a plain load-checked store
-					// suffices (the receiver may already have stepped
-					// and deactivated this cycle).
-					f.inCount[lk.nb]++
-					if f.active[lk.nb] == 0 {
-						f.active[lk.nb] = 1
-					}
-				} else if atomic.LoadUint32(&f.active[lk.nb]) != 2 {
-					// Load-checked: at load the neighbour is usually
-					// flagged already, and skipping the store keeps the
-					// cache line clean for other committers. Anything
-					// not already freshly woken must be re-stamped 2 so
-					// a racing deactivation CAS fails.
-					atomic.StoreUint32(&f.active[lk.nb], 2)
+				// Load-checked: the receiver may already have stepped
+				// and deactivated this cycle.
+				f.inCount[lk.nb]++
+				if f.active[lk.nb] == 0 {
+					f.active[lk.nb] = 1
 				}
 			}
 		}
@@ -777,37 +642,11 @@ func (f *Fabric) stepRouter(node, w int, st *noc.Stats) (alive bool) {
 
 	alive = nic.HasTraffic() || (f.side != nil && f.sideCount[node] > 0)
 	if f.skip && !alive {
-		// Scan the incoming pipelines for queued flits. Under worker
-		// sharding the write stage is excluded: it held no flit at the
-		// cycle's start (its previous tenant was read last cycle), and
-		// only a concurrent neighbour commit can fill it — a commit
-		// whose Store(2) re-activates this node by itself, so skipping
-		// the slot is both race-free and wakeup-safe. Sequential
-		// stepping scans every slot instead: an earlier node may have
-		// committed toward this one without re-flagging it (it was
-		// still active at commit time), and the full scan is what keeps
-		// that flit's node awake.
-		if !f.atomicAct {
-			// Sequential stepping: the occupancy counter is exact (it
-			// is maintained by the same goroutine doing the scanning),
-			// so "any flit queued toward this node" is one load. An
-			// earlier node may have committed toward this one without
-			// re-flagging it; the counter is what keeps it awake.
-			alive = f.inCount[node] != 0
-		} else {
-			for s := 0; s < f.ringLen && !alive; s++ {
-				if s == f.wstage {
-					continue
-				}
-				q := s*f.planeSz + base
-				for _, h := range f.in[q : q+maxDirs] {
-					if h != 0 {
-						alive = true
-						break
-					}
-				}
-			}
-		}
+		// Any flit queued toward this node keeps it awake. An earlier
+		// node may have committed toward this one without re-flagging
+		// it (it was still active at commit time); the exact occupancy
+		// counter is what catches that flit.
+		alive = f.inCount[node] != 0
 	}
 	return alive
 }
@@ -899,7 +738,7 @@ func (f *Fabric) reinjectSide(node int, free *uint8, out []noc.Handle, st *noc.S
 // inject moves up to InjectWidth flits from the NIC into free output
 // ports, consulting the policy for request flits, and reports the
 // starvation outcome.
-func (f *Fabric) inject(node, w int, nic *noc.NIC, free *uint8, out []noc.Handle, st *noc.Stats) {
+func (f *Fabric) inject(node int, nic *noc.NIC, free *uint8, out []noc.Handle, st *noc.Stats) {
 	wanted := false
 	injected := false
 	throttled := false
@@ -920,7 +759,7 @@ func (f *Fabric) inject(node, w int, nic *noc.NIC, free *uint8, out []noc.Handle
 		fl := nic.Pop()
 		fl.Inject = f.cycle
 		*free &^= 1 << uint(dir)
-		out[dir] = f.fpool.Alloc(w, &fl)
+		out[dir] = f.fpool.Alloc(&fl)
 		st.FlitsInjected++
 		st.QueueLatencySum += f.cycle - fl.Enq
 		st.CrossbarTraversals++
@@ -1005,14 +844,4 @@ func (f *Fabric) freePortToward(node, dst int, free uint8) topology.Port {
 		return topology.Port(bits.TrailingZeros8(free))
 	}
 	return topology.Invalid
-}
-
-// updateInflight recomputes the in-flight counter from shard totals.
-func (f *Fabric) updateInflight() {
-	var inj, ej int64
-	for i := range f.shards {
-		inj += f.shards[i].Stats.FlitsInjected
-		ej += f.shards[i].Stats.FlitsEjected
-	}
-	f.inflight = inj - ej
 }

@@ -286,34 +286,6 @@ func TestCongestionBitPropagates(t *testing.T) {
 	}
 }
 
-// Parallel stepping must be deterministic and equivalent to sequential.
-func TestParallelEquivalence(t *testing.T) {
-	run := func(workers int) noc.Stats {
-		f := newFabric(8, func(c *Config) { c.Workers = workers })
-		r := rng.New(11)
-		for cycle := 0; cycle < 500; cycle++ {
-			for n := 0; n < 64; n++ {
-				if r.Bool(0.15) {
-					dst := r.Intn(64)
-					if dst != n {
-						f.NIC(n).Send(dst, noc.Request, 0, 2, f.Cycle())
-					}
-				}
-			}
-			f.Step()
-		}
-		for !f.Drained() {
-			f.Step()
-		}
-		return f.Stats()
-	}
-	seq := run(1)
-	par := run(4)
-	if seq != par {
-		t.Errorf("parallel run diverged:\nseq %+v\npar %+v", seq, par)
-	}
-}
-
 func TestRandomArbiterStillConserves(t *testing.T) {
 	f := newFabric(4, func(c *Config) { c.Arb = Random; c.Seed = 5 })
 	r := rng.New(21)
@@ -421,7 +393,7 @@ func TestLivelockFreedomUnderSaturation(t *testing.T) {
 
 func TestNewDefaults(t *testing.T) {
 	f := New(Config{Topology: mesh(2)})
-	if f.cfg.HopLatency != 3 || f.cfg.EjectWidth != 2 || f.cfg.InjectWidth != 1 || f.cfg.Workers != 1 {
+	if f.cfg.HopLatency != 3 || f.cfg.EjectWidth != 2 || f.cfg.InjectWidth != 1 {
 		t.Errorf("defaults not applied: %+v", f.cfg)
 	}
 	if f.Stats().Links != 8 {

@@ -8,8 +8,8 @@ import (
 // Checkpoint codec for the bufferless fabric. The encoding is defined
 // entirely in terms of simulated state — flit content at absolute
 // pipeline positions, side-ring content in FIFO order, merged counter
-// totals — so it is identical whatever the worker count, pool layout or
-// activation history that produced the state. Restore overlays a fabric
+// totals — so it is identical whatever the pool layout or activation
+// history that produced the state. Restore overlays a fabric
 // freshly constructed with the same Config: pooled flits are re-Alloced
 // in canonical scan order (handle values never influence arbitration,
 // which orders by Inject/Seq/Index content), and the active set,
@@ -20,41 +20,36 @@ func init() {
 	snap.Cover(Fabric{}, snap.Coverage{
 		Serialized: []string{
 			"cycle", "in", "side", "sideCount", "nics", "load",
-			"randSrc", "shards",
+			"randSrc", "stats",
 		},
 		Waived: map[string]string{
-			"top":          "construction: topology is config-derived",
-			"cfg":          "config: construction input",
-			"policy":       "construction: restored separately by the system layer",
-			"depth":        "construction: derived from Config.HopLatency",
-			"ejectW":       "construction: hoisted Config mirror",
-			"injectW":      "construction: hoisted Config mirror",
-			"sideCap":      "construction: hoisted Config mirror",
-			"arb":          "construction: hoisted Config mirror",
-			"fpool":        "rebuilt: occupied slots are re-Alloced from serialized flit content in canonical scan order",
-			"hotp":         "cache: refreshed from the pool after every Reserve",
-			"ringLen":      "construction: derived from Config.HopLatency",
-			"planeSz":      "construction: derived from the topology",
-			"stage":        "scratch: recomputed from cycle at the top of every Step",
-			"wstage":       "scratch: recomputed from cycle at the top of every Step",
-			"sideHead":     "canonical: side rings are encoded in FIFO order and restored head-normalized",
-			"skip":         "construction: derived from Config and the policy's capabilities",
-			"active":       "rebuilt: recomputed from exact occupancy (NIC traffic, side rings, pipelines) on restore",
-			"idle":         "construction: capability view of the policy",
-			"lastTick":     "canonical: SyncPolicy flushes pending idle stretches before snapshot; restore pins every entry to the restored cycle",
-			"openPol":      "construction: capability view of the policy",
-			"atomicAct":    "construction: derived from worker sharding",
-			"links":        "construction: derived from the topology",
-			"inCount":      "derived: recomputed from pipeline occupancy on restore",
-			"fastRT":       "construction: derived from the topology",
-			"scr":          "scratch: every slot is written before it is read within one router step",
-			"reserveNeeds": "scratch: rewritten at the top of every Step",
-			"pool":         "construction: worker pool is execution machinery, not simulated state",
-			"p1":           "construction: prebuilt closure over the pool",
-			"stats":        "construction: holds only the Links topology property; event totals are encoded merged and restored into shard 0",
-			"inflight":     "derived: recomputed from shard counters on restore",
-			"tr":           "construction: observability collector, restored by the obs layer",
-			"sp":           "construction: observability collector, restored by the obs layer",
+			"top":      "construction: topology is config-derived",
+			"cfg":      "config: construction input",
+			"policy":   "construction: restored separately by the system layer",
+			"depth":    "construction: derived from Config.HopLatency",
+			"ejectW":   "construction: hoisted Config mirror",
+			"injectW":  "construction: hoisted Config mirror",
+			"sideCap":  "construction: hoisted Config mirror",
+			"arb":      "construction: hoisted Config mirror",
+			"fpool":    "rebuilt: occupied slots are re-Alloced from serialized flit content in canonical scan order",
+			"hotp":     "cache: refreshed from the pool after every Reserve",
+			"ringLen":  "construction: derived from Config.HopLatency",
+			"planeSz":  "construction: derived from the topology",
+			"stage":    "scratch: recomputed from cycle at the top of every Step",
+			"wstage":   "scratch: recomputed from cycle at the top of every Step",
+			"sideHead": "canonical: side rings are encoded in FIFO order and restored head-normalized",
+			"skip":     "construction: derived from Config and the policy's capabilities",
+			"active":   "rebuilt: recomputed from exact occupancy (NIC traffic, side rings, pipelines) on restore",
+			"idle":     "construction: capability view of the policy",
+			"lastTick": "canonical: SyncPolicy flushes pending idle stretches before snapshot; restore pins every entry to the restored cycle",
+			"openPol":  "construction: capability view of the policy",
+			"links":    "construction: derived from the topology",
+			"inCount":  "derived: recomputed from pipeline occupancy on restore",
+			"fastRT":   "construction: derived from the topology",
+			"scr":      "scratch: every slot is written before it is read within one router step",
+			"inflight": "derived: recomputed from the counters on restore",
+			"tr":       "construction: observability collector, restored by the obs layer",
+			"sp":       "construction: observability collector, restored by the obs layer",
 		},
 	})
 	snap.Cover(Config{}, snap.Coverage{
@@ -69,8 +64,6 @@ func init() {
 			"Adaptive":    "config: construction input",
 			"NoActiveSet": "config: construction input",
 			"Seed":        "config: construction input",
-			"Workers":     "config: construction input",
-			"Pool":        "config: construction input",
 			"Probe":       "config: construction input",
 		},
 	})
@@ -160,13 +153,9 @@ func (f *Fabric) Snapshot(w *snap.Writer) {
 	}
 }
 
-// reserve grows the flit pool so shard 0 can Alloc n handles.
+// reserve grows the flit pool so n handles can be Alloced.
 func (f *Fabric) reserve(n int) {
-	f.reserveNeeds[0] = n
-	for w := 1; w < len(f.reserveNeeds); w++ {
-		f.reserveNeeds[w] = 0
-	}
-	f.fpool.Reserve(f.reserveNeeds)
+	f.fpool.Reserve(n)
 	f.hotp = f.fpool.HotPlane()
 }
 
@@ -175,17 +164,10 @@ func (f *Fabric) reserve(n int) {
 func (f *Fabric) Restore(r *snap.Reader) {
 	r.Expect(tagBless)
 	f.cycle = r.I64()
-	var tot noc.Stats
-	tot.Restore(r)
-	for i := range f.shards {
-		f.shards[i].Stats = noc.Stats{}
-	}
-	// All event totals land in shard 0 (Merge and updateInflight sum
-	// shards, so placement is arbitrary but must be consistent); Cycles
-	// is owned by f.cycle and Links by the constructed fabric.
-	tot.Cycles = 0
-	tot.Links = 0
-	f.shards[0].Stats = tot
+	// Cycles is owned by f.cycle; Links is not encoded and keeps the
+	// constructed fabric's value.
+	f.stats.Restore(r)
+	f.stats.Cycles = 0
 	if n := int(r.U32()); n != len(f.nics) {
 		r.Failf("bless NICs %d, want %d", n, len(f.nics))
 		return
@@ -209,7 +191,7 @@ func (f *Fabric) Restore(r *snap.Reader) {
 			r.Failf("bless pipeline slot %d invalid or reused", i)
 			return
 		}
-		f.in[i] = f.fpool.Alloc(0, &fl)
+		f.in[i] = f.fpool.Alloc(&fl)
 	}
 	if f.side != nil {
 		d := f.cfg.SideBuffer
@@ -237,7 +219,7 @@ func (f *Fabric) Restore(r *snap.Reader) {
 			f.sideHead[node] = 0
 			f.sideCount[node] = counts[node]
 			for k := int32(0); k < counts[node]; k++ {
-				f.side[node*d+int(k)] = f.fpool.Alloc(0, &flits[j])
+				f.side[node*d+int(k)] = f.fpool.Alloc(&flits[j])
 				j++
 			}
 		}
@@ -261,7 +243,7 @@ func (f *Fabric) Restore(r *snap.Reader) {
 // cursors and the active set — all exact functions of the restored
 // state.
 func (f *Fabric) rebuildDerived() {
-	f.updateInflight()
+	f.inflight = f.stats.FlitsInjected - f.stats.FlitsEjected
 	if f.inCount != nil {
 		for i := range f.inCount {
 			f.inCount[i] = 0

@@ -31,11 +31,9 @@ package buffered
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"nocsim/internal/noc"
 	"nocsim/internal/obs"
-	"nocsim/internal/par"
 	"nocsim/internal/topology"
 )
 
@@ -60,13 +58,6 @@ type Config struct {
 	// when the active-set conditions hold; see the bufferless fabric's
 	// field of the same name.
 	NoActiveSet bool
-	// Workers shards the per-cycle node loop; 0 means 1.
-	Workers int
-	// Pool optionally supplies a shared persistent worker pool (the
-	// system simulator passes one pool to the fabric and its own node
-	// loop). Its width must equal Workers. Nil makes the fabric create
-	// its own pool when sharding engages.
-	Pool *par.Pool
 	// Probe supplies the observability hooks; the zero Probe (nil
 	// collectors) costs one predictable branch per event.
 	Probe obs.Probe
@@ -166,16 +157,14 @@ type vcReq struct {
 	age     ageKey
 }
 
-// scratch is one worker's switch-allocation scratch space. Keeping it
-// per worker (rather than on the stack) means stepping a router zeroes
-// no arrays: every slot is explicitly written before it is read. The
-// pad keeps neighbouring workers' scratch off shared cache lines.
+// scratch is the switch-allocation scratch space. Keeping it on the
+// fabric (rather than on the stack) means stepping a router zeroes no
+// arrays: every slot is explicitly written before it is read.
 type scratch struct {
 	noms     [maxDirs + 1]nominee
 	granted  [maxDirs]nominee
 	localReq [maxDirs + 1]nominee
 	reqs     [maxDirs*8 + numLocalVC]vcReq
-	_        [64]byte
 }
 
 // Fabric is the buffered VC network. It implements noc.Network.
@@ -219,18 +208,15 @@ type Fabric struct {
 	stage  int
 	wstage int
 	// inCount[n] counts the flits and credits currently queued in node
-	// n's incoming pipelines. Maintained only under sequential stepping
-	// (atomicAct false, fixed at construction), where it replaces the
-	// per-plane alive scan with one load; sharded stepping keeps the
-	// scan because cross-shard commits would race on the counters.
+	// n's incoming pipelines, so "anything queued toward this node" is
+	// one load. Maintained only with the active set engaged.
 	inCount []int32
 
 	// links[n*4+d] resolves the link leaving node n in direction d.
 	links []linkRef
 
 	// Active-set state; see the bufferless fabric for the three-state
-	// protocol (0 idle, 1 active, 2 freshly woken) and the write
-	// discipline.
+	// protocol (0 idle, 1 active, 2 freshly woken).
 	skip     bool
 	active   []uint32
 	idle     noc.IdleTicker
@@ -239,24 +225,9 @@ type Fabric struct {
 	// openPol short-circuits the injection-policy interface calls when
 	// the policy is noc.Open (always allow, never mark, no-op ticks).
 	openPol bool
-	// atomicAct selects the activation flavour: atomic three-state
-	// stores under worker sharding, plain load-checked stores when the
-	// fabric steps sequentially.
-	atomicAct bool
 
-	// reserveNeeds is Step's per-shard Reserve argument, kept allocated.
-	reserveNeeds []int
-	// scr[w] is worker w's allocation scratch space.
-	scr []scratch
-
-	// shards[w] are worker w's counters, cache-line padded so parallel
-	// phases never false-share; Stats() merges them.
-	shards []par.PaddedStats
-	// pool runs the node pass when sharding engages; nil means
-	// sequential stepping. p1 is the prebuilt closure, so Step
-	// allocates nothing.
-	pool *par.Pool
-	p1   func(lo, hi, worker int)
+	// scr is the allocation scratch space.
+	scr scratch
 
 	stats noc.Stats
 
@@ -294,53 +265,31 @@ func New(cfg Config) *Fabric {
 	if cfg.Policy == nil {
 		cfg.Policy = noc.Open{}
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	n := cfg.Topology.Nodes()
 	ringLen := cfg.HopLatency + 1
 	f := &Fabric{
-		top:          cfg.Topology,
-		cfg:          cfg,
-		policy:       cfg.Policy,
-		depth:        cfg.HopLatency,
-		vcs:          cfg.VCs,
-		ejectW:       cfg.EjectWidth,
-		nics:         make([]*noc.NIC, n),
-		routers:      make([]router, n),
-		fpool:        noc.NewFlitPool(cfg.Workers),
-		lin:          make([]uint64, n*maxDirs*ringLen),
-		ringLen:      ringLen,
-		planeSz:      n * maxDirs,
-		links:        make([]linkRef, n*maxDirs),
-		reserveNeeds: make([]int, cfg.Workers),
-		scr:          make([]scratch, cfg.Workers),
-		shards:       make([]par.PaddedStats, cfg.Workers),
-		tr:           cfg.Probe.Tracer,
-		sp:           cfg.Probe.Spatial,
+		top:     cfg.Topology,
+		cfg:     cfg,
+		policy:  cfg.Policy,
+		depth:   cfg.HopLatency,
+		vcs:     cfg.VCs,
+		ejectW:  cfg.EjectWidth,
+		nics:    make([]*noc.NIC, n),
+		routers: make([]router, n),
+		fpool:   noc.NewFlitPool(),
+		lin:     make([]uint64, n*maxDirs*ringLen),
+		ringLen: ringLen,
+		planeSz: n * maxDirs,
+		links:   make([]linkRef, n*maxDirs),
+		tr:      cfg.Probe.Tracer,
+		sp:      cfg.Probe.Spatial,
 	}
-	// Sharding pays only when every worker gets a few nodes; below that
-	// the fabric steps sequentially and the pool is never consulted.
-	if cfg.Workers > 1 && n >= cfg.Workers*4 {
-		if cfg.Pool != nil {
-			if cfg.Pool.Workers() != cfg.Workers {
-				panic(fmt.Sprintf("buffered: shared pool width %d != Workers %d", cfg.Pool.Workers(), cfg.Workers))
-			}
-			f.pool = cfg.Pool
-		} else {
-			f.pool = par.New(cfg.Workers)
-		}
-		f.p1 = func(lo, hi, w int) { f.phase1(lo, hi, w, &f.shards[w].Stats) }
-	}
-	f.atomicAct = f.pool != nil
 	f.idle, _ = cfg.Policy.(noc.IdleTicker)
 	_, open := cfg.Policy.(noc.Open)
 	f.openPol = open
 	f.skip = !cfg.NoActiveSet && (open || f.idle != nil)
-	if f.skip && !f.atomicAct {
-		f.inCount = make([]int32, n)
-	}
 	if f.skip {
+		f.inCount = make([]int32, n)
 		f.active = make([]uint32, n)
 		f.lastTick = make([]int64, n)
 	}
@@ -384,17 +333,8 @@ func New(cfg Config) *Fabric {
 }
 
 // activate flags a node as freshly woken (see the bufferless fabric's
-// active-state machine). Atomic because commits and NIC notifications
-// may come from any worker shard.
-func (f *Fabric) activate(node int) {
-	if !f.atomicAct {
-		// Sequential fabrics take Sends only between steps; a plain
-		// store keeps the NIC notify off the atomic path.
-		f.active[node] = 2
-		return
-	}
-	atomic.StoreUint32(&f.active[node], 2)
-}
+// active-state machine); it is the NIC Send notification.
+func (f *Fabric) activate(node int) { f.active[node] = 2 }
 
 // Topology returns the fabric's topology.
 func (f *Fabric) Topology() *topology.Topology { return f.top }
@@ -406,12 +346,11 @@ func (f *Fabric) Cycle() int64 { return f.cycle }
 func (f *Fabric) NIC(i int) *noc.NIC { return f.nics[i] }
 
 // ActiveSet reports whether active-set skipping is engaged and, if so,
-// how many nodes are currently flagged active. Sequential regions only.
+// how many nodes are currently flagged active.
 func (f *Fabric) ActiveSet() (active int, enabled bool) {
 	if !f.skip {
 		return 0, false
 	}
-	//nocvet:allow atomicmix sequential region between Step calls; the worker pool is parked, so plain loads cannot race
 	for _, a := range f.active {
 		if a != 0 {
 			active++
@@ -420,12 +359,9 @@ func (f *Fabric) ActiveSet() (active int, enabled bool) {
 	return active, true
 }
 
-// Stats returns the accumulated counters, merging worker shards.
+// Stats returns the accumulated counters.
 func (f *Fabric) Stats() noc.Stats {
 	s := f.stats
-	for i := range f.shards {
-		s.Merge(f.shards[i].Stats)
-	}
 	s.Cycles = f.cycle
 	return s
 }
@@ -471,90 +407,34 @@ func (f *Fabric) Step() {
 	if f.wstage >= f.ringLen {
 		f.wstage -= f.ringLen
 	}
-	if f.pool == nil {
-		// At most one injection (the only Alloc) per node-cycle.
-		f.reserveNeeds[0] = nodes
-		for w := 1; w < len(f.reserveNeeds); w++ {
-			f.reserveNeeds[w] = 0
-		}
-		f.fpool.Reserve(f.reserveNeeds)
-		f.hotp = f.fpool.HotPlane()
-		f.phase1(0, nodes, 0, &f.shards[0].Stats)
-	} else {
-		per := (nodes + f.cfg.Workers - 1) / f.cfg.Workers
-		for w := range f.reserveNeeds {
-			f.reserveNeeds[w] = per
-		}
-		f.fpool.Reserve(f.reserveNeeds)
-		f.hotp = f.fpool.HotPlane()
-		f.pool.Run(nodes, f.p1)
-	}
-	f.updateInflight()
+	// At most one injection (the only Alloc) per node-cycle.
+	f.fpool.Reserve(nodes)
+	f.hotp = f.fpool.HotPlane()
+	f.stepNodes(nodes, &f.stats)
+	f.inflight = f.stats.FlitsInjected - f.stats.FlitsEjected
 	f.cycle++
 }
 
-// Close releases the fabric's own worker pool. Shared pools (Config.
-// Pool) belong to their creator and are left running.
-func (f *Fabric) Close() {
-	if f.pool != nil && f.pool != f.cfg.Pool {
-		f.pool.Close()
-	}
-}
-
-func (f *Fabric) updateInflight() {
-	var inj, ej int64
-	for i := range f.shards {
-		inj += f.shards[i].Stats.FlitsInjected
-		ej += f.shards[i].Stats.FlitsEjected
-	}
-	f.inflight = inj - ej
-}
-
-// phase1 runs the router pipeline for nodes [lo,hi), skipping inactive
-// ones when the active set is engaged, with the bufferless fabric's
-// three-state wake protocol.
-func (f *Fabric) phase1(lo, hi, w int, st *noc.Stats) {
+// stepNodes runs the router pipeline for every node in index order,
+// skipping inactive ones when the active set is engaged, with the
+// bufferless fabric's three-state wake protocol.
+func (f *Fabric) stepNodes(nodes int, st *noc.Stats) {
 	if !f.skip {
-		for node := lo; node < hi; node++ {
-			f.stepRouter(node, w, st)
+		for node := 0; node < nodes; node++ {
+			f.stepRouter(node, st)
 		}
 		return
 	}
-	if !f.atomicAct {
-		// Sequential stepping: nothing can race the owner between its
-		// load and its store, so the state machine runs on plain
-		// accesses.
-		for node := lo; node < hi; node++ {
-			a := f.active[node]
-			if a == 0 {
-				continue
-			}
-			alive := f.stepRouter(node, w, st)
-			if a == 2 {
-				f.active[node] = 1
-			} else if !alive {
-				f.active[node] = 0
-			}
-		}
-		return
-	}
-	for node := lo; node < hi; node++ {
-		a := atomic.LoadUint32(&f.active[node])
+	for node := 0; node < nodes; node++ {
+		a := f.active[node]
 		if a == 0 {
 			continue
 		}
-		alive := f.stepRouter(node, w, st)
+		alive := f.stepRouter(node, st)
 		if a == 2 {
-			// Freshly woken: demote to plain-active rather than ever
-			// deactivating, so a flit or credit committed toward this
-			// node during the cycle that woke it survives to next
-			// cycle's pipeline scan. A failed CAS means another
-			// activation landed — the node simply stays at 2.
-			atomic.CompareAndSwapUint32(&f.active[node], 2, 1)
+			f.active[node] = 1
 		} else if !alive {
-			// The CAS fails — leaving the node awake — whenever an
-			// activation raced in after this cycle's load.
-			atomic.CompareAndSwapUint32(&f.active[node], 1, 0)
+			f.active[node] = 0
 		}
 	}
 }
@@ -565,7 +445,7 @@ func (f *Fabric) phase1(lo, hi, w int, st *noc.Stats) {
 // an idle stretch (routed heads, busy output VCs mid-packet) is only
 // ever advanced by one of those inputs, so skipping a !alive node is
 // exact.
-func (f *Fabric) stepRouter(node, w int, st *noc.Stats) (alive bool) {
+func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 	if f.skip && f.idle != nil {
 		// Replay the skipped stretch into the policy; SyncPolicy and
 		// this replay are lastTick's only readers, so non-IdleTicker
@@ -632,7 +512,7 @@ func (f *Fabric) stepRouter(node, w int, st *noc.Stats) (alive bool) {
 	// it joins the nomination then (see the grant loop), which is
 	// exactly the set the separate route → allocate → nominate scans
 	// produced — eligibility is oldest-wins and order-independent.
-	sc := &f.scr[w]
+	sc := &f.scr
 	reqs := &sc.reqs
 	noms := &sc.noms
 	noms[0].dir, noms[1].dir, noms[2].dir, noms[3].dir = -1, -1, -1, -1
@@ -755,16 +635,16 @@ func (f *Fabric) stepRouter(node, w int, st *noc.Stats) (alive bool) {
 				continue
 			}
 			if g.dir == localDir {
-				injected = f.traverseLocal(node, w, r, nic, int(g.vc), topology.Port(out), &outH, st) || injected
+				injected = f.traverseLocal(node, r, nic, int(g.vc), topology.Port(out), &outH, st) || injected
 			} else {
-				f.traverseDir(node, w, r, nic, int(g.dir), int(g.vc), topology.Port(out), &outH, &outC, st)
+				f.traverseDir(node, r, nic, int(g.dir), int(g.vc), topology.Port(out), &outH, &outC, st)
 			}
 		}
 		for _, g := range localReq[:nLocal] {
 			if g.dir == localDir {
-				injected = f.traverseLocal(node, w, r, nic, int(g.vc), topology.Local, &outH, st) || injected
+				injected = f.traverseLocal(node, r, nic, int(g.vc), topology.Local, &outH, st) || injected
 			} else {
-				f.traverseDir(node, w, r, nic, int(g.dir), int(g.vc), topology.Local, &outH, &outC, st)
+				f.traverseDir(node, r, nic, int(g.dir), int(g.vc), topology.Local, &outH, &outC, st)
 			}
 		}
 	}
@@ -805,7 +685,6 @@ func (f *Fabric) stepRouter(node, w int, st *noc.Stats) (alive bool) {
 		wd := uint64(h)
 		if h != 0 {
 			if cong {
-				//nocvet:allow shardwrite the hot-plane slot of h is owned by this worker: exactly one router holds a flit's handle per cycle
 				f.hotp[h].CongBit = true
 			}
 			st.LinkTraversals++
@@ -816,58 +695,29 @@ func (f *Fabric) stepRouter(node, w int, st *noc.Stats) (alive bool) {
 		if cv >= 0 {
 			wd |= uint64(cv+1) << 32
 		}
-		//nocvet:allow shardwrite stage-major link-plane commit: the write stage is disjoint from every plane read this cycle, and each link slot has one writer
 		f.lin[wbase+int(lk.idx)] = wd
 		if f.skip {
-			if !f.atomicAct {
-				// Single goroutine: a plain load-checked store suffices
-				// (the receiver may already have stepped and
-				// deactivated this cycle).
-				if h != 0 {
-					f.inCount[lk.nb]++
-				}
-				if cv >= 0 {
-					f.inCount[lk.nb]++
-				}
-				if f.active[lk.nb] == 0 {
-					f.active[lk.nb] = 1
-				}
-			} else if atomic.LoadUint32(&f.active[lk.nb]) != 2 {
-				// Anything not already freshly woken must be re-stamped
-				// 2 so a racing deactivation CAS fails.
-				atomic.StoreUint32(&f.active[lk.nb], 2)
+			// Load-checked: the receiver may already have stepped and
+			// deactivated this cycle.
+			if h != 0 {
+				f.inCount[lk.nb]++
+			}
+			if cv >= 0 {
+				f.inCount[lk.nb]++
+			}
+			if f.active[lk.nb] == 0 {
+				f.active[lk.nb] = 1
 			}
 		}
 	}
 
 	alive = r.nonEmpty != 0 || nic.HasTraffic()
 	if f.skip && !alive {
-		if !f.atomicAct {
-			// Sequential stepping: the flit+credit occupancy counter is
-			// exact (maintained by the same goroutine), so "anything
-			// queued toward this node" is one load. An earlier node may
-			// have committed toward this one without re-flagging it;
-			// the counter is what keeps it awake.
-			alive = f.inCount[node] != 0
-		} else {
-			// Scan the incoming pipelines for queued flits or credits.
-			// The write stage is excluded: it was empty at the cycle's
-			// start, and only a concurrent neighbour commit can fill it
-			// — a commit whose Store(2) re-activates this node by
-			// itself.
-			for s := 0; s < f.ringLen && !alive; s++ {
-				if s == f.wstage {
-					continue
-				}
-				q := s*f.planeSz + base
-				for i := q; i < q+maxDirs; i++ {
-					if f.lin[i] != 0 {
-						alive = true
-						break
-					}
-				}
-			}
-		}
+		// The flit+credit occupancy counter is exact, so "anything
+		// queued toward this node" is one load. An earlier node may
+		// have committed toward this one without re-flagging it; the
+		// counter is what keeps it awake.
+		alive = f.inCount[node] != 0
 	}
 	return alive
 }
@@ -993,7 +843,7 @@ func (f *Fabric) localReady(node int, r *router, nic *noc.NIC) (v int, throttled
 // (the handle moves straight from the VC ring to the link ring),
 // returning a credit upstream and releasing per-packet state on the
 // tail flit.
-func (f *Fabric) traverseDir(node, w int, r *router, nic *noc.NIC, dir, v int, out topology.Port, outH *[maxDirs]noc.Handle, outC *[maxDirs]int8, st *noc.Stats) {
+func (f *Fabric) traverseDir(node int, r *router, nic *noc.NIC, dir, v int, out topology.Port, outH *[maxDirs]noc.Handle, outC *[maxDirs]int8, st *noc.Stats) {
 	vi := dir*f.vcs + v
 	vc := &r.in[vi]
 	h := vc.buf[vc.head]
@@ -1016,7 +866,7 @@ func (f *Fabric) traverseDir(node, w int, r *router, nic *noc.NIC, dir, v int, o
 		st.NetFlitLatencySum += f.cycle - fh.Inject
 		var fl noc.Flit
 		f.fpool.Get(h, &fl)
-		f.fpool.Free(w, h)
+		f.fpool.Free(h)
 		if f.sp != nil {
 			f.sp.AddEject(node)
 		}
@@ -1030,7 +880,6 @@ func (f *Fabric) traverseDir(node, w int, r *router, nic *noc.NIC, dir, v int, o
 	} else {
 		ovc := vc.outVC
 		r.out[int(out)*f.vcs+int(ovc)]--
-		//nocvet:allow shardwrite the hot-plane slot of h is owned by this worker: exactly one router holds a flit's handle per cycle
 		fh.VC = ovc
 		outH[out] = h
 	}
@@ -1045,7 +894,7 @@ func (f *Fabric) traverseDir(node, w int, r *router, nic *noc.NIC, dir, v int, o
 
 // traverseLocal injects the front flit of a NIC queue, allocating its
 // pool slot. Returns true when a flit entered the network.
-func (f *Fabric) traverseLocal(node, w int, r *router, nic *noc.NIC, v int, out topology.Port, outH *[maxDirs]noc.Handle, st *noc.Stats) bool {
+func (f *Fabric) traverseLocal(node int, r *router, nic *noc.NIC, v int, out topology.Port, outH *[maxDirs]noc.Handle, st *noc.Stats) bool {
 	fl := f.localPop(nic, v)
 	fl.Inject = f.cycle
 	st.FlitsInjected++
@@ -1074,7 +923,7 @@ func (f *Fabric) traverseLocal(node, w int, r *router, nic *noc.NIC, v int, out 
 		ovc := r.local[v].outVC
 		r.out[int(out)*f.vcs+int(ovc)]--
 		fl.VC = ovc
-		outH[out] = f.fpool.Alloc(w, &fl)
+		outH[out] = f.fpool.Alloc(&fl)
 	}
 	if fl.Index == fl.Len-1 {
 		if out != topology.Local {

@@ -17,37 +17,32 @@ import (
 func init() {
 	snap.Cover(Fabric{}, snap.Coverage{
 		Serialized: []string{
-			"cycle", "nics", "routers", "lin", "shards",
+			"cycle", "nics", "routers", "lin", "stats",
 		},
 		Waived: map[string]string{
-			"top":          "construction: topology is config-derived",
-			"cfg":          "config: construction input",
-			"policy":       "construction: restored separately by the system layer",
-			"depth":        "construction: derived from Config.HopLatency",
-			"vcs":          "construction: hoisted Config mirror",
-			"ejectW":       "construction: hoisted Config mirror",
-			"fpool":        "rebuilt: occupied slots are re-Alloced from serialized flit content in canonical scan order",
-			"hotp":         "cache: refreshed from the pool after every Reserve",
-			"ringLen":      "construction: derived from Config.HopLatency",
-			"planeSz":      "construction: derived from the topology",
-			"stage":        "scratch: recomputed from cycle at the top of every Step",
-			"wstage":       "scratch: recomputed from cycle at the top of every Step",
-			"inCount":      "derived: recomputed from pipeline occupancy on restore",
-			"links":        "construction: derived from the topology",
-			"skip":         "construction: derived from Config and the policy's capabilities",
-			"active":       "rebuilt: recomputed from exact occupancy (buffers, NIC traffic, pipelines) on restore",
-			"idle":         "construction: capability view of the policy",
-			"lastTick":     "canonical: SyncPolicy flushes pending idle stretches before snapshot; restore pins every entry to the restored cycle",
-			"openPol":      "construction: capability view of the policy",
-			"atomicAct":    "construction: derived from worker sharding",
-			"reserveNeeds": "scratch: rewritten at the top of every Step",
-			"scr":          "scratch: every slot is written before it is read within one router step",
-			"pool":         "construction: worker pool is execution machinery, not simulated state",
-			"p1":           "construction: prebuilt closure over the pool",
-			"stats":        "construction: holds only the Links topology property; event totals are encoded merged and restored into shard 0",
-			"tr":           "construction: observability collector, restored by the obs layer",
-			"sp":           "construction: observability collector, restored by the obs layer",
-			"inflight":     "derived: recomputed from shard counters on restore",
+			"top":      "construction: topology is config-derived",
+			"cfg":      "config: construction input",
+			"policy":   "construction: restored separately by the system layer",
+			"depth":    "construction: derived from Config.HopLatency",
+			"vcs":      "construction: hoisted Config mirror",
+			"ejectW":   "construction: hoisted Config mirror",
+			"fpool":    "rebuilt: occupied slots are re-Alloced from serialized flit content in canonical scan order",
+			"hotp":     "cache: refreshed from the pool after every Reserve",
+			"ringLen":  "construction: derived from Config.HopLatency",
+			"planeSz":  "construction: derived from the topology",
+			"stage":    "scratch: recomputed from cycle at the top of every Step",
+			"wstage":   "scratch: recomputed from cycle at the top of every Step",
+			"inCount":  "derived: recomputed from pipeline occupancy on restore",
+			"links":    "construction: derived from the topology",
+			"skip":     "construction: derived from Config and the policy's capabilities",
+			"active":   "rebuilt: recomputed from exact occupancy (buffers, NIC traffic, pipelines) on restore",
+			"idle":     "construction: capability view of the policy",
+			"lastTick": "canonical: SyncPolicy flushes pending idle stretches before snapshot; restore pins every entry to the restored cycle",
+			"openPol":  "construction: capability view of the policy",
+			"scr":      "scratch: every slot is written before it is read within one router step",
+			"tr":       "construction: observability collector, restored by the obs layer",
+			"sp":       "construction: observability collector, restored by the obs layer",
+			"inflight": "derived: recomputed from the counters on restore",
 		},
 	})
 	snap.Cover(Config{}, snap.Coverage{
@@ -59,8 +54,6 @@ func init() {
 			"EjectWidth":  "config: construction input",
 			"Policy":      "config: construction input",
 			"NoActiveSet": "config: construction input",
-			"Workers":     "config: construction input",
-			"Pool":        "config: construction input",
 			"Probe":       "config: construction input",
 		},
 	})
@@ -193,13 +186,9 @@ func (f *Fabric) Snapshot(w *snap.Writer) {
 	}
 }
 
-// reserve grows the flit pool so shard 0 can Alloc n handles.
+// reserve grows the flit pool so n handles can be Alloced.
 func (f *Fabric) reserve(n int) {
-	f.reserveNeeds[0] = n
-	for w := 1; w < len(f.reserveNeeds); w++ {
-		f.reserveNeeds[w] = 0
-	}
-	f.fpool.Reserve(f.reserveNeeds)
+	f.fpool.Reserve(n)
 	f.hotp = f.fpool.HotPlane()
 }
 
@@ -208,14 +197,10 @@ func (f *Fabric) reserve(n int) {
 func (f *Fabric) Restore(r *snap.Reader) {
 	r.Expect(tagBuffered)
 	f.cycle = r.I64()
-	var tot noc.Stats
-	tot.Restore(r)
-	for i := range f.shards {
-		f.shards[i].Stats = noc.Stats{}
-	}
-	tot.Cycles = 0
-	tot.Links = 0
-	f.shards[0].Stats = tot
+	// Cycles is owned by f.cycle; Links is not encoded and keeps the
+	// constructed fabric's value.
+	f.stats.Restore(r)
+	f.stats.Cycles = 0
 	if n := int(r.U32()); n != len(f.nics) {
 		r.Failf("buffered NICs %d, want %d", n, len(f.nics))
 		return
@@ -246,7 +231,7 @@ func (f *Fabric) Restore(r *snap.Reader) {
 				if r.Err() != nil {
 					return
 				}
-				vc.buf[k] = f.fpool.Alloc(0, &fl)
+				vc.buf[k] = f.fpool.Alloc(&fl)
 			}
 			vc.route = topology.Port(r.U8())
 			vc.routed = r.Bool()
@@ -279,7 +264,7 @@ func (f *Fabric) Restore(r *snap.Reader) {
 			if r.Err() != nil {
 				return
 			}
-			wd |= uint64(f.fpool.Alloc(0, &fl))
+			wd |= uint64(f.fpool.Alloc(&fl))
 		}
 		if i < 0 || i >= len(f.lin) || f.lin[i] != 0 || wd == 0 {
 			r.Failf("buffered link slot %d invalid or reused", i)
@@ -297,7 +282,7 @@ func (f *Fabric) Restore(r *snap.Reader) {
 // counters, idle-replay cursors and the active set from the restored
 // state.
 func (f *Fabric) rebuildDerived() {
-	f.updateInflight()
+	f.inflight = f.stats.FlitsInjected - f.stats.FlitsEjected
 	if f.inCount != nil {
 		for i := range f.inCount {
 			f.inCount[i] = 0

@@ -1,5 +1,7 @@
 package noc
 
+import "errors"
+
 // Pooled flit storage for the fabric hot paths.
 //
 // The fabrics used to carry full 56-byte Flit values through their link
@@ -23,13 +25,10 @@ package noc
 // pool home fails the build's tests rather than silently leaking state
 // between recycled slots.
 //
-// Concurrency contract: the pool is shared by all worker shards of one
-// fabric. Alloc and Free are per-shard (each shard owns a free list)
-// and never grow any slice, so phases may call them concurrently for
-// distinct shards. All growth happens in Reserve, which the fabric
-// calls only at the sequential point of Step, before the phases run;
-// Reserve also keeps every shard's free-list capacity at the pool
-// capacity so an in-phase Free can never reallocate.
+// Growth contract: Alloc and Free never grow any slice. All growth
+// happens in Reserve, which the fabric calls once at the top of Step;
+// Reserve also keeps the free list's capacity at the pool capacity so
+// a Free can never reallocate.
 
 // Handle names one pooled flit; the zero Handle means "no flit", so an
 // empty pipeline slot is a zero word and slot 0 of the pool is never
@@ -70,108 +69,67 @@ func OlderHot(a, b *FlitHot) bool {
 	return a.Index < b.Index
 }
 
-// freeList is one shard's stack of recycled handles, padded so two
-// shards' list headers never share a cache line.
-type freeList struct {
-	list []Handle
-	_    [40]byte
-}
-
-// FlitPool is a shared structure-of-arrays flit store with per-shard
-// free lists. See the file comment for the concurrency contract.
+// FlitPool is a structure-of-arrays flit store with one free list.
+// See the file comment for the growth contract.
 type FlitPool struct {
 	hot  []FlitHot
 	cold []FlitCold
-	free []freeList
+	free []Handle
 }
 
-// NewFlitPool creates an empty pool with the given number of shards
-// (one per fabric worker; at least 1). Slot 0 is reserved as the nil
+// NewFlitPool creates an empty pool. Slot 0 is reserved as the nil
 // Handle.
-func NewFlitPool(shards int) *FlitPool {
-	if shards < 1 {
-		panic("noc: flit pool needs at least one shard")
-	}
+func NewFlitPool() *FlitPool {
 	return &FlitPool{
 		hot:  make([]FlitHot, 1),
 		cold: make([]FlitCold, 1),
-		free: make([]freeList, shards),
 	}
 }
 
-// Reserve guarantees shard s can Alloc need[s] handles before the next
-// Reserve. It must be called from the sequential region of Step only.
-// Handles migrate between shards as flits travel (allocated where
-// injected, freed where ejected), so Reserve first rebalances the free
-// lists — otherwise a steady flow from one shard to another would
-// drain the source's list every cycle and grow the pool without bound
-// while the sink's list hoarded every slot. Only when the pool as a
-// whole is short does it grow, and then by at least a doubling, so a
+// Reserve guarantees need Allocs succeed before the next Reserve. When
+// the free list is short the pool grows by at least a doubling, so a
 // fabric at steady state stops growing — and therefore stops
 // allocating — after warm-up.
-func (p *FlitPool) Reserve(need []int) {
-	total, free := 0, 0
-	for s := range p.free {
-		total += need[s]
-		free += len(p.free[s].list)
+func (p *FlitPool) Reserve(need int) {
+	free := len(p.free)
+	if free >= need {
+		return
 	}
-	if free < total {
-		grow := total - free
-		if g := len(p.hot); g > grow {
-			grow = g
-		}
-		if grow < 64 {
-			grow = 64
-		}
-		base := len(p.hot)
-		p.hot = append(p.hot, make([]FlitHot, grow)...)
-		p.cold = append(p.cold, make([]FlitCold, grow)...)
-		fl := &p.free[0].list
-		for i := 0; i < grow; i++ {
-			*fl = append(*fl, Handle(base+i))
-		}
-		// Every shard's free list must be able to hold every slot in
-		// the pool, so an in-phase Free never reallocates.
-		limit := len(p.hot)
-		for s := range p.free {
-			l := &p.free[s].list
-			if cap(*l) < limit {
-				nl := make([]Handle, len(*l), limit)
-				copy(nl, *l)
-				*l = nl
-			}
-		}
+	grow := need - free
+	if g := len(p.hot); g > grow {
+		grow = g
 	}
-	// Rebalance: top deficit shards up from surplus shards. Total free
-	// now covers total need, so the donor scan cannot run out.
-	d := 0
-	for s := range p.free {
-		fl := &p.free[s].list
-		for len(*fl) < need[s] {
-			for len(p.free[d].list) <= need[d] {
-				d++
-			}
-			dl := &p.free[d].list
-			k := len(*dl) - need[d]
-			if m := need[s] - len(*fl); m < k {
-				k = m
-			}
-			*fl = append(*fl, (*dl)[len(*dl)-k:]...)
-			*dl = (*dl)[:len(*dl)-k]
-		}
+	if grow < 64 {
+		grow = 64
+	}
+	base := len(p.hot)
+	p.hot = append(p.hot, make([]FlitHot, grow)...)
+	p.cold = append(p.cold, make([]FlitCold, grow)...)
+	for i := 0; i < grow; i++ {
+		p.free = append(p.free, Handle(base+i))
+	}
+	// The free list must be able to hold every slot in the pool, so a
+	// Free never reallocates.
+	if limit := len(p.hot); cap(p.free) < limit {
+		nl := make([]Handle, len(p.free), limit)
+		copy(nl, p.free)
+		p.free = nl
 	}
 }
 
-// Alloc takes a handle from shard's free list and fills both planes
-// from f. It panics if the shard's Reserve budget is exhausted.
-func (p *FlitPool) Alloc(shard int, f *Flit) Handle {
-	fl := &p.free[shard].list
-	n := len(*fl)
+// errExhausted is Alloc's panic value. A prebuilt error keeps the panic
+// path free of boxing where Alloc is inlined into the fabrics' loops.
+var errExhausted = errors.New("noc: flit pool exhausted; fabric did not Reserve enough")
+
+// Alloc takes a handle from the free list and fills both planes from
+// f. It panics if the Reserve budget is exhausted.
+func (p *FlitPool) Alloc(f *Flit) Handle {
+	n := len(p.free)
 	if n == 0 {
-		panic("noc: flit pool exhausted; fabric did not Reserve enough")
+		panic(errExhausted)
 	}
-	h := (*fl)[n-1]
-	*fl = (*fl)[:n-1]
+	h := p.free[n-1]
+	p.free = p.free[:n-1]
 	p.hot[h] = FlitHot{
 		Inject:  f.Inject,
 		Seq:     f.Seq,
@@ -186,14 +144,13 @@ func (p *FlitPool) Alloc(shard int, f *Flit) Handle {
 	return h
 }
 
-// Free zeroes both planes of h and returns it to shard's free list, so
-// a recycled slot can never leak a previous packet's state.
-func (p *FlitPool) Free(shard int, h Handle) {
+// Free zeroes both planes of h and returns it to the free list, so a
+// recycled slot can never leak a previous packet's state.
+func (p *FlitPool) Free(h Handle) {
 	p.hot[h] = FlitHot{}
 	p.cold[h] = FlitCold{}
-	fl := &p.free[shard].list
 	//nocvet:allow hotalloc free-list capacity is pre-reserved by Reserve; this append never grows in steady state
-	*fl = append(*fl, h)
+	p.free = append(p.free, h)
 }
 
 // Get assembles the full Flit for h into f.
@@ -231,12 +188,5 @@ func (p *FlitPool) Cold(h Handle) *FlitCold { return &p.cold[h] }
 // Cap returns the number of allocatable slots in the pool.
 func (p *FlitPool) Cap() int { return len(p.hot) - 1 }
 
-// FreeSlots returns the total number of free handles across shards.
-// Sequential regions only.
-func (p *FlitPool) FreeSlots() int {
-	n := 0
-	for s := range p.free {
-		n += len(p.free[s].list)
-	}
-	return n
-}
+// FreeSlots returns the number of free handles.
+func (p *FlitPool) FreeSlots() int { return len(p.free) }

@@ -66,11 +66,11 @@ func nonzeroFlit(t *testing.T) Flit {
 // TestFlitPoolRoundTrip checks Alloc+Get reproduce every field and
 // that Free zeroes both planes of the recycled slot.
 func TestFlitPoolRoundTrip(t *testing.T) {
-	p := NewFlitPool(1)
-	p.Reserve([]int{2})
+	p := NewFlitPool()
+	p.Reserve(2)
 	want := nonzeroFlit(t)
 
-	h := p.Alloc(0, &want)
+	h := p.Alloc(&want)
 	if h == 0 {
 		t.Fatal("Alloc returned the nil handle")
 	}
@@ -80,7 +80,7 @@ func TestFlitPoolRoundTrip(t *testing.T) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
 
-	p.Free(0, h)
+	p.Free(h)
 	if *p.Hot(h) != (FlitHot{}) {
 		t.Errorf("freed hot plane not zeroed: %+v", *p.Hot(h))
 	}
@@ -89,53 +89,50 @@ func TestFlitPoolRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFlitPoolReserveGrows checks growth and the free-list accounting
-// across shards.
+// TestFlitPoolReserveGrows checks growth and the free-list
+// accounting: freed slots are reused before the pool grows, and a
+// genuine shortfall grows it.
 func TestFlitPoolReserveGrows(t *testing.T) {
-	p := NewFlitPool(2)
-	p.Reserve([]int{10, 10})
+	p := NewFlitPool()
+	p.Reserve(10)
 	if p.FreeSlots() != p.Cap() {
 		t.Errorf("fresh pool: free %d != cap %d", p.FreeSlots(), p.Cap())
 	}
 	f := nonzeroFlit(t)
 	var hs []Handle
 	for i := 0; i < 10; i++ {
-		hs = append(hs, p.Alloc(0, &f))
+		hs = append(hs, p.Alloc(&f))
 	}
-	// Handles allocated on shard 0 may be freed on shard 1 (flits
-	// migrate); Reserve must keep both shards workable.
 	for _, h := range hs {
-		p.Free(1, h)
+		p.Free(h)
 	}
 	if p.FreeSlots() != p.Cap() {
 		t.Errorf("after churn: free %d != cap %d", p.FreeSlots(), p.Cap())
 	}
-	// Shard 0's list drained into shard 1; the next Reserve must
-	// rebalance the existing slots back rather than growing the pool.
+	// Recycled slots cover the next Reserve; the pool must not grow.
 	capBefore := p.Cap()
-	p.Reserve([]int{10, 10})
+	p.Reserve(10)
 	if p.Cap() != capBefore {
-		t.Errorf("Reserve grew the pool (%d -> %d) instead of rebalancing", capBefore, p.Cap())
+		t.Errorf("Reserve grew the pool (%d -> %d) instead of reusing freed slots", capBefore, p.Cap())
 	}
 	for i := 0; i < 10; i++ {
-		p.Alloc(0, &f)
-		p.Alloc(1, &f)
+		p.Alloc(&f)
 	}
-	// A genuine shortfall grows the pool and still serves every shard.
-	p.Reserve([]int{200, 50})
-	for i := 0; i < 200; i++ {
-		p.Alloc(0, &f)
+	// A genuine shortfall grows the pool.
+	p.Reserve(250)
+	if p.FreeSlots() < 250 {
+		t.Errorf("after growth: free %d < 250", p.FreeSlots())
 	}
-	for i := 0; i < 50; i++ {
-		p.Alloc(1, &f)
+	for i := 0; i < 250; i++ {
+		p.Alloc(&f)
 	}
 }
 
 // TestOlderHot pins that the handle-plane order equals Older on the
 // assembled flits.
 func TestOlderHot(t *testing.T) {
-	p := NewFlitPool(1)
-	p.Reserve([]int{4})
+	p := NewFlitPool()
+	p.Reserve(4)
 	a := nonzeroFlit(t)
 	b := a
 	b.Inject++
@@ -146,13 +143,13 @@ func TestOlderHot(t *testing.T) {
 	flits := []Flit{a, b, c, d}
 	for i := range flits {
 		for j := range flits {
-			ha := p.Alloc(0, &flits[i])
-			hb := p.Alloc(0, &flits[j])
+			ha := p.Alloc(&flits[i])
+			hb := p.Alloc(&flits[j])
 			if got, want := OlderHot(p.Hot(ha), p.Hot(hb)), Older(&flits[i], &flits[j]); got != want {
 				t.Errorf("OlderHot(%d,%d) = %v, Older = %v", i, j, got, want)
 			}
-			p.Free(0, ha)
-			p.Free(0, hb)
+			p.Free(ha)
+			p.Free(hb)
 		}
 	}
 }

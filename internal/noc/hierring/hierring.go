@@ -30,11 +30,9 @@ package hierring
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"nocsim/internal/noc"
 	"nocsim/internal/obs"
-	"nocsim/internal/par"
 	"nocsim/internal/topology"
 )
 
@@ -53,17 +51,6 @@ type Config struct {
 	// the active-set conditions hold; see the mesh fabrics' field of
 	// the same name.
 	NoActiveSet bool
-	// Workers shards the local-ring loop over ring groups; 0 means 1
-	// (sequential). Each local ring touches only its own slots, FIFOs and
-	// NICs, so groups parallelise cleanly; the global ring stays on the
-	// caller. When >1, Policy must tolerate concurrent calls for
-	// distinct nodes.
-	Workers int
-	// Pool optionally supplies a shared persistent worker pool (the
-	// system simulator passes one pool to the fabric and its own node
-	// loop). Its width must equal Workers. Nil makes the fabric create
-	// its own pool when sharding engages.
-	Pool *par.Pool
 	// Probe supplies the observability hooks; the zero Probe (nil
 	// collectors) costs one predictable branch per event. Rings have no
 	// 2D link geometry, so the link grid stays zero; bridge-FIFO entries
@@ -118,29 +105,16 @@ type Fabric struct {
 	scratchG []slot
 
 	// Active-set state (unused when skip is false). activeG[g] is
-	// cleared plainly by the owner of ring g in the local phase and set
-	// atomically by the global phase's g2l pushes and by NIC
-	// notifications (two nodes of one ring may enqueue from different
-	// harness shards). lastTick is per node; globalOcc counts occupied
-	// global-ring slots (sequential phase only) and l2gLive counts
-	// flits across all l2g FIFOs (pushed from the parallel local
-	// phase, popped sequentially, hence atomic).
+	// cleared by ring g's rotation once it has nothing left to carry
+	// and set by the global ring's g2l pushes and by NIC notifications.
+	// lastTick is per node; globalOcc counts occupied global-ring slots
+	// and l2gLive counts flits across all l2g FIFOs.
 	skip      bool
 	activeG   []uint32
 	idle      noc.IdleTicker
 	lastTick  []int64
 	globalOcc int
-	l2gLive   atomic.Int64
-
-	// shards[w] are worker w's counters, cache-line padded so the
-	// parallel local-ring phase never false-shares; Stats() merges them.
-	// The sequential global phase accumulates into shards[0].
-	shards []par.PaddedStats
-	// pool runs the local-ring phase when sharding engages; nil means
-	// sequential stepping. pl is the prebuilt phase closure, so Step
-	// allocates nothing.
-	pool *par.Pool
-	pl   func(lo, hi, worker int)
+	l2gLive   int64
 
 	// tr and sp are the observability collectors; nil when disabled
 	// (the common case), so every hook is one predictable branch.
@@ -168,9 +142,6 @@ func New(cfg Config) *Fabric {
 	if cfg.Policy == nil {
 		cfg.Policy = noc.Open{}
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	groups := cfg.Nodes / cfg.GroupSize
 	f := &Fabric{
 		cfg:    cfg,
@@ -181,22 +152,8 @@ func New(cfg Config) *Fabric {
 		global: make([]slot, max(groups, 2)),
 		l2g:    make([]fifo, groups),
 		g2l:    make([]fifo, groups),
-		shards: make([]par.PaddedStats, cfg.Workers),
 		tr:     cfg.Probe.Tracer,
 		sp:     cfg.Probe.Spatial,
-	}
-	// Sharding pays only when every worker gets at least one whole ring;
-	// below that the fabric steps sequentially and never consults the pool.
-	if cfg.Workers > 1 && groups >= cfg.Workers {
-		if cfg.Pool != nil {
-			if cfg.Pool.Workers() != cfg.Workers {
-				panic(fmt.Sprintf("hierring: shared pool width %d != Workers %d", cfg.Pool.Workers(), cfg.Workers))
-			}
-			f.pool = cfg.Pool
-		} else {
-			f.pool = par.New(cfg.Workers)
-		}
-		f.pl = func(lo, hi, w int) { f.localPhase(lo, hi, &f.shards[w].Stats) }
 	}
 	f.idle, _ = cfg.Policy.(noc.IdleTicker)
 	_, open := cfg.Policy.(noc.Open)
@@ -235,20 +192,15 @@ func max(a, b int) int {
 // notifyNIC re-activates a node's ring when its NIC goes non-empty.
 func (f *Fabric) notifyNIC(node int) { f.activateG(f.ring(node)) }
 
-// activateG flags ring g for rotation. Atomic because notifications may
-// come from any harness shard.
-func (f *Fabric) activateG(g int) {
-	atomic.StoreUint32(&f.activeG[g], 1)
-}
+// activateG flags ring g for rotation.
+func (f *Fabric) activateG(g int) { f.activeG[g] = 1 }
 
 // ActiveSet reports whether active-set skipping is engaged and, if so,
-// how many local rings are currently flagged active. Sequential regions
-// only.
+// how many local rings are currently flagged active.
 func (f *Fabric) ActiveSet() (active int, enabled bool) {
 	if !f.skip {
 		return 0, false
 	}
-	//nocvet:allow atomicmix sequential region between Step calls; the worker pool is parked, so plain loads cannot race
 	for _, a := range f.activeG {
 		if a != 0 {
 			active++
@@ -289,12 +241,9 @@ func (f *Fabric) Cycle() int64 { return f.cycle }
 // NIC returns node i's network interface.
 func (f *Fabric) NIC(i int) *noc.NIC { return f.nics[i] }
 
-// Stats returns the accumulated counters, merging worker shards.
+// Stats returns the accumulated counters.
 func (f *Fabric) Stats() noc.Stats {
 	s := f.stats
-	for i := range f.shards {
-		s.Merge(f.shards[i].Stats)
-	}
 	s.Cycles = f.cycle
 	return s
 }
@@ -317,21 +266,15 @@ func (f *Fabric) Drained() bool {
 
 // Step advances the fabric one cycle: every ring rotates one stop, with
 // ejection, bridge transfer, and injection happening as slots pass.
-// Local rings are independent (each touches only its own slots, FIFOs
-// and NICs), so they shard across the worker pool; the global ring runs
-// after the barrier on the caller, exactly where it ran sequentially.
+// The local rings rotate first, then the global ring.
 func (f *Fabric) Step() {
 	groups := len(f.local)
-	if f.pool == nil {
-		f.localPhase(0, groups, &f.shards[0].Stats)
-	} else {
-		f.pool.Run(groups, f.pl)
-	}
+	st := &f.stats
+	f.localPhase(st)
 
 	// Global ring. Skipped while it is empty and no l2g FIFO holds a
 	// departure for it to pick up — rotating it then is a no-op.
-	if !f.skip || f.globalOcc > 0 || f.l2gLive.Load() > 0 {
-		st := &f.shards[0].Stats
+	if !f.skip || f.globalOcc > 0 || f.l2gLive > 0 {
 		gstops := len(f.global)
 		occ := 0
 		for s := 0; s < gstops; s++ {
@@ -352,16 +295,16 @@ func (f *Fabric) Step() {
 		f.globalOcc = occ
 	}
 
-	f.updateInflight()
+	f.inflight = f.stats.FlitsInjected - f.stats.FlitsEjected
 	f.cycle++
 }
 
-// localPhase rotates local rings lo..hi-1 one stop, accumulating
-// counters into st.
-func (f *Fabric) localPhase(lo, hi int, st *noc.Stats) {
+// localPhase rotates every local ring one stop, accumulating counters
+// into st.
+func (f *Fabric) localPhase(st *noc.Stats) {
 	stops := f.cfg.GroupSize + 1
 	bridgeStop := f.cfg.GroupSize
-	for g := lo; g < hi; g++ {
+	for g := range f.local {
 		if f.skip && f.activeG[g] == 0 {
 			continue
 		}
@@ -398,27 +341,6 @@ func (f *Fabric) groupWants(g int) bool {
 		}
 	}
 	return false
-}
-
-// Close releases the fabric's own worker pool. Shared pools (Config.
-// Pool) belong to their creator and are left running.
-func (f *Fabric) Close() {
-	if f.pool != nil && f.pool != f.cfg.Pool {
-		f.pool.Close()
-	}
-}
-
-// updateInflight derives the in-network flit count from the merged
-// injection/ejection counters: flits enter rings only at injection and
-// leave only at ejection, and a sum of per-shard deltas is independent
-// of shard count.
-func (f *Fabric) updateInflight() {
-	var inj, ej int64
-	for i := range f.shards {
-		inj += f.shards[i].Stats.FlitsInjected
-		ej += f.shards[i].Stats.FlitsEjected
-	}
-	f.inflight = inj - ej
 }
 
 // nodeStop processes a local ring stop: eject a flit addressed here,
@@ -511,7 +433,7 @@ func (f *Fabric) bridgeLocal(g int, in slot, st *noc.Stats) slot {
 			f.l2g[g].push(in.f)
 			st.BufferWrites++
 			if f.skip {
-				f.l2gLive.Add(1)
+				f.l2gLive++
 			}
 			in = slot{}
 		}
@@ -546,7 +468,7 @@ func (f *Fabric) bridgeGlobal(g int, in slot, st *noc.Stats) slot {
 		fl := f.l2g[g].pop()
 		st.BufferReads++
 		if f.skip {
-			f.l2gLive.Add(-1)
+			f.l2gLive--
 		}
 		in = slot{f: fl, ok: true}
 	}

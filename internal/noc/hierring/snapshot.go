@@ -15,7 +15,7 @@ import (
 func init() {
 	snap.Cover(Fabric{}, snap.Coverage{
 		Serialized: []string{
-			"cycle", "nics", "local", "global", "l2g", "g2l", "shards",
+			"cycle", "nics", "local", "global", "l2g", "g2l", "stats",
 		},
 		Waived: map[string]string{
 			"cfg":       "config: construction input",
@@ -29,12 +29,9 @@ func init() {
 			"lastTick":  "canonical: SyncPolicy flushes pending idle stretches before snapshot; restore pins every entry to the restored cycle",
 			"globalOcc": "derived: recomputed from global-ring occupancy on restore",
 			"l2gLive":   "derived: recomputed from l2g FIFO counts on restore",
-			"pool":      "construction: worker pool is execution machinery, not simulated state",
-			"pl":        "construction: prebuilt closure over the pool",
 			"tr":        "construction: observability collector, restored by the obs layer",
 			"sp":        "construction: observability collector, restored by the obs layer",
-			"stats":     "construction: holds only the Links topology property; event totals are encoded merged and restored into shard 0",
-			"inflight":  "derived: recomputed from shard counters on restore",
+			"inflight":  "derived: recomputed from the counters on restore",
 		},
 	})
 	snap.Cover(Config{}, snap.Coverage{
@@ -44,8 +41,6 @@ func init() {
 			"BridgeFIFO":  "config: construction input",
 			"Policy":      "config: construction input",
 			"NoActiveSet": "config: construction input",
-			"Workers":     "config: construction input",
-			"Pool":        "config: construction input",
 			"Probe":       "config: construction input",
 		},
 	})
@@ -130,14 +125,10 @@ func (f *Fabric) Snapshot(w *snap.Writer) {
 func (f *Fabric) Restore(r *snap.Reader) {
 	r.Expect(tagHierring)
 	f.cycle = r.I64()
-	var tot noc.Stats
-	tot.Restore(r)
-	for i := range f.shards {
-		f.shards[i].Stats = noc.Stats{}
-	}
-	tot.Cycles = 0
-	tot.Links = 0
-	f.shards[0].Stats = tot
+	// Cycles is owned by f.cycle; Links is not encoded and keeps the
+	// constructed fabric's value.
+	f.stats.Restore(r)
+	f.stats.Cycles = 0
 	if n := int(r.U32()); n != len(f.nics) {
 		r.Failf("hierring NICs %d, want %d", n, len(f.nics))
 		return
@@ -165,7 +156,7 @@ func (f *Fabric) Restore(r *snap.Reader) {
 // bridge live counter, idle-replay cursors and the ring active set from
 // the restored state.
 func (f *Fabric) rebuildDerived() {
-	f.updateInflight()
+	f.inflight = f.stats.FlitsInjected - f.stats.FlitsEjected
 	occ := 0
 	for s := range f.global {
 		if f.global[s].ok {
@@ -177,14 +168,13 @@ func (f *Fabric) rebuildDerived() {
 	for g := range f.l2g {
 		live += int64(f.l2g[g].count)
 	}
-	f.l2gLive.Store(live)
+	f.l2gLive = live
 	if !f.skip {
 		return
 	}
 	for i := range f.lastTick {
 		f.lastTick[i] = f.cycle
 	}
-	//nocvet:allow atomicmix sequential region between Step calls; the worker pool is parked, so plain stores cannot race
 	for g := range f.activeG {
 		act := !f.g2l[g].empty() || f.groupWants(g)
 		if !act {
@@ -196,10 +186,8 @@ func (f *Fabric) rebuildDerived() {
 			}
 		}
 		if act {
-			//nocvet:allow atomicmix sequential region between Step calls; the worker pool is parked, so plain stores cannot race
 			f.activeG[g] = 1
 		} else {
-			//nocvet:allow atomicmix sequential region between Step calls; the worker pool is parked, so plain stores cannot race
 			f.activeG[g] = 0
 		}
 	}

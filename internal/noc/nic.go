@@ -193,9 +193,7 @@ func (n *NIC) Node() int { return int(n.node) }
 
 // SetNotify registers fn, called with the node ID whenever Send turns
 // an empty NIC non-empty. Active-set fabrics hook this to re-flag the
-// node for processing; fn must therefore be safe to call from whatever
-// context drives Send (the fabrics' contract is that Sends happen only
-// between fabric phases, or from the sender node's own shard).
+// node for processing; Sends happen between fabric Steps.
 func (n *NIC) SetNotify(fn func(node int)) { n.notify = fn }
 
 // Send enqueues a packet of nflits flits of the given kind toward dst.

@@ -69,7 +69,7 @@ func init() {
 		Waived: map[string]string{
 			"hot":  "rebuilt: occupied slots are re-Alloced from serialized Flit content in canonical plane order",
 			"cold": "rebuilt: occupied slots are re-Alloced from serialized Flit content in canonical plane order",
-			"free": "rebuilt: free lists are a consequence of the canonical re-Alloc order",
+			"free": "rebuilt: the free list is a consequence of the canonical re-Alloc order",
 		},
 	})
 	snap.Cover(FlitHot{}, snap.Coverage{
@@ -89,11 +89,6 @@ func init() {
 			"Enq":   "mirror: encoded via the full Flit (see Flit coverage)",
 			"Token": "mirror: encoded via the full Flit (see Flit coverage)",
 			"Src":   "mirror: encoded via the full Flit (see Flit coverage)",
-		},
-	})
-	snap.Cover(freeList{}, snap.Coverage{
-		Waived: map[string]string{
-			"list": "rebuilt: free handles are whatever the canonical re-Alloc did not use",
 		},
 	})
 }

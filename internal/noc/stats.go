@@ -95,10 +95,7 @@ func (s Stats) StarvationRate(nodes int) float64 {
 }
 
 // Merge adds o's event counters into s. Cycles and Links are fabric
-// properties, not per-shard events, and are left alone — the fabrics
-// use Merge to fold worker-shard counters into a snapshot. Integer
-// addition commutes, so the merged totals are independent of shard
-// count: this is what keeps parallel runs byte-identical to Workers=1.
+// properties, not events, and are left alone.
 func (s *Stats) Merge(o Stats) {
 	s.FlitsInjected += o.FlitsInjected
 	s.FlitsEjected += o.FlitsEjected

@@ -26,8 +26,8 @@ func fillDistinct(t *testing.T) Stats {
 
 // TestMergeCoversEveryField walks Stats by reflection so that a counter
 // added without updating Merge fails here instead of silently vanishing
-// from every sharded run. Cycles and Links are fabric properties, not
-// per-shard events, and must be left alone.
+// from a merged total. Cycles and Links are fabric properties, not
+// events, and must be left alone.
 func TestMergeCoversEveryField(t *testing.T) {
 	src := fillDistinct(t)
 	var dst Stats

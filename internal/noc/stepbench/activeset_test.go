@@ -25,7 +25,6 @@ type activeSetter interface {
 // and any event it fails to record shows up in the byte comparison.
 func activeRun(t *testing.T, net noc.Network, pr obs.Probe, wantSkip bool) (noc.Stats, string, string, string) {
 	t.Helper()
-	defer closeNet(net)
 	as, isAS := net.(activeSetter)
 	if !isAS {
 		t.Fatal("fabric does not expose ActiveSet")
@@ -144,15 +143,13 @@ func TestActiveSetExact(t *testing.T) {
 // wakes on injection, the global ring wakes when the bridge accepts the
 // flit, and the destination ring wakes on global delivery — then each
 // drains back to idle.
-func hierringActiveRun(t *testing.T, nodes, workers int, noActive bool) noc.Stats {
+func hierringActiveRun(t *testing.T, nodes int, noActive bool) noc.Stats {
 	t.Helper()
 	net := hierring.New(hierring.Config{
 		Nodes:       nodes,
 		GroupSize:   8,
-		Workers:     workers,
 		NoActiveSet: noActive,
 	})
-	defer closeNet(net)
 	wantSkip := !noActive
 	if _, enabled := net.ActiveSet(); enabled != wantSkip {
 		t.Fatalf("ActiveSet enabled = %v, want %v", enabled, wantSkip)
@@ -196,27 +193,16 @@ func hierringActiveRun(t *testing.T, nodes, workers int, noActive bool) noc.Stat
 // TestHierringActiveSetExact pins the hierarchical fabric's three-state
 // active-set protocol: a single packet crossing source ring, global
 // ring, and destination ring must produce byte-identical counters with
-// ring skipping enabled and force-disabled, sequentially and with the
-// local phase sharded over 8 workers.
+// ring skipping enabled and force-disabled.
 func TestHierringActiveSetExact(t *testing.T) {
 	const nodes = 64
-	base := hierringActiveRun(t, nodes, 1, false)
-	for _, c := range []struct {
-		name     string
-		workers  int
-		noActive bool
-	}{
-		{"noskip_seq", 1, true},
-		{"skip_par8", 8, false},
-		{"noskip_par8", 8, true},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			got := hierringActiveRun(t, nodes, c.workers, c.noActive)
-			if got != base {
-				t.Errorf("counters diverge from skip_seq baseline:\n  base: %+v\n  got:  %+v", base, got)
-			}
-		})
-	}
+	base := hierringActiveRun(t, nodes, false)
+	t.Run("noskip_seq", func(t *testing.T) {
+		got := hierringActiveRun(t, nodes, true)
+		if got != base {
+			t.Errorf("counters diverge from skip_seq baseline:\n  base: %+v\n  got:  %+v", base, got)
+		}
+	})
 }
 
 func clip(s string) string {

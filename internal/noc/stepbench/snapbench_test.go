@@ -37,14 +37,12 @@ func TestSnapCasesRoundTrip(t *testing.T) {
 				t.Skip("1024-node warmup is too slow for -short")
 			}
 			s := sim.New(c.Config)
-			defer s.Close()
 			s.Run(snapWarm)
 			blob := s.Snapshot()
 			r, err := sim.Restore(c.Config, blob)
 			if err != nil {
 				t.Fatalf("Restore: %v", err)
 			}
-			defer r.Close()
 			if again := r.Snapshot(); !bytes.Equal(again, blob) {
 				t.Errorf("restored state re-encodes to %d bytes != original %d", len(again), len(blob))
 			}

@@ -37,8 +37,8 @@ type Case struct {
 	Name string
 	// Rate overrides the per-node injection rate; 0 means defaultRate.
 	Rate float64
-	// New builds the fabric with the given intra-fabric worker count.
-	New func(workers int) noc.Network
+	// New builds the fabric.
+	New func() noc.Network
 }
 
 // rate returns the case's effective injection rate.
@@ -50,49 +50,48 @@ func (c Case) rate() float64 {
 }
 
 // Cases returns the benchmark matrix: each fabric family at a small
-// and a large size, so both the per-node cost and the sharding
-// behaviour are visible.
+// and a large size, so both the per-node cost and its scaling with
+// node count are visible.
 func Cases() []Case {
 	mesh := func(k int) *topology.Topology { return topology.NewSquare(topology.Mesh, k) }
 	return []Case{
-		{Name: "bless/8x8", New: func(w int) noc.Network {
-			return bless.New(bless.Config{Topology: mesh(8), Workers: w})
+		{Name: "bless/8x8", New: func() noc.Network {
+			return bless.New(bless.Config{Topology: mesh(8)})
 		}},
-		{Name: "bless/32x32", New: func(w int) noc.Network {
-			return bless.New(bless.Config{Topology: mesh(32), Workers: w})
+		{Name: "bless/32x32", New: func() noc.Network {
+			return bless.New(bless.Config{Topology: mesh(32)})
 		}},
 		// 64x64 runs at a reduced rate: a 64x64 mesh has a 128-link
 		// bisection, so the default 0.08 (≈328 injected flits/cycle)
 		// is far past saturation and would measure a pathological
 		// regime; 0.02 keeps the network busy but stable.
-		{Name: "bless/64x64", Rate: 0.02, New: func(w int) noc.Network {
-			return bless.New(bless.Config{Topology: mesh(64), Workers: w})
+		{Name: "bless/64x64", Rate: 0.02, New: func() noc.Network {
+			return bless.New(bless.Config{Topology: mesh(64)})
 		}},
-		{Name: "buffered/8x8", New: func(w int) noc.Network {
-			return buffered.New(buffered.Config{Topology: mesh(8), Workers: w})
+		{Name: "buffered/8x8", New: func() noc.Network {
+			return buffered.New(buffered.Config{Topology: mesh(8)})
 		}},
-		{Name: "buffered/32x32", New: func(w int) noc.Network {
-			return buffered.New(buffered.Config{Topology: mesh(32), Workers: w})
+		{Name: "buffered/32x32", New: func() noc.Network {
+			return buffered.New(buffered.Config{Topology: mesh(32)})
 		}},
-		{Name: "hierring/64", New: func(w int) noc.Network {
-			return hierring.New(hierring.Config{Nodes: 64, GroupSize: 8, Workers: w})
+		{Name: "hierring/64", New: func() noc.Network {
+			return hierring.New(hierring.Config{Nodes: 64, GroupSize: 8})
 		}},
-		{Name: "hierring/1024", New: func(w int) noc.Network {
-			return hierring.New(hierring.Config{Nodes: 1024, GroupSize: 8, Workers: w})
+		{Name: "hierring/1024", New: func() noc.Network {
+			return hierring.New(hierring.Config{Nodes: 1024, GroupSize: 8})
 		}},
 	}
 }
 
-// Bench runs one case at one worker count: warm the fabric, then time
+// Bench runs one case: warm the fabric, then time
 // b.N injector+step cycles. It reports cycles/s (stepping throughput),
 // flithops/s (link traversals retired per second, which normalises
 // throughput by how much traffic the fabric actually moved), and —
 // via ReportAllocs — allocs/op, which must be zero at steady state
 // (the warmup grows the flit pools and queue rings to their high-water
 // marks; ResetTimer excludes it from the counters).
-func Bench(b *testing.B, c Case, workers int) {
-	net := c.New(workers)
-	defer closeNet(net)
+func Bench(b *testing.B, c Case) {
+	net := c.New()
 	inj := newInjector(net.Topology().Nodes(), c.rate())
 	for i := 0; i < warmup; i++ {
 		StepOnce(net, inj)
@@ -127,13 +126,6 @@ func StepOnce(net noc.Network, inj *traffic.Injector) {
 // newInjector builds the standard open-loop workload for n nodes.
 func newInjector(n int, rate float64) *traffic.Injector {
 	return traffic.NewInjector(n, rate, traffic.Uniform{Nodes: n}, seed)
-}
-
-// closeNet releases a fabric's worker pool when it owns one.
-func closeNet(net noc.Network) {
-	if c, ok := net.(interface{ Close() }); ok {
-		c.Close()
-	}
 }
 
 // FindCase returns the named case.

@@ -1,24 +1,20 @@
 package stepbench
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
 
-// benchFamily runs every case of one fabric family at one and four
-// workers.
+// benchFamily runs every case of one fabric family.
 func benchFamily(b *testing.B, family string) {
 	for _, c := range Cases() {
 		if !strings.HasPrefix(c.Name, family+"/") {
 			continue
 		}
-		for _, w := range []int{1, 4} {
-			c, w := c, w
-			b.Run(fmt.Sprintf("%s/w%d", strings.TrimPrefix(c.Name, family+"/"), w), func(b *testing.B) {
-				Bench(b, c, w)
-			})
-		}
+		c := c
+		b.Run(strings.TrimPrefix(c.Name, family+"/"), func(b *testing.B) {
+			Bench(b, c)
+		})
 	}
 }
 
@@ -43,33 +39,6 @@ func TestCasesUnique(t *testing.T) {
 	}
 }
 
-// TestStepWorkersInvariance is the fabric-level determinism check: the
-// same open-loop run produces identical counters at Workers=1 and
-// Workers=4 for every case in the matrix.
-func TestStepWorkersInvariance(t *testing.T) {
-	const cycles = 2_000
-	run := func(c Case, workers int) interface{} {
-		net := c.New(workers)
-		defer closeNet(net)
-		n := net.Topology().Nodes()
-		inj := newInjector(n, c.rate())
-		for i := 0; i < cycles; i++ {
-			inj.Step(net)
-			net.Step()
-		}
-		return net.Stats()
-	}
-	for _, c := range Cases() {
-		if testing.Short() && strings.Contains(c.Name, "64x64") {
-			continue // 4096 nodes x 2k cycles x 4 runs is too slow for -short
-		}
-		if run(c, 1) != run(c, 4) {
-			t.Errorf("%s: stats differ between Workers=1 and Workers=4\n w1: %+v\n w4: %+v",
-				c.Name, run(c, 1), run(c, 4))
-		}
-	}
-}
-
 // TestZeroSteadyStateAllocs pins the flit-pool contract: once the pool
 // and every queue ring have grown to their high-water marks, stepping
 // allocates nothing. The workload is fully deterministic (seeded
@@ -82,8 +51,7 @@ func TestZeroSteadyStateAllocs(t *testing.T) {
 	for _, c := range Cases() {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			net := c.New(1)
-			defer closeNet(net)
+			net := c.New()
 			inj := newInjector(net.Topology().Nodes(), c.rate())
 			for i := 0; i < 3*warmup; i++ {
 				StepOnce(net, inj)

@@ -19,9 +19,8 @@ import (
 // ejection, starvation) over the same window.
 //
 // Determinism: the ledger is fed from the simulator's epoch hook
-// (sequential, between cycles) with shard-count-invariant inputs, so
-// its exports are byte-identical at any Workers or -parallel setting
-// and across cold vs warm-forked runs of the same plan.
+// (sequential, between cycles), so its exports are byte-identical at
+// any -parallel setting and across cold vs warm-forked runs of the same plan.
 
 // EpochNode is one node's evidence row within an epoch: what the
 // controller read (IPF, MPKI) and what it applied (sigma, rate).
@@ -78,9 +77,8 @@ type EpochRecord struct {
 }
 
 // EpochLedger accumulates the decision records. Like the Sampler it is
-// fed between cycles on the stepping goroutine from merged
-// (shard-count-invariant) counters, so the series is deterministic by
-// construction.
+// fed between cycles on the stepping goroutine from the cumulative
+// counters, so the series is deterministic by construction.
 type EpochLedger struct {
 	meta    Meta
 	records []EpochRecord

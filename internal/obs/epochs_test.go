@@ -22,7 +22,7 @@ import (
 // formatting shows up here. Re-baseline with -update in the same
 // commit as an intentional change.
 func TestGoldenEpochsJSONL(t *testing.T) {
-	s := runObserved(t, 1)
+	s := runObserved(t)
 	var buf bytes.Buffer
 	if err := s.Obs().Epochs.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -51,17 +51,15 @@ func TestGoldenEpochsJSONL(t *testing.T) {
 // runControlled executes the centrally controlled counterpart of the
 // observed baseline, ledger only — the config whose throttling
 // decisions the ledger exists to record.
-func runControlled(t *testing.T, workers int) *sim.Sim {
+func runControlled(t *testing.T) *sim.Sim {
 	t.Helper()
 	sc := testScale()
 	cat, _ := workload.CategoryByName("HML")
 	w := workload.Generate(cat, 16, sc.Seed)
 	cfg := runner.Controlled(w, 4, 4, sc,
-		runner.WithWorkers(workers),
 		runner.WithObs(obs.Options{Epochs: true}),
 	)
 	s := sim.New(cfg)
-	t.Cleanup(s.Close)
 	s.Run(sc.Cycles)
 	return s
 }
@@ -72,7 +70,7 @@ func runControlled(t *testing.T, workers int) *sim.Sim {
 // their physical ranges, and at least one epoch where the controller
 // actually ran and decided.
 func TestEpochLedgerContent(t *testing.T) {
-	s := runControlled(t, 1)
+	s := runControlled(t)
 	recs := s.Obs().Epochs.Records()
 	sc := testScale()
 	if want := int(sc.Cycles / sc.Epoch); len(recs) != want {
@@ -121,7 +119,7 @@ func TestEpochLedgerContent(t *testing.T) {
 // TestEpochLedgerCSVShape pins the CSV header and the one-row-per-
 // epoch-per-node layout.
 func TestEpochLedgerCSVShape(t *testing.T) {
-	s := runObserved(t, 1)
+	s := runObserved(t)
 	var buf bytes.Buffer
 	if err := s.Obs().Epochs.WriteCSV(&buf); err != nil {
 		t.Fatal(err)

@@ -27,10 +27,8 @@
 // Determinism contract: every collector is indexed by simulated cycle,
 // never the host clock (nocvet's wallclock rule holds here — only
 // internal/runner and cmd/ may time runs, and the manifest's elapsed
-// field is filled by them). Collector state is owned per node, and the
-// fabrics' worker shards partition nodes, so a shard writes only its
-// own rows: exports are byte-identical at any Workers or -parallel
-// setting. When a collector is disabled its fabric-side pointer is
+// field is filled by them). Each simulation owns its collectors, so
+// exports are byte-identical at any -parallel setting. When a collector is disabled its fabric-side pointer is
 // nil and the hot path pays one predictable branch per event.
 package obs
 

@@ -1,8 +1,9 @@
 // External tests for the observability layer: they drive full
 // simulations through the runner presets (so configs flow through the
-// sanctioned assembly path) and pin the three export-level contracts —
-// a golden interval-sampler series, worker-count invariance of every
-// export, and Chrome trace-event validity.
+// sanctioned assembly path) and pin the export-level contracts — a
+// golden interval-sampler series, a deterministic counters hash, and
+// Chrome trace-event validity. Invariance of every export across
+// -parallel settings is pinned in internal/runner.
 package obs_test
 
 import (
@@ -27,13 +28,12 @@ func testScale() runner.Scale {
 }
 
 // observedConfig assembles the baseline 4x4 BLESS run with every
-// collector enabled. workers pins the fabric shard count.
-func observedConfig(workers int) sim.Config {
+// collector enabled.
+func observedConfig() sim.Config {
 	sc := testScale()
 	cat, _ := workload.CategoryByName("HML")
 	w := workload.Generate(cat, 16, sc.Seed)
 	return runner.Baseline(w, 4, 4, sc,
-		runner.WithWorkers(workers),
 		runner.WithObs(obs.Options{
 			SampleInterval: 1_000,
 			TraceSample:    4,
@@ -44,10 +44,9 @@ func observedConfig(workers int) sim.Config {
 }
 
 // runObserved executes one observed simulation to the test scale.
-func runObserved(t *testing.T, workers int) *sim.Sim {
+func runObserved(t *testing.T) *sim.Sim {
 	t.Helper()
-	s := sim.New(observedConfig(workers))
-	t.Cleanup(s.Close)
+	s := sim.New(observedConfig())
 	s.Run(testScale().Cycles)
 	return s
 }
@@ -58,7 +57,7 @@ func runObserved(t *testing.T, workers int) *sim.Sim {
 // field ordering, or float formatting shows up here. Re-baseline with
 // -update in the same commit as an intentional change.
 func TestGoldenSamplerJSONL(t *testing.T) {
-	s := runObserved(t, 1)
+	s := runObserved(t)
 	var buf bytes.Buffer
 	if err := s.Obs().Sampler.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -87,64 +86,12 @@ func TestGoldenSamplerJSONL(t *testing.T) {
 	}
 }
 
-// TestExportsWorkerInvariant is the sharding contract: every export
-// must be byte-identical between a sequential fabric and a 4-way
-// sharded one, because collector state is owned per node and shards
-// partition nodes.
-func TestExportsWorkerInvariant(t *testing.T) {
-	type exports struct {
-		jsonl, csv, trace, nodes, links, epochs, epochsCSV []byte
-	}
-	collect := func(workers int) exports {
-		s := runObserved(t, workers)
-		o := s.Obs()
-		var e exports
-		for _, w := range []struct {
-			dst  *[]byte
-			emit func(*bytes.Buffer) error
-		}{
-			{&e.jsonl, func(b *bytes.Buffer) error { return o.Sampler.WriteJSONL(b) }},
-			{&e.csv, func(b *bytes.Buffer) error { return o.Sampler.WriteCSV(b) }},
-			{&e.trace, func(b *bytes.Buffer) error { return o.Tracer.WriteChromeTrace(b) }},
-			{&e.nodes, func(b *bytes.Buffer) error { return o.Spatial.WriteNodeCSV(b) }},
-			{&e.links, func(b *bytes.Buffer) error { return o.Spatial.WriteLinkCSV(b) }},
-			{&e.epochs, func(b *bytes.Buffer) error { return o.Epochs.WriteJSONL(b) }},
-			{&e.epochsCSV, func(b *bytes.Buffer) error { return o.Epochs.WriteCSV(b) }},
-		} {
-			var buf bytes.Buffer
-			if err := w.emit(&buf); err != nil {
-				t.Fatal(err)
-			}
-			*w.dst = buf.Bytes()
-		}
-		return e
-	}
-	seq, par := collect(1), collect(4)
-	for _, c := range []struct {
-		name     string
-		got, ref []byte
-	}{
-		{"sampler JSONL", par.jsonl, seq.jsonl},
-		{"sampler CSV", par.csv, seq.csv},
-		{"chrome trace", par.trace, seq.trace},
-		{"node grid CSV", par.nodes, seq.nodes},
-		{"link grid CSV", par.links, seq.links},
-		{"epoch ledger JSONL", par.epochs, seq.epochs},
-		{"epoch ledger CSV", par.epochsCSV, seq.epochsCSV},
-	} {
-		if !bytes.Equal(c.got, c.ref) {
-			t.Errorf("%s differs between Workers=1 and Workers=4 (%d vs %d bytes)",
-				c.name, len(c.ref), len(c.got))
-		}
-	}
-}
-
-// TestCountersHashWorkerInvariant pins the manifest hash the CI smoke
+// TestCountersHashDeterministic pins the manifest hash the CI smoke
 // compares across -parallel settings: identical simulations must
 // digest identically, and any diverging counter must move the hash.
-func TestCountersHashWorkerInvariant(t *testing.T) {
-	h := func(workers int) string {
-		s := runObserved(t, workers)
+func TestCountersHashDeterministic(t *testing.T) {
+	h := func() string {
+		s := runObserved(t)
 		m := s.Metrics()
 		var retired int64
 		for _, r := range m.Retired {
@@ -152,11 +99,10 @@ func TestCountersHashWorkerInvariant(t *testing.T) {
 		}
 		return obs.HashCounters(m.Net, retired, m.Misses)
 	}
-	h1, h4 := h(1), h(4)
-	if h1 != h4 {
-		t.Errorf("counters hash differs across worker counts: %s vs %s", h1, h4)
+	if h1, h2 := h(), h(); h1 != h2 {
+		t.Errorf("counters hash differs between identical runs: %s vs %s", h1, h2)
 	}
-	s := runObserved(t, 1)
+	s := runObserved(t)
 	m := s.Metrics()
 	perturbed := m.Net
 	perturbed.Deflections++
@@ -186,7 +132,7 @@ type chromeTraceDoc struct {
 // JSON with the invariants Perfetto needs: a traceEvents array, known
 // phase codes, required fields per phase, and non-negative durations.
 func TestChromeTraceValid(t *testing.T) {
-	s := runObserved(t, 1)
+	s := runObserved(t)
 	var buf bytes.Buffer
 	if err := s.Obs().Tracer.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)

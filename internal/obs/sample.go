@@ -37,8 +37,8 @@ type Sample struct {
 
 // Sampler accumulates the interval time series. It is fed from the
 // simulator's step loop (single goroutine, between cycles) and is
-// deterministic by construction: every field derives from the merged
-// fabric counters and core totals, which are shard-count invariant.
+// deterministic by construction: every field derives from the
+// cumulative fabric counters and core totals.
 type Sampler struct {
 	// Interval is the sampling period in cycles.
 	Interval int64

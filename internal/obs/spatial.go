@@ -12,9 +12,7 @@ const MaxPorts = 4
 
 // Spatial accumulates where traffic flows and where it hurts: per-link
 // traversal counts and per-node event grids, the raw material of the
-// hotspot heatmaps. Each counter row is owned by the worker shard
-// stepping that node (fabric shards partition nodes), so increments
-// race with nothing and totals are shard-count invariant.
+// hotspot heatmaps. Each counter row belongs to one node.
 type Spatial struct {
 	meta Meta
 

@@ -66,11 +66,9 @@ type Event struct {
 }
 
 // Tracer records lifecycle events for a deterministic sample of
-// packets into bounded per-node rings. A node's events are recorded
-// only by the worker shard stepping that node, so rings are
-// single-writer and the collected trace is identical at any shard
-// count; when a ring fills, its oldest events are overwritten (the
-// drop count is kept so exports can report truncation).
+// packets into bounded per-node rings. When a ring fills, its oldest
+// events are overwritten (the drop count is kept so exports can report
+// truncation).
 type Tracer struct {
 	mod     uint64
 	ringCap int
@@ -187,7 +185,7 @@ func (t *Tracer) Eject(cycle int64, node int, f *noc.Flit) {
 
 // Events returns every recorded event in the canonical order (cycle,
 // then packet, then kind, then node, then flit index): a global order
-// independent of ring layout and shard count.
+// independent of ring layout.
 func (t *Tracer) Events() []Event {
 	var out []Event
 	for _, ring := range t.rings {

@@ -20,8 +20,7 @@ import (
 // and links.csv (spatial grids), and manifest.json (the
 // reproducibility record). It is a no-op when the simulation was built
 // without collectors. All exports except the manifest's elapsed_ms
-// field are deterministic: byte-identical at any Workers or -parallel
-// setting.
+// field are deterministic: byte-identical at any -parallel setting.
 func ExportObs(s *sim.Sim, dir, label string, cfg sim.Config, elapsed time.Duration) error {
 	o := s.Obs()
 	if o == nil {

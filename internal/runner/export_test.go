@@ -136,7 +136,6 @@ func TestExportObsIdempotentDir(t *testing.T) {
 	cfg := Baseline(w, 4, 4, sc)
 	cfg.Obs = sc.Obs
 	s := sim.New(cfg)
-	defer s.Close()
 	s.Run(100)
 	err := ExportObs(s, squat, "squat", cfg, 0)
 	if err == nil {

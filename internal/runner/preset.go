@@ -15,7 +15,7 @@ type Option func(*sim.Config)
 // Baseline assembles the open (uncontrolled) BLESS system for a
 // workload on a width x height mesh: the paper's Table 2 defaults, the
 // scale's controller epoch, and the conventional sc.Seed ^ w.Seed
-// seeding. Config.Workers is left zero for the executor to fill.
+// seeding.
 func Baseline(w workload.Workload, width, height int, sc Scale, opts ...Option) sim.Config {
 	cfg := sim.Config{
 		Width: width, Height: height,
@@ -131,12 +131,6 @@ func WithRecordEpochs() Option {
 // a plan that agree modulo measured knobs share one prefix simulation.
 func WithWarmup(n int64) Option {
 	return func(c *sim.Config) { c.Warmup = n }
-}
-
-// WithWorkers pins the intra-sim shard count, overriding the
-// executor's oversubscription-safe choice.
-func WithWorkers(n int) Option {
-	return func(c *sim.Config) { c.Workers = n }
 }
 
 // WithObs enables the observability collectors for this run,

@@ -9,10 +9,8 @@
 // metrics in identical order; full-evaluation regeneration costs
 // max-of-runs instead of sum-of-runs.
 //
-// The two parallelism layers compose without oversubscription: the pool
-// runs up to Scale.Parallel simulations at once (inter-sim), and each
-// large simulation may shard its per-cycle loops over Scale.Workers
-// goroutines (intra-sim), clamped so that pool x shards <= GOMAXPROCS.
+// The pool is the only parallelism: it runs up to Scale.Parallel
+// simulations at once, and each simulation steps on one goroutine.
 package runner
 
 import (
@@ -28,8 +26,7 @@ import (
 type Run struct {
 	// Label names the run in reports ("fig2c/rate=0.3").
 	Label string
-	// Config is the assembled system; leave Config.Workers zero to let
-	// the executor pick the intra-sim shard count.
+	// Config is the assembled system.
 	Config sim.Config
 	// Cycles is the simulated length.
 	Cycles int64
@@ -132,10 +129,9 @@ func (p *Plan) Execute() []sim.Metrics {
 		return out
 	}
 	pool := p.sc.pool(len(local))
-	intra := intraWorkers(p.sc, pool)
 	if pool == 1 {
 		for _, i := range local {
-			out[i] = p.execOne(i, intra)
+			out[i] = p.execOne(i)
 		}
 		return out
 	}
@@ -146,7 +142,7 @@ func (p *Plan) Execute() []sim.Metrics {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				out[i] = p.execOne(i, intra)
+				out[i] = p.execOne(i)
 			}
 		}()
 	}
@@ -207,13 +203,10 @@ func (p *Plan) executeRemote(out []sim.Metrics) (local []int) {
 }
 
 // execOne assembles and runs one declared simulation.
-func (p *Plan) execOne(i, intra int) sim.Metrics {
+func (p *Plan) execOne(i int) sim.Metrics {
 	r := p.runs[i]
 	cfg := r.Config
 	nodes := nodesOf(cfg)
-	if cfg.Workers == 0 {
-		cfg.Workers = WorkersFor(nodes, intra)
-	}
 	if !cfg.Obs.Enabled() {
 		cfg.Obs = p.sc.Obs
 	}
@@ -224,7 +217,6 @@ func (p *Plan) execOne(i, intra int) sim.Metrics {
 	// remaining is what is left to actually step. A warm run's declared
 	// Cycles all lie after the warmup prefix.
 	s, at := p.startSim(cfg, r)
-	defer s.Close()
 	remaining := r.Cycles
 	if cfg.Warmup > 0 {
 		remaining += cfg.Warmup

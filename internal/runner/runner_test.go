@@ -16,7 +16,6 @@ func testScale() Scale {
 		Epoch:     2_000,
 		Workloads: 4,
 		MaxNodes:  64,
-		Workers:   1,
 		Seed:      9,
 	}
 }
@@ -149,34 +148,6 @@ func TestMapOrder(t *testing.T) {
 	}
 }
 
-func TestWorkersFor(t *testing.T) {
-	if WorkersFor(16, 8) != 1 {
-		t.Error("small meshes must run single-threaded")
-	}
-	if WorkersFor(1024, 8) != 8 {
-		t.Error("large meshes must shard")
-	}
-	if WorkersFor(1024, 1) != 1 {
-		t.Error("workers<=1 must stay sequential")
-	}
-}
-
-func TestIntraWorkersComposition(t *testing.T) {
-	// pool x intra must never exceed GOMAXPROCS (here: whatever the
-	// test machine has); with a pool as wide as GOMAXPROCS, each sim
-	// gets exactly one shard.
-	sc := Scale{Workers: 64}
-	if got := intraWorkers(sc, sc.pool(1<<30)); got != 1 {
-		t.Errorf("full-width pool leaves intra=%d, want 1", got)
-	}
-	// A pool of one releases the whole budget to intra-sim sharding,
-	// still capped at the scale's Workers.
-	sc.Parallel = 1
-	if got := intraWorkers(sc, sc.pool(1)); got < 1 {
-		t.Errorf("intra=%d, want >=1", got)
-	}
-}
-
 func TestPoolBounds(t *testing.T) {
 	sc := Scale{Parallel: 8}
 	if got := sc.pool(3); got != 3 {
@@ -197,9 +168,6 @@ func TestPresets(t *testing.T) {
 	}
 	if cfg.Params.Epoch != sc.Epoch {
 		t.Errorf("preset epoch = %d, want %d", cfg.Params.Epoch, sc.Epoch)
-	}
-	if cfg.Workers != 0 {
-		t.Error("presets must leave Workers for the executor")
 	}
 	ctl := Controlled(w, 4, 4, sc)
 	if ctl.Controller != sim.Central {

@@ -19,9 +19,9 @@ type Scale struct {
 	Workloads int
 	// MaxNodes caps the scaling experiments (the paper goes to 4096).
 	MaxNodes int
-	// Workers shards the per-cycle loops of one large fabric
-	// (intra-sim parallelism). The executor clamps it so that
-	// Workers x Parallel never exceeds GOMAXPROCS.
+	// Workers is ignored: every simulation steps on one goroutine, and
+	// Parallel is the only parallelism. The field stays so existing
+	// callers still compile.
 	Workers int
 	// Parallel bounds how many independent simulations a Plan runs at
 	// once (inter-sim parallelism); 0 means GOMAXPROCS.
@@ -67,7 +67,6 @@ func DefaultScale() Scale {
 		Epoch:     15_000,
 		Workloads: 21, // 3 per category
 		MaxNodes:  1024,
-		Workers:   runtime.NumCPU(),
 		Seed:      42,
 	}
 }
@@ -80,7 +79,6 @@ func PaperScale() Scale {
 		Epoch:     100_000,
 		Workloads: 875,
 		MaxNodes:  4096,
-		Workers:   runtime.NumCPU(),
 		Seed:      42,
 	}
 }
@@ -105,32 +103,4 @@ func (s Scale) pool(n int) int {
 		p = 1
 	}
 	return p
-}
-
-// intraWorkers composes intra-sim sharding with the pool so the two
-// layers never oversubscribe: each of the pool's concurrent simulations
-// gets at most GOMAXPROCS/pool shard goroutines.
-func intraWorkers(sc Scale, pool int) int {
-	budget := runtime.GOMAXPROCS(0) / pool
-	if budget < 1 {
-		budget = 1
-	}
-	w := sc.Workers
-	if w > budget {
-		w = budget
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// WorkersFor is the intra-sim sharding heuristic, consolidated from the
-// per-driver copies it replaces: goroutine fan-out per cycle only pays
-// off on large fabrics, so small meshes always run single-threaded.
-func WorkersFor(nodes, workers int) int {
-	if nodes < 256 || workers <= 1 {
-		return 1
-	}
-	return workers
 }

@@ -29,9 +29,9 @@ type PlanSpec struct {
 }
 
 // ScaleSpec is the serializable subset of Scale a submission may set.
-// Execution resources (Workers, Parallel) are deliberately absent: they
-// belong to the executing process and — by the determinism contract —
-// cannot change results.
+// Execution resources (Parallel) are deliberately absent: they belong
+// to the executing process and — by the determinism contract — cannot
+// change results.
 type ScaleSpec struct {
 	// Cycles is the default cycle budget for runs that set none.
 	Cycles int64 `json:"cycles,omitempty"`
@@ -277,10 +277,9 @@ func validateRawConfig(cfg *sim.Config) error {
 
 // CacheKey returns a run's content address: the hex sha256 of the
 // canonicalized configuration plus the cycle budget. Canonicalization
-// zeroes the two config fields that provably cannot influence results —
-// Workers (the shard count, pinned result-invariant by the worker-
-// invariance tests) and Obs (passive collectors) — and marshals the
-// rest in struct declaration order. Two submissions describing the same
+// zeroes the two config fields that cannot influence results — Workers
+// (ignored by the simulator) and Obs (passive collectors) — and
+// marshals the rest in struct declaration order. Two submissions describing the same
 // simulation therefore collide on the same key regardless of phrasing
 // or of where and how parallel they execute; equal keys plus the
 // determinism contract mean equal counters, which is what makes a

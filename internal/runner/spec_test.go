@@ -146,6 +146,30 @@ func TestCacheKeyInvariance(t *testing.T) {
 	}
 }
 
+// TestCacheKeyFormatPinned pins the content addresses of one fixed
+// preset configuration to literal hex digests. Every nocd cache entry
+// and checkpoint-store key is derived from CacheKey and WarmDigest, so
+// any change to the canonical config encoding — a field added, removed,
+// renamed or reordered in sim.Config, or a new canonicalization rule —
+// orphans every stored result. Such a change must be deliberate: update
+// these literals in the same commit and say so.
+func TestCacheKeyFormatPinned(t *testing.T) {
+	sc := specScale()
+	cat, _ := workload.CategoryByName("HML")
+	cfg := Controlled(workload.Generate(cat, 16, sc.Seed), 4, 4, sc)
+
+	const (
+		wantKey    = "93093ae158b228fda8bcd90a970ad0565216f0df02bcca710943fdea0f5f0c76"
+		wantDigest = "278e5b959d220039340bad1c59ecee2b95d274356fffca17c1ff9085d0912479"
+	)
+	if k, err := CacheKey(cfg, sc.Cycles); err != nil || k != wantKey {
+		t.Errorf("CacheKey = %s (err %v), pinned %s", k, err, wantKey)
+	}
+	if d, err := WarmDigest(cfg); err != nil || d != wantDigest {
+		t.Errorf("WarmDigest = %s (err %v), pinned %s", d, err, wantDigest)
+	}
+}
+
 // TestPlanSpecJSONRoundTrip pins the wire format: a spec survives
 // marshal/unmarshal and resolves to the same runs and keys.
 func TestPlanSpecJSONRoundTrip(t *testing.T) {

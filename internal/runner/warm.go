@@ -37,8 +37,8 @@ import (
 // WarmDigest returns the content address of a configuration's warmup
 // prefix: the CacheKey of its NormalizeWarm image with a zero cycle
 // budget. Every configuration that differs only in measured knobs —
-// controller kind and parameters, static rates, collectors, worker
-// count, the Warmup cycle itself — maps to the same digest and
+// controller kind and parameters, static rates, collectors, the Warmup
+// cycle itself — maps to the same digest and
 // therefore shares checkpoints.
 func WarmDigest(cfg sim.Config) (string, error) {
 	return CacheKey(sim.NormalizeWarm(cfg), 0)
@@ -117,7 +117,6 @@ func (p *Plan) warmBlob(cfg sim.Config) []byte {
 	st := p.sc.Snapshots
 	digest := mustWarmDigest(cfg)
 	warm := sim.NormalizeWarm(cfg)
-	warm.Workers = cfg.Workers // sharding never changes blobs, only wall clock
 
 	if st != nil {
 		key, err := CacheKey(sim.NormalizeWarm(cfg), cfg.Warmup)
@@ -135,7 +134,6 @@ func (p *Plan) warmBlob(cfg sim.Config) []byte {
 					if ws, err := sim.Restore(warm, blob); err == nil {
 						ws.Run(cfg.Warmup - c)
 						out := ws.Snapshot()
-						ws.Close()
 						_ = st.Put(digest, cfg.Warmup, key, out)
 						return out
 					}
@@ -145,14 +143,12 @@ func (p *Plan) warmBlob(cfg sim.Config) []byte {
 		ws := sim.New(warm)
 		ws.Run(cfg.Warmup)
 		out := ws.Snapshot()
-		ws.Close()
 		_ = st.Put(digest, cfg.Warmup, key, out)
 		return out
 	}
 	ws := sim.New(warm)
 	ws.Run(cfg.Warmup)
 	out := ws.Snapshot()
-	ws.Close()
 	return out
 }
 

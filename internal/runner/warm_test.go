@@ -19,7 +19,6 @@ func warmScale(t *testing.T, capBytes int64) Scale {
 	sc := DefaultScale()
 	sc.Cycles = 3000
 	sc.Epoch = 300
-	sc.Workers = 1
 	sc.Parallel = 2
 	sc.Snapshots = st
 	sc.Warmup = 1000
@@ -136,7 +135,6 @@ func TestSameConfigResume(t *testing.T) {
 	sc := DefaultScale()
 	sc.Cycles = 2000
 	sc.Epoch = 200
-	sc.Workers = 1
 	sc.Parallel = 1
 	sc.Snapshots = st
 	sc.Obs = obs.Options{SampleInterval: 250}

@@ -6,7 +6,7 @@
 // The cache is sound because of — and only because of — the simulator's
 // determinism contract: a run's results are a pure function of its
 // canonicalized configuration and cycle budget (runner.CacheKey), never
-// of worker counts, pool sizes or which process executed it. Equal keys
+// of pool sizes or which process executed it. Equal keys
 // therefore mean equal counters, which the stored manifest's counters
 // hash makes checkable: every cache read re-derives the hash from the
 // stored metrics and refuses mismatches, so serving from cache is

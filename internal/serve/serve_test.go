@@ -23,12 +23,11 @@ const planJSON = `{
 	"runs": [{"label": "t", "preset": "controlled", "workload": "H", "width": 4, "height": 4}]
 }`
 
-// testConfig is the base daemon configuration for tests: single worker,
-// tiny sample interval, cache in a fresh temp dir.
+// testConfig is the base daemon configuration for tests: tiny sample
+// interval, cache in a fresh temp dir.
 func testConfig(t *testing.T) serve.Config {
 	t.Helper()
 	sc := runner.DefaultScale()
-	sc.Workers = 1
 	return serve.Config{
 		Scale:          sc,
 		CacheDir:       t.TempDir(),
@@ -195,7 +194,6 @@ func TestLocalAndRemoteAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := runner.DefaultScale()
-	base.Workers = 1
 	sc, runs, err := spec.Resolve(base)
 	if err != nil {
 		t.Fatal(err)

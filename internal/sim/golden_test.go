@@ -89,8 +89,8 @@ func TestGoldenCounters(t *testing.T) {
 
 func TestGoldenDeterminism(t *testing.T) {
 	// The golden property this suite relies on: the same configuration
-	// always produces bit-identical counters, across repeated runs in
-	// one process and across worker counts.
+	// always produces bit-identical counters across repeated runs in
+	// one process.
 	for _, g := range goldenCases() {
 		var first Metrics
 		for trial := 0; trial < 2; trial++ {

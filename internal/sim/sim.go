@@ -29,7 +29,6 @@ import (
 	"nocsim/internal/noc/buffered"
 	"nocsim/internal/noc/hierring"
 	"nocsim/internal/obs"
-	"nocsim/internal/par"
 	"nocsim/internal/topology"
 	"nocsim/internal/trace"
 )
@@ -178,7 +177,10 @@ type Config struct {
 	// points from its checkpoint; the simulator itself only validates it
 	// when restoring across configurations (see Restore).
 	Warmup int64
-	// Workers shards the per-cycle node loops; 0 means 1.
+	// Workers is ignored: a simulation always steps on one goroutine,
+	// and runs spread over cores through the runner's inter-run pool.
+	// The field stays so existing configurations still compile, and
+	// CacheKey zeroes it so it never reaches a content address.
 	Workers int
 	// Seed makes the whole system deterministic.
 	Seed uint64
@@ -225,9 +227,6 @@ func (c *Config) setDefaults() {
 	if c.Params.Epoch == 0 {
 		c.Params = core.DefaultParams()
 	}
-	if c.Workers == 0 {
-		c.Workers = 1
-	}
 	if c.Writebacks && c.StoreFrac == 0 {
 		c.StoreFrac = 0.3
 	}
@@ -258,13 +257,6 @@ type Sim struct {
 	l1s    []*cache.L1
 	mapper cache.Mapper
 
-	// pool is the persistent worker pool shared by the node loop and the
-	// fabric's phase barriers (never concurrently: Step runs them back to
-	// back). nodeFn is the prebuilt shard closure, so Step allocates
-	// nothing. Both are nil when Workers <= 1.
-	pool   *par.Pool
-	nodeFn func(lo, hi, worker int)
-
 	policy      noc.InjectionPolicy
 	corePolicy  *core.Policy     // non-nil for Central/Unaware/Latency
 	controller  *core.Controller // Central
@@ -280,9 +272,7 @@ type Sim struct {
 	writebacks []int64  // per-core dirty evictions
 
 	// replyWheel[home*wheelLen + (cycle+L2Latency)%wheelLen] holds the
-	// L2 accesses of one home node becoming ready at that cycle. Keeping
-	// one wheel per node lets core shards schedule local-slice replies
-	// without sharing state.
+	// L2 accesses of one home node becoming ready at that cycle.
 	replyWheel [][]pendingReply
 	wheelLen   int64
 
@@ -338,15 +328,6 @@ func New(cfg Config) *Sim {
 	}
 	s.wheelLen = cfg.L2Latency + 1
 	s.replyWheel = make([][]pendingReply, int64(n)*s.wheelLen)
-
-	if cfg.Workers > 1 {
-		s.pool = par.New(cfg.Workers)
-		s.nodeFn = func(lo, hi, _ int) {
-			for node := lo; node < hi; node++ {
-				s.stepNode(node)
-			}
-		}
-	}
 
 	// Observability collectors (nil when disabled).
 	active := 0
@@ -409,8 +390,6 @@ func New(cfg Config) *Sim {
 			BufDepth:   cfg.BufDepth,
 			EjectWidth: cfg.EjectWidth,
 			Policy:     s.policy,
-			Workers:    cfg.Workers,
-			Pool:       s.pool,
 			Probe:      s.obs.Probe(),
 		})
 	case HierRing:
@@ -418,8 +397,6 @@ func New(cfg Config) *Sim {
 			Nodes:     n,
 			GroupSize: cfg.RingGroup,
 			Policy:    s.policy,
-			Workers:   cfg.Workers,
-			Pool:      s.pool,
 			Probe:     s.obs.Probe(),
 		})
 	default:
@@ -435,8 +412,6 @@ func New(cfg Config) *Sim {
 			SideBuffer: cfg.SideBuffer,
 			Adaptive:   cfg.Adaptive,
 			Seed:       cfg.Seed,
-			Workers:    cfg.Workers,
-			Pool:       s.pool,
 			Probe:      s.obs.Probe(),
 		})
 	}
@@ -559,16 +534,10 @@ func (s *Sim) ControlPackets() int64 { return s.controlPackets }
 // Step advances the system one cycle.
 func (s *Sim) Step() {
 	// 1+2. Per node: dispatch the L2 replies finishing service this
-	// cycle, then step the core. Replies dispatched at a node touch only
-	// that node's NIC; local-slice completions touch only that node's
-	// core (home == dst there), so nodes can be stepped in parallel.
+	// cycle, then step the core.
 	n := s.top.Nodes()
-	if s.pool != nil && n >= 256 {
-		s.pool.Run(n, s.nodeFn)
-	} else {
-		for node := 0; node < n; node++ {
-			s.stepNode(node)
-		}
+	for node := 0; node < n; node++ {
+		s.stepNode(node)
 	}
 
 	// 3. Step the network.
@@ -605,8 +574,7 @@ func (s *Sim) Step() {
 		s.runEpoch()
 	}
 
-	// 6. Interval sample, fed from the merged (shard-count invariant)
-	// counters on the stepping goroutine.
+	// 6. Interval sample, fed from the cumulative counters.
 	if s.obs != nil && s.obs.Sampler != nil && s.cycle%s.obs.Sampler.Interval == 0 {
 		s.recordSample()
 	}
@@ -651,18 +619,9 @@ func (s *Sim) stepNode(node int) {
 	}
 }
 
-// Close releases the Sim's worker pool and the fabric's own, if any.
-// The pool's finalizer would eventually reclaim the goroutines, but
-// long-lived processes stepping many Sims (the experiment runner, the
-// benchmarks) should release them promptly.
-func (s *Sim) Close() {
-	if c, ok := s.net.(interface{ Close() }); ok {
-		c.Close()
-	}
-	if s.pool != nil {
-		s.pool.Close()
-	}
-}
+// Close is a no-op: a Sim holds no resources beyond memory. It stays
+// so that callers which release every Sim they build keep compiling.
+func (s *Sim) Close() {}
 
 // runEpoch measures per-node IPF over the elapsed epoch and invokes the
 // configured controller.

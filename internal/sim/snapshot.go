@@ -14,13 +14,13 @@ import (
 // generators, the fabric, the congestion controller, the reply wheel
 // and the observability collectors — into one deterministic blob, and
 // Restore overlays it onto a freshly constructed Sim. The encoding
-// depends only on simulated state, never on Workers, pool layout or
-// allocation history, so the same (config, cycle) always produces the
+// depends only on simulated state, never on pool layout or allocation
+// history, so the same (config, cycle) always produces the
 // same bytes and a restored run replays the original cycle-for-cycle.
 //
 // Two restore modes:
 //
-//   - Same configuration (modulo Workers/Obs/Warmup): full overlay,
+//   - Same configuration (modulo Obs/Warmup): full overlay,
 //     including controller and collector state. Running the restored
 //     Sim to cycle N is byte-identical to a straight 0→N run.
 //
@@ -48,8 +48,6 @@ func init() {
 		Waived: map[string]string{
 			"cfg":          "config: construction input",
 			"top":          "construction: topology is config-derived",
-			"pool":         "construction: worker pool is execution machinery, not simulated state",
-			"nodeFn":       "construction: prebuilt closure over the pool",
 			"policy":       "construction: interface view; the state lives in the concrete controller fields",
 			"unaware":      "construction: stateless beyond its Policy, which is serialized",
 			"latencyCtl":   "construction: stateless beyond its Policy, which is serialized",
@@ -75,7 +73,7 @@ func init() {
 			"BufDepth": "config: construction input", "EjectWidth": "config: construction input",
 			"RingGroup": "config: construction input", "RandomArb": "config: construction input",
 			"SideBuffer": "config: construction input", "Adaptive": "config: construction input",
-			"Warmup": "config: construction input", "Workers": "config: construction input",
+			"Warmup": "config: construction input", "Workers": "config: ignored",
 			"Seed": "config: construction input", "Obs": "config: construction input",
 			"RecordEpochs": "config: construction input", "ControlTraffic": "config: construction input",
 			"Writebacks": "config: construction input", "StoreFrac": "config: construction input",
@@ -102,9 +100,8 @@ type fabricCodec interface {
 // the congestion controller and its parameters, observability, epoch
 // recording, control-traffic injection — are zeroed; everything that
 // shapes the simulated workload and fabric (topology, apps, mapping,
-// packet sizes, fabric geometry, seed) is kept. Workers and Warmup are
-// also zeroed: snapshots are parallelism-independent, and the warmup
-// run itself has no warmup.
+// packet sizes, fabric geometry, seed) is kept. Warmup is also zeroed:
+// the warmup run itself has no warmup.
 func NormalizeWarm(cfg Config) Config {
 	cfg.Controller = NoControl
 	cfg.Params = core.Params{}
@@ -114,7 +111,6 @@ func NormalizeWarm(cfg Config) Config {
 	cfg.ControlTraffic = false
 	cfg.RecordEpochs = false
 	cfg.Obs = obs.Options{}
-	cfg.Workers = 0
 	cfg.Warmup = 0
 	return cfg
 }
@@ -137,8 +133,8 @@ func (s *Sim) Snapshot() []byte {
 }
 
 // Restore assembles New(cfg) and overlays a blob produced by Snapshot.
-// The blob must come from the same configuration modulo Workers, Obs
-// and Warmup — or, for a warm-start fork, from the NormalizeWarm(cfg)
+// The blob must come from the same configuration modulo Obs and
+// Warmup — or, for a warm-start fork, from the NormalizeWarm(cfg)
 // run stopped exactly at cfg.Warmup.
 func Restore(cfg Config, blob []byte) (*Sim, error) {
 	r, err := snap.NewReader(blob)
@@ -148,7 +144,6 @@ func Restore(cfg Config, blob []byte) (*Sim, error) {
 	s := New(cfg)
 	s.decode(r)
 	if err := r.Err(); err != nil {
-		s.Close()
 		return nil, err
 	}
 	return s, nil

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"nocsim/internal/app"
@@ -14,7 +13,6 @@ import (
 	"nocsim/internal/noc/buffered"
 	"nocsim/internal/noc/hierring"
 	"nocsim/internal/obs"
-	"nocsim/internal/par"
 	"nocsim/internal/snap"
 	"nocsim/internal/topology"
 	"nocsim/internal/trace"
@@ -32,7 +30,6 @@ func TestSnapshotCoverageComplete(t *testing.T) {
 		Opaque: []any{
 			// Construction-time structure with no mutable simulation state.
 			topology.Topology{},
-			par.Pool{},
 			app.Profile{},
 		},
 	},
@@ -174,79 +171,44 @@ func countersHash(s *Sim) string {
 }
 
 // TestSnapshotByteIdentity is the acceptance criterion: for every
-// fabric, at Workers 1 and 8, a run snapshotted at cycle k and resumed
-// to N must match a straight 0→N run byte for byte — counters hash,
-// observability exports, and the full state blob itself.
+// fabric, a run snapshotted at cycle k and resumed to N must match a
+// straight 0→N run byte for byte — counters hash, observability
+// exports, and the full state blob itself.
 func TestSnapshotByteIdentity(t *testing.T) {
 	const (
 		total = 400
 		k     = 193 // deliberately not epoch- or sample-aligned
 	)
 	for _, tc := range snapCases() {
-		for _, workers := range []int{1, 8} {
-			tc, workers := tc, workers
-			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				cfg := tc.cfg
-				cfg.Workers = workers
-
-				straight := New(cfg)
-				defer straight.Close()
-				straight.Run(total)
-				wantBlob := straight.Snapshot()
-				wantHash := countersHash(straight)
-				wantObs := obsExports(t, straight)
-
-				head := New(cfg)
-				head.Run(k)
-				blob := head.Snapshot()
-				head.Close()
-
-				resumed, err := Restore(cfg, blob)
-				if err != nil {
-					t.Fatalf("Restore: %v", err)
-				}
-				defer resumed.Close()
-				if got := resumed.Cycle(); got != k {
-					t.Fatalf("restored cycle %d, want %d", got, k)
-				}
-				resumed.Run(total - k)
-
-				if got := countersHash(resumed); got != wantHash {
-					t.Errorf("counters hash diverged: %s != %s", got, wantHash)
-				}
-				if got := obsExports(t, resumed); !bytes.Equal(got, wantObs) {
-					t.Errorf("obs exports diverged (%d vs %d bytes)", len(got), len(wantObs))
-				}
-				if got := resumed.Snapshot(); !bytes.Equal(got, wantBlob) {
-					t.Errorf("state blob diverged (%d vs %d bytes)", len(got), len(wantBlob))
-				}
-			})
-		}
-	}
-}
-
-// TestSnapshotWorkerInvariance checks the stronger property the
-// snapshot store depends on: the blob at cycle k is identical whatever
-// Workers produced it, so one checkpoint serves any parallelism.
-func TestSnapshotWorkerInvariance(t *testing.T) {
-	for _, tc := range snapCases() {
+		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			var want []byte
-			for _, workers := range []int{1, 8} {
-				cfg := tc.cfg
-				cfg.Workers = workers
-				s := New(cfg)
-				s.Run(193)
-				blob := s.Snapshot()
-				s.Close()
-				if want == nil {
-					want = blob
-					continue
-				}
-				if !bytes.Equal(blob, want) {
-					t.Fatalf("blob at Workers=%d differs from Workers=1 (%d vs %d bytes)",
-						workers, len(blob), len(want))
-				}
+			straight := New(tc.cfg)
+			straight.Run(total)
+			wantBlob := straight.Snapshot()
+			wantHash := countersHash(straight)
+			wantObs := obsExports(t, straight)
+
+			head := New(tc.cfg)
+			head.Run(k)
+			blob := head.Snapshot()
+
+			resumed, err := Restore(tc.cfg, blob)
+			if err != nil {
+				t.Fatalf("Restore: %v", err)
+			}
+			if got := resumed.Cycle(); got != k {
+				t.Fatalf("restored cycle %d, want %d", got, k)
+			}
+			resumed.Run(total - k)
+
+			if got := countersHash(resumed); got != wantHash {
+				t.Errorf("counters hash diverged: %s != %s", got, wantHash)
+			}
+			if got := obsExports(t, resumed); !bytes.Equal(got, wantObs) {
+				t.Errorf("obs exports diverged (%d vs %d bytes)", len(got), len(wantObs))
+			}
+			if got := resumed.Snapshot(); !bytes.Equal(got, wantBlob) {
+				t.Errorf("state blob diverged (%d vs %d bytes)", len(got), len(wantBlob))
 			}
 		})
 	}
@@ -267,7 +229,6 @@ func TestWarmStartFork(t *testing.T) {
 	warm := New(norm)
 	warm.Run(200)
 	blob := warm.Snapshot()
-	warm.Close()
 
 	runFork := func(cfg Config) (*Sim, string) {
 		s, err := Restore(cfg, blob)
@@ -283,9 +244,7 @@ func TestWarmStartFork(t *testing.T) {
 	}
 
 	s1, h1 := runFork(target)
-	defer s1.Close()
-	s2, h2 := runFork(target)
-	defer s2.Close()
+	_, h2 := runFork(target)
 	if h1 != h2 {
 		t.Errorf("fork not deterministic: %s != %s", h1, h2)
 	}
@@ -311,8 +270,7 @@ func TestWarmStartFork(t *testing.T) {
 	other := target
 	other.Controller = StaticUniform
 	other.StaticRate = 0.3
-	s3, h3 := runFork(other)
-	defer s3.Close()
+	_, h3 := runFork(other)
 	if h3 == h1 {
 		t.Error("static-throttled fork unexpectedly matched the Central fork")
 	}
@@ -329,7 +287,6 @@ func TestWarmStartFork(t *testing.T) {
 	ctrlSim := New(ctrl)
 	ctrlSim.Run(64)
 	ctrlBlob := ctrlSim.Snapshot()
-	ctrlSim.Close()
 	forked := ctrl
 	forked.Controller = Distributed
 	forked.Warmup = 64
@@ -344,7 +301,6 @@ func TestRestoreRejectsWrongFabric(t *testing.T) {
 	s := New(cfg)
 	s.Run(10)
 	blob := s.Snapshot()
-	s.Close()
 	wrong := cfg
 	wrong.Router = Buffered
 	if _, err := Restore(wrong, blob); err == nil {

@@ -1,7 +1,7 @@
 // Package snap is the deterministic binary codec behind warm-start
 // checkpoints: a snapshot of a simulation is a byte string that depends
-// only on the simulated state — never on worker count, pointer values,
-// map iteration order, or allocation history — so the same
+// only on the simulated state — never on pointer values, map iteration
+// order, or allocation history — so the same
 // (config, cycle) pair always encodes to the same bytes and a restored
 // simulation replays the original cycle-for-cycle.
 //

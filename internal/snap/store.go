@@ -18,9 +18,9 @@ import (
 //	dir/<digest[:2]>/<digest>.<cycle>.snap
 //
 // where the digest identifies the configuration (runner.CacheKey with
-// the cycle stripped — Workers and Obs are already zeroed there, so a
-// checkpoint taken on any machine at any parallelism serves every
-// equivalent run). The cycle lives in the file name so the
+// the cycle stripped — Obs is already zeroed there, so a checkpoint
+// taken on any machine at any parallelism serves every equivalent
+// run). The cycle lives in the file name so the
 // longest-prefix query — "latest checkpoint at or before cycle N" —
 // is one directory scan, with no index file to keep consistent.
 //
