@@ -6,13 +6,23 @@ import (
 	"go/types"
 )
 
-// hotallocNocRoots names the per-cycle entry points of package
-// internal/noc itself, which has no Step method: every NIC and FlitPool
-// method a fabric calls on each cycle's hot path.
-var hotallocNocRoots = map[string]bool{
-	"Send": true, "Receive": true, "Alloc": true, "Free": true, "Get": true,
-	"Head": true, "Pop": true, "HeadRequest": true, "HeadReply": true,
-	"PopRequest": true, "PopReply": true,
+// hotallocRoots names, per package without a Step method of its own,
+// the per-cycle entry points a fabric calls on each cycle's hot path:
+// every NIC and FlitPool method of internal/noc, and the chassis
+// helpers of internal/noc/chassis the fabrics' node loops call.
+var hotallocRoots = map[string]map[string]bool{
+	"internal/noc": {
+		"Send": true, "Receive": true, "Alloc": true, "Free": true, "Get": true,
+		"Head": true, "Pop": true, "HeadRequest": true, "HeadReply": true,
+		"PopRequest": true, "PopReply": true,
+	},
+	"internal/noc/chassis": {
+		"BeginStep": true, "EndStep": true, "activate": true, "Wake": true,
+		"Settle": true, "Poke": true, "Replay": true, "Idle": true,
+		"Admit": true, "Congested": true, "Outcome": true, "Injected": true,
+		"Ejected": true, "EjectHandle": true, "ReadBase": true,
+		"WriteBase": true, "Depart": true, "Arrive": true, "Queued": true,
+	},
 }
 
 // hotallocAllow names the sanctioned growth points: functions that run
@@ -32,8 +42,9 @@ var HotAlloc = &Analyzer{
 	Doc:  "no heap-allocating constructs reachable from Step/per-cycle functions in internal/noc/...",
 	Explain: `The simulator's hot path — everything reachable from a fabric's Step
 method or from the per-cycle NIC/FlitPool entry points of internal/noc
-— must not allocate in steady state (TestZeroSteadyStateAllocs pins
-this at runtime; hotalloc pins it at review time).
+and the chassis helpers of internal/noc/chassis — must not allocate in
+steady state (TestZeroSteadyStateAllocs pins this at runtime; hotalloc
+pins it at review time).
 
 Flagged constructs: make, append (the backing array may grow), new,
 slice/map composite literals, &composite literals (escape by
@@ -57,7 +68,7 @@ high-water mark.`,
 		var roots []*types.Func
 		for _, d := range sortedDecls(decls) {
 			if d.fn.Name() == "Step" ||
-				(pass.Rel() == "internal/noc" && d.decl.Recv != nil && hotallocNocRoots[d.fn.Name()]) {
+				(d.decl.Recv != nil && hotallocRoots[pass.Rel()][d.fn.Name()]) {
 				roots = append(roots, d.fn)
 			}
 		}

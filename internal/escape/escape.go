@@ -109,18 +109,24 @@ func DefaultWatches() Watch {
 			"HeadRequest", "HeadReply", "PopRequest", "PopReply",
 		},
 		"internal/noc/flitpool.go": {"Alloc", "Free", "Get", "Hot", "Cold"},
+		"internal/noc/chassis/chassis.go": {
+			"EndStep", "activate", "Wake", "Settle", "Poke", "Replay",
+			"Admit", "Congested", "Outcome", "Injected", "Ejected",
+			"BeginStep", "ReadBase", "WriteBase", "Depart", "Arrive",
+			"Queued", "EjectHandle",
+		},
 		"internal/noc/bless/bless.go": {
-			"Step", "stepNodes", "stepRouter", "assignPort", "reinjectSide",
-			"inject", "desiredPort", "freePortToward", "activate",
+			"Step", "stepRouter", "assignPort", "reinjectSide",
+			"inject", "desiredPort", "freePortToward",
 		},
 		"internal/noc/buffered/buffered.go": {
-			"Step", "stepNodes", "stepRouter", "routeLocal", "localFront",
+			"Step", "stepRouter", "routeLocal", "localFront",
 			"localPop", "allocVCs", "localReady", "traverseDir",
-			"traverseLocal", "activate",
+			"traverseLocal",
 		},
 		"internal/noc/hierring/hierring.go": {
 			"Step", "localPhase", "nodeStop", "bridgeLocal", "bridgeGlobal",
-			"groupWants", "notifyNIC", "activateG", "push", "pop",
+			"groupWants", "push", "pop",
 		},
 	}
 }
@@ -136,7 +142,7 @@ func DefaultAllow() []Allow {
 		{"internal/noc/buffered/buffered.go", "stepRouter", `fmt.Sprintf("buffered: input buffer overflow`},
 		{"internal/noc/buffered/buffered.go", "stepRouter", "node escapes to heap"},
 		{"internal/noc/buffered/buffered.go", "stepRouter", "d escapes to heap"},
-		{"internal/noc/buffered/buffered.go", "stepRouter", "f.hotp[h].VC escapes to heap"},
+		{"internal/noc/buffered/buffered.go", "stepRouter", "f.Mesh.Hot[h].VC escapes to heap"},
 	}
 }
 

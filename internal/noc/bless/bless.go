@@ -11,25 +11,16 @@
 // Injection requires a free output link; otherwise the flit waits in the
 // processor-side NIC queue and the cycle counts as starved.
 //
-// The fabric is stepped in a single pass per cycle: each router reads
-// its arriving flits, arbitrates, and commits its outputs directly onto
-// the downstream link pipelines. Every link ring carries one spare slot
-// (see Fabric.in), so the slot a router writes this cycle is never one
-// any router reads this cycle, and routers commit with no barrier or
-// staging buffer.
-//
-// Two hot-path structures keep stepping cheap. Flits live in a shared
-// noc.FlitPool and the link pipelines carry 4-byte handles, so an empty
-// pipeline slot is a zero word and steady-state stepping allocates
-// nothing. An active set skips routers with no work at all: a node is
-// stepped only while it has NIC traffic, side-buffered flits, or flits
-// somewhere in its incoming pipelines, and a router re-activates a
-// neighbour whenever it commits a flit toward it (NIC Send notifies
-// likewise). Skipping is exact, not approximate — see stepRouter — and
-// engages only when the injection policy's per-cycle observation can be
-// replayed in bulk (noc.IdleTicker) or is a no-op (noc.Open), and never
-// under adaptive routing, whose per-cycle load decay is cheap only in
-// the dense loop.
+// The fabric is the router policy alone — arbitration, side buffers,
+// adaptive load and random streams — over a chassis.Mesh, which owns
+// the NICs, counters, flit pool, link-plane geometry and active set.
+// Each cycle is one pass over the routers: a router reads its arriving
+// flits, arbitrates, and commits its outputs directly onto the
+// downstream link pipelines (the spare ring stage of chassis.Mesh keeps
+// writes and reads apart). A router is stepped only while it has NIC
+// traffic, side-buffered flits or flits in its incoming pipelines;
+// skipping is exact (see stepRouter) and never engages under adaptive
+// routing, whose per-cycle load decay is cheap only in the dense loop.
 package bless
 
 import (
@@ -37,6 +28,7 @@ import (
 	"math/bits"
 
 	"nocsim/internal/noc"
+	"nocsim/internal/noc/chassis"
 	"nocsim/internal/obs"
 	"nocsim/internal/rng"
 	"nocsim/internal/topology"
@@ -113,12 +105,6 @@ type Config struct {
 
 const maxDirs = int(topology.NumDirs)
 
-// linkRef locates the downstream end of one outgoing link; see
-// Fabric.links.
-type linkRef struct {
-	idx, nb int32
-}
-
 // arrKey is one collected arrival's arbitration state, copied out of
 // the flit pool's hot plane so the sort and routing loops run on
 // L1-resident scratch instead of re-chasing scattered pool entries.
@@ -152,13 +138,11 @@ type stepScratch struct {
 	out  [maxDirs]noc.Handle
 }
 
-// Fabric is the bufferless network. It implements noc.Network.
+// Fabric is the bufferless network. It implements noc.Network; the
+// chassis carries everything but the router policy below.
 type Fabric struct {
-	top    *topology.Topology
-	cfg    Config
-	policy noc.InjectionPolicy
-	cycle  int64
-	depth  int
+	chassis.Mesh
+	cfg Config
 
 	// ejectW, injectW, sideCap and arb mirror the Config fields the
 	// per-node loop consults every cycle, hoisted onto the Fabric so the
@@ -168,35 +152,9 @@ type Fabric struct {
 	sideCap int32
 	arb     Arbiter
 
-	nics []*noc.NIC
-	// fpool stores every in-network flit; pipelines carry its handles.
-	// hotp caches fpool's hot plane across one step (refreshed after
-	// each Reserve, the only growth point) so per-flit hot accesses are
-	// one indexed load.
-	fpool *noc.FlitPool
-	hotp  []noc.FlitHot
-	// in holds the incoming link pipelines in stage-major layout:
-	// in[stage*planeSz + n*4 + d] is stage s of the link arriving at
-	// node n from direction d. The ring has ringLen = depth+1 stages:
-	// the head plane (cycle%ringLen) is read by node n in the cycle a
-	// flit arrives, while the upstream router writes into plane
-	// (cycle+depth)%ringLen for arrival depth cycles later. With one
-	// spare plane those two indices can never coincide, so routers
-	// commit outputs directly during the node pass — no phase-2
-	// barrier or staging buffer — and cross-node traffic still lands
-	// on distinct array elements. Stage-major order makes the node
-	// pass sweep each plane sequentially (a node's four read slots are
-	// 16 contiguous bytes, and a commit lands near the reader's
-	// cursor), so the working set per cycle is two L1-resident planes
-	// instead of the whole array. Each link has one writer (the
-	// upstream node) and one reader (node n); 0 means empty.
-	in      []noc.Handle
-	ringLen int
-	planeSz int
-	// stage and wstage are this cycle's read and write ring slots,
-	// computed once per Step so the per-node loop never divides.
-	stage  int
-	wstage int
+	// in holds the incoming link pipelines as chassis link planes (see
+	// chassis.Mesh): one pool handle per link and stage, 0 empty.
+	in []noc.Handle
 
 	// side[n*SideBuffer ...] are the per-node MinBD side buffers (ring
 	// per node); sideHead/sideCount index them. Empty when disabled.
@@ -207,37 +165,6 @@ type Fabric struct {
 	// load[(n*4)+d] is an exponentially-decayed busy count per output
 	// port, the local congestion estimate adaptive routing consults.
 	load []uint32
-
-	// Active-set state (nil / unused when skip is false). active[n] is
-	// 0 idle, 1 active, 2 freshly woken. NIC Send notifications store
-	// 2; a link commit toward an idle node stores 1. The owner demotes
-	// 2 to 1 after stepping and deactivates a plain-active node once it
-	// has no work left. A woken node's extra step is a no-op
-	// (counter-invisible). lastTick[n] counts the cycles for which the
-	// policy has observed node n, so a skipped stretch is replayed in
-	// one IdleTicker call on wake-up.
-	skip     bool
-	active   []uint32
-	idle     noc.IdleTicker
-	lastTick []int64
-
-	// openPol short-circuits the injection-policy interface calls when
-	// the policy is noc.Open: three dynamic dispatches per node per
-	// cycle (Allow, MarkCongested, Tick) compile down to nothing in the
-	// common unthrottled configuration.
-	openPol bool
-
-	// links[n*4+d] resolves the link leaving node n in direction d to
-	// its destination pipeline: idx is the in-plane offset
-	// neighbour*4+arrivalDir, nb the neighbour; idx is -1 off the mesh
-	// edge. Committing is pure table walks with this in place.
-	links []linkRef
-
-	// inCount[n] counts the flits currently queued in node n's incoming
-	// pipelines (all stages of its in-column), so "any flit queued
-	// toward this node" is one load. Maintained only with the active
-	// set engaged.
-	inCount []int32
 
 	// fastRT caches Topology.RouteTableInUse so the arbitration loops
 	// can take the inlinable packed-table lookup without an interface
@@ -250,14 +177,6 @@ type Fabric struct {
 	// read (hs/hot/ord up to na, out only for ports whose free bit was
 	// claimed).
 	scr stepScratch
-
-	stats    noc.Stats
-	inflight int64
-
-	// tr and sp are the observability collectors; nil when disabled
-	// (the common case), so every hook is one predictable branch.
-	tr *obs.Tracer
-	sp *obs.Spatial
 
 	randSrc []*rng.Source // per node, Random arbiter only
 }
@@ -276,58 +195,19 @@ func New(cfg Config) *Fabric {
 	if cfg.InjectWidth <= 0 {
 		cfg.InjectWidth = 1
 	}
-	if cfg.Policy == nil {
-		cfg.Policy = noc.Open{}
-	}
 	n := cfg.Topology.Nodes()
 	f := &Fabric{
-		top:     cfg.Topology,
 		cfg:     cfg,
-		policy:  cfg.Policy,
-		depth:   cfg.HopLatency,
-		ringLen: cfg.HopLatency + 1,
-		planeSz: n * maxDirs,
-		nics:    make([]*noc.NIC, n),
-		fpool:   noc.NewFlitPool(),
-		in:      make([]noc.Handle, n*maxDirs*(cfg.HopLatency+1)),
-		tr:      cfg.Probe.Tracer,
-		sp:      cfg.Probe.Spatial,
 		ejectW:  cfg.EjectWidth,
 		injectW: cfg.InjectWidth,
 		sideCap: int32(cfg.SideBuffer),
 		arb:     cfg.Arb,
+		fastRT:  cfg.Topology.RouteTableInUse(),
 	}
-	f.fastRT = cfg.Topology.RouteTableInUse()
-	f.idle, _ = cfg.Policy.(noc.IdleTicker)
-	_, open := cfg.Policy.(noc.Open)
-	f.openPol = open
-	f.skip = !cfg.NoActiveSet && !cfg.Adaptive && (open || f.idle != nil)
-	f.links = make([]linkRef, n*maxDirs)
-	for node := 0; node < n; node++ {
-		for d := 0; d < maxDirs; d++ {
-			nb := cfg.Topology.Neighbor(node, topology.Port(d))
-			if nb < 0 {
-				f.links[node*maxDirs+d] = linkRef{idx: -1, nb: -1}
-				continue
-			}
-			ad := int(topology.Opposite(topology.Port(d)))
-			f.links[node*maxDirs+d] = linkRef{
-				idx: int32(nb*maxDirs + ad),
-				nb:  int32(nb),
-			}
-		}
-	}
-	if f.skip {
-		f.inCount = make([]int32, n)
-		f.active = make([]uint32, n)
-		f.lastTick = make([]int64, n)
-	}
-	for i := range f.nics {
-		f.nics[i] = noc.NewNIC(i)
-		if f.skip {
-			f.nics[i].SetNotify(f.activate)
-		}
-	}
+	// Adaptive routing's per-cycle load decay is cheap only in the
+	// dense loop, so it keeps every router stepping.
+	f.Init(cfg.Topology, cfg.HopLatency, cfg.Policy, cfg.NoActiveSet || cfg.Adaptive, cfg.Probe)
+	f.in = make([]noc.Handle, f.PlaneLen())
 	if cfg.Arb == Random {
 		root := rng.New(cfg.Seed ^ 0xb1e55)
 		f.randSrc = make([]*rng.Source, n)
@@ -343,116 +223,20 @@ func New(cfg Config) *Fabric {
 	if cfg.Adaptive {
 		f.load = make([]uint32, n*maxDirs)
 	}
-	f.stats.Links = cfg.Topology.Links()
 	return f
-}
-
-// activate flags a node as freshly woken (see the active field's state
-// machine); it is the NIC Send notification.
-func (f *Fabric) activate(node int) { f.active[node] = 2 }
-
-// Topology returns the fabric's topology.
-func (f *Fabric) Topology() *topology.Topology { return f.top }
-
-// Cycle returns the number of completed cycles.
-func (f *Fabric) Cycle() int64 { return f.cycle }
-
-// NIC returns node i's network interface.
-func (f *Fabric) NIC(i int) *noc.NIC { return f.nics[i] }
-
-// ActiveSet reports whether active-set skipping is engaged and, if so,
-// how many nodes are currently flagged active.
-func (f *Fabric) ActiveSet() (active int, enabled bool) {
-	if !f.skip {
-		return 0, false
-	}
-	for _, a := range f.active {
-		if a != 0 {
-			active++
-		}
-	}
-	return active, true
-}
-
-// Stats returns the accumulated counters.
-func (f *Fabric) Stats() noc.Stats {
-	s := f.stats
-	s.Cycles = f.cycle
-	return s
-}
-
-// Drained reports whether no flit is in flight or queued.
-func (f *Fabric) Drained() bool {
-	if f.inflight != 0 {
-		return false
-	}
-	for _, nic := range f.nics {
-		if nic.HasTraffic() || nic.PendingPackets() > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// InFlight returns the number of flits currently inside the network.
-func (f *Fabric) InFlight() int64 { return f.inflight }
-
-// SyncPolicy replays every pending idle stretch into the policy so its
-// per-node state (starvation windows) is as if no router had been
-// skipped. The system simulator calls it before each policy epoch; it
-// implements noc.PolicySyncer.
-func (f *Fabric) SyncPolicy() {
-	if !f.skip || f.idle == nil {
-		return
-	}
-	for node := range f.lastTick {
-		if gap := f.cycle - f.lastTick[node]; gap > 0 {
-			f.idle.TickIdle(node, gap)
-			f.lastTick[node] = f.cycle
-		}
-	}
 }
 
 // Step advances one cycle: a single pass over the (active) routers,
 // each reading its arriving flits, arbitrating, and committing its
 // outputs onto the downstream link pipelines.
 func (f *Fabric) Step() {
-	nodes := f.top.Nodes()
-	f.stage = int(f.cycle % int64(f.ringLen))
-	f.wstage = f.stage + f.depth
-	if f.wstage >= f.ringLen {
-		f.wstage -= f.ringLen
-	}
-	f.fpool.Reserve(nodes * f.cfg.InjectWidth)
-	f.hotp = f.fpool.HotPlane()
-	f.stepNodes(nodes, &f.stats)
-	f.inflight = f.stats.FlitsInjected - f.stats.FlitsEjected
-	f.cycle++
-}
-
-// stepNodes steps every node in index order, skipping inactive ones
-// when the active set is engaged.
-func (f *Fabric) stepNodes(nodes int, st *noc.Stats) {
-	if !f.skip {
-		for node := 0; node < nodes; node++ {
-			f.stepRouter(node, st)
-		}
-		return
-	}
-	for node := 0; node < nodes; node++ {
-		a := f.active[node]
-		if a == 0 {
-			continue
-		}
-		alive := f.stepRouter(node, st)
-		if a == 2 {
-			// Freshly woken: demote to plain-active rather than
-			// deactivating, so the node gets one more step.
-			f.active[node] = 1
-		} else if !alive {
-			f.active[node] = 0
+	st := f.BeginStep(f.injectW)
+	for node, n := 0, f.Nodes(); node < n; node++ {
+		if a := f.Wake(node); a != 0 {
+			f.Settle(node, a, f.stepRouter(node, st))
 		}
 	}
+	f.EndStep()
 }
 
 // stepRouter runs one router's cycle: read link heads, arbitrate,
@@ -461,19 +245,7 @@ func (f *Fabric) stepNodes(nodes int, st *noc.Stats) {
 // incoming pipelines — everything that could make a future cycle differ
 // from a no-op, so skipping a !alive node is exact).
 func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
-	if f.skip && f.idle != nil {
-		// Replay the skipped stretch into the policy's starvation
-		// window; inject's Tick below then covers this cycle. The
-		// bookkeeping only exists for IdleTicker policies — SyncPolicy
-		// and this replay are the sole readers — so other policies
-		// skip the per-node store entirely.
-		if gap := f.cycle - f.lastTick[node]; gap > 0 {
-			f.idle.TickIdle(node, gap)
-		}
-		f.lastTick[node] = f.cycle + 1
-	}
-
-	stage := f.stage
+	f.Replay(node)
 	base := node * maxDirs
 
 	// Collect arrivals at the head stage and clear the slots. The
@@ -484,20 +256,19 @@ func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 	keys := &sc.keys
 	ord := &sc.ord
 	na := 0
-	head := f.in[stage*f.planeSz+base : stage*f.planeSz+base+maxDirs]
+	rb := f.ReadBase(node)
+	head := f.in[rb : rb+maxDirs]
 	for d, h := range head {
 		if h != 0 {
 			hs[na] = h
-			fh := &f.hotp[h]
+			fh := &f.Hot[h]
 			keys[na] = arrKey{inject: fh.Inject, seq: fh.Seq, dst: fh.Dst, index: fh.Index}
 			na++
 			head[d] = 0
 		}
 	}
 	st.Arbitrations += int64(na)
-	if f.inCount != nil {
-		f.inCount[node] -= int32(na)
-	}
+	f.Depart(node, na)
 
 	// Order contenders. Oldest-First sorts by the age total order;
 	// Random shuffles.
@@ -533,40 +304,25 @@ func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 	// would-be-deflected flit per cycle is absorbed into the side
 	// buffer instead of misrouting.
 	out := sc.out[:]
-	nic := f.nics[node]
+	nic := f.NIC(node)
 	ejected := 0
 	// free tracks the node's unassigned valid output ports as a
 	// bitmask; assigning a port clears its bit.
-	full := f.top.PortMask(node)
+	full := f.Topology().PortMask(node)
 	free := full
 	sideSlot := f.side != nil && f.sideCount[node] < f.sideCap
 	cross := int64(0) // batched st.CrossbarTraversals
 	for k := 0; k < na; k++ {
 		i := ord[k]
-		ak := &keys[i]
-		dst := int(ak.dst)
+		dst := int(keys[i].dst)
 		if dst == node && ejected < f.ejectW {
 			ejected++
-			st.FlitsEjected++
 			cross++
-			st.NetFlitLatencySum += f.cycle - ak.inject
-			var fl noc.Flit
-			f.fpool.Get(hs[i], &fl)
-			if f.sp != nil {
-				f.sp.AddEject(node)
-			}
-			if f.tr != nil {
-				f.tr.Eject(f.cycle, node, &fl)
-			}
-			if _, done := nic.Receive(&fl, f.cycle); done {
-				st.PacketsDelivered++
-				st.PacketLatencySum += f.cycle - fl.Enq
-			}
-			f.fpool.Free(hs[i])
+			f.EjectHandle(node, hs[i])
 			continue
 		}
 		if dst != node && f.load == nil && f.fastRT {
-			xy, prod := f.top.RouteEntryFast(node, dst)
+			xy, prod := f.Topology().RouteEntryFast(node, dst)
 			if free&(1<<uint(xy)) != 0 { // xy != Local: dst differs
 				free &^= 1 << uint(xy)
 				out[xy] = hs[i]
@@ -592,16 +348,16 @@ func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 	}
 
 	// Injection: the node may inject while an output link is free. An
-	// empty NIC under the Open policy makes inject a no-op (wanted
-	// stays false and there is no Tick to deliver), so the call is
-	// skipped outright.
-	if !f.openPol || nic.HasTraffic() {
-		f.inject(node, nic, &free, out, st)
+	// empty NIC wants nothing; the policy still observes the cycle.
+	if nic.HasTraffic() {
+		f.inject(node, nic, &free, out)
+	} else {
+		f.Idle(node)
 	}
 
 	// Adaptive routing's periodic decay of the local congestion
 	// estimate (this cycle's busy ports are counted in the commit loop).
-	if f.load != nil && f.cycle&63 == 0 {
+	if f.load != nil && f.Cycle()&63 == 0 {
 		for d := 0; d < maxDirs; d++ {
 			f.load[base+d] -= f.load[base+d] >> 1
 		}
@@ -612,43 +368,28 @@ func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 	// these stores are invisible until the arrival cycle; congestion
 	// marking and neighbour activation piggyback on the same walk.
 	if assigned := full &^ free; assigned != 0 {
-		cong := !f.openPol && f.policy.MarkCongested(node)
-		wbase := f.wstage * f.planeSz
+		cong := f.Congested(node)
+		wbase := f.WriteBase()
 		st.LinkTraversals += int64(bits.OnesCount8(assigned))
 		for m := assigned; m != 0; m &= m - 1 {
 			d := bits.TrailingZeros8(m)
 			h := out[d]
 			if cong {
-				f.hotp[h].CongBit = true
+				f.Hot[h].CongBit = true
 			}
 			if f.load != nil {
 				f.load[base+d]++
 			}
-			lk := f.links[base+d]
-			f.in[wbase+int(lk.idx)] = h
-			if f.sp != nil {
-				f.sp.AddLink(node, d)
+			lk := f.Links[base+d]
+			f.in[wbase+int(lk.Idx)] = h
+			if f.Spatial != nil {
+				f.Spatial.AddLink(node, d)
 			}
-			if f.skip {
-				// Load-checked: the receiver may already have stepped
-				// and deactivated this cycle.
-				f.inCount[lk.nb]++
-				if f.active[lk.nb] == 0 {
-					f.active[lk.nb] = 1
-				}
-			}
+			f.Arrive(lk.Nb, 1)
 		}
 	}
 
-	alive = nic.HasTraffic() || (f.side != nil && f.sideCount[node] > 0)
-	if f.skip && !alive {
-		// Any flit queued toward this node keeps it awake. An earlier
-		// node may have committed toward this one without re-flagging
-		// it (it was still active at commit time); the exact occupancy
-		// counter is what catches that flit.
-		alive = f.inCount[node] != 0
-	}
-	return alive
+	return nic.HasTraffic() || (f.side != nil && f.sideCount[node] > 0) || f.Queued(node)
 }
 
 // assignPort gives flit h an output direction: its XY choice if free,
@@ -673,10 +414,10 @@ func (f *Fabric) assignPort(node int, h noc.Handle, dst int, free *uint8, out []
 		f.side[idx] = h
 		f.sideCount[node]++
 		st.BufferWrites++
-		if f.tr != nil {
+		if f.Tracer != nil {
 			var fl noc.Flit
-			f.fpool.Get(h, &fl)
-			f.tr.Buffer(f.cycle, node, &fl)
+			f.Pool.Get(h, &fl)
+			f.Tracer.Buffer(f.Cycle(), node, &fl)
 		}
 		return
 	}
@@ -690,7 +431,7 @@ func (f *Fabric) assignPort(node int, h noc.Handle, dst int, free *uint8, out []
 		d := topology.Port(bits.TrailingZeros8(m))
 		dist := 0
 		if dst != node {
-			dist = f.top.Distance(f.top.Neighbor(node, d), dst)
+			dist = f.Topology().Distance(f.Topology().Neighbor(node, d), dst)
 		}
 		if dist < bestDist {
 			best = d
@@ -704,13 +445,13 @@ func (f *Fabric) assignPort(node int, h noc.Handle, dst int, free *uint8, out []
 	out[best] = h
 	st.CrossbarTraversals++
 	st.Deflections++
-	if f.sp != nil {
-		f.sp.AddDeflect(node)
+	if f.Spatial != nil {
+		f.Spatial.AddDeflect(node)
 	}
-	if f.tr != nil {
+	if f.Tracer != nil {
 		var fl noc.Flit
-		f.fpool.Get(h, &fl)
-		f.tr.Deflect(f.cycle, node, &fl)
+		f.Pool.Get(h, &fl)
+		f.Tracer.Deflect(f.Cycle(), node, &fl)
 	}
 }
 
@@ -723,7 +464,7 @@ func (f *Fabric) reinjectSide(node int, free *uint8, out []noc.Handle, st *noc.S
 	d := f.cfg.SideBuffer
 	//nocvet:allow handleleak peek: the handle stays owned by the side ring until the reinjection below succeeds and advances sideHead
 	h := f.side[node*d+int(f.sideHead[node])]
-	dir := f.freePortToward(node, int(f.fpool.Hot(h).Dst), *free)
+	dir := f.freePortToward(node, int(f.Pool.Hot(h).Dst), *free)
 	if dir == topology.Invalid {
 		return
 	}
@@ -738,7 +479,7 @@ func (f *Fabric) reinjectSide(node int, free *uint8, out []noc.Handle, st *noc.S
 // inject moves up to InjectWidth flits from the NIC into free output
 // ports, consulting the policy for request flits, and reports the
 // starvation outcome.
-func (f *Fabric) inject(node int, nic *noc.NIC, free *uint8, out []noc.Handle, st *noc.Stats) {
+func (f *Fabric) inject(node int, nic *noc.NIC, free *uint8, out []noc.Handle) {
 	wanted := false
 	injected := false
 	throttled := false
@@ -752,44 +493,17 @@ func (f *Fabric) inject(node int, nic *noc.NIC, free *uint8, out []noc.Handle, s
 		if dir == topology.Invalid {
 			break // no free output link: starved
 		}
-		if noc.ThrottledKind(head.Kind) && !f.openPol && !f.policy.Allow(node) {
+		if noc.ThrottledKind(head.Kind) && !f.Admit(node) {
 			throttled = true
 			break // blocked by Algorithm 3's gate, not by the network
 		}
 		fl := nic.Pop()
-		fl.Inject = f.cycle
+		f.Injected(node, &fl)
 		*free &^= 1 << uint(dir)
-		out[dir] = f.fpool.Alloc(&fl)
-		st.FlitsInjected++
-		st.QueueLatencySum += f.cycle - fl.Enq
-		st.CrossbarTraversals++
+		out[dir] = f.Pool.Alloc(&fl)
 		injected = true
-		if f.sp != nil {
-			f.sp.AddInject(node)
-		}
-		if f.tr != nil {
-			f.tr.Inject(f.cycle, node, &fl)
-		}
 	}
-	if wanted {
-		st.WantedCycles++
-		if !injected {
-			if throttled {
-				st.ThrottledCycles++
-				if f.sp != nil {
-					f.sp.AddThrottle(node)
-				}
-			} else {
-				st.StarvedCycles++
-				if f.sp != nil {
-					f.sp.AddStarve(node)
-				}
-			}
-		}
-	}
-	if !f.openPol {
-		f.policy.Tick(node, wanted, injected, throttled)
-	}
+	f.Outcome(node, wanted, injected, throttled)
 }
 
 // desiredPort returns the flit's preferred free productive output
@@ -807,9 +521,9 @@ func (f *Fabric) desiredPort(node, dst int, free uint8) topology.Port {
 		var xy topology.Port
 		var prod uint8
 		if f.fastRT {
-			xy, prod = f.top.RouteEntryFast(node, dst)
+			xy, prod = f.Topology().RouteEntryFast(node, dst)
 		} else {
-			xy, prod = f.top.RouteEntry(node, dst)
+			xy, prod = f.Topology().RouteEntry(node, dst)
 		}
 		if xy != topology.Local && free&(1<<uint(xy)) != 0 {
 			return xy
@@ -822,7 +536,7 @@ func (f *Fabric) desiredPort(node, dst int, free uint8) topology.Port {
 	// Adaptive: least-loaded free productive direction.
 	best := topology.Invalid
 	bestLoad := ^uint32(0)
-	for m := f.top.ProductiveMask(node, dst) & free; m != 0; m &= m - 1 {
+	for m := f.Topology().ProductiveMask(node, dst) & free; m != 0; m &= m - 1 {
 		d := topology.Port(bits.TrailingZeros8(m))
 		if l := f.load[node*maxDirs+int(d)]; l < bestLoad {
 			best = d

@@ -557,8 +557,8 @@ func TestAdaptiveSpreadsAroundContention(t *testing.T) {
 		for cycle := 0; cycle < 4000; cycle++ {
 			for n := 0; n < 64; n++ {
 				if f.NIC(n).QueueLen() < 4 && r.Bool(0.4) {
-					x, y := f.top.Coord(n)
-					f.NIC(n).Send(f.top.Node(y, x), noc.Request, 0, 1, f.Cycle())
+					x, y := f.Topology().Coord(n)
+					f.NIC(n).Send(f.Topology().Node(y, x), noc.Request, 0, 1, f.Cycle())
 				}
 			}
 			f.Step()

@@ -12,20 +12,14 @@
 // deadlock-free without extra VC disciplines; the package therefore
 // supports mesh topologies only.
 //
-// The hot path mirrors the bufferless fabric's: a flit is pooled (a
-// 4-byte noc.FlitPool handle) for its whole journey — allocated at
-// injection, freed at ejection — and both the link pipelines and the
-// input VC ring buffers carry handles, so a hop moves one word instead
-// of copying a 56-byte flit in and out of a buffer. Each link ring has
-// HopLatency+1 slots so a router commits its outputs directly onto the
-// downstream pipelines during the single node pass (the write stage
-// trails every same-cycle read; see the bufferless fabric's in field),
-// and an active set skips routers with no buffered flits, no NIC
-// traffic, and nothing arriving on their flit or credit pipelines.
-// Committers re-activate the downstream neighbour on every flit or
-// credit commit and NIC Send notifies on enqueue, so skipping is exact;
-// it engages under the same policy conditions as the bufferless fabric
-// (noc.Open or noc.IdleTicker).
+// The fabric is the router policy alone — VC routers and allocators —
+// over the same chassis.Mesh as the bufferless fabric, which owns the
+// NICs, counters, flit pool, link-plane geometry and active set. A flit
+// is pooled for its whole journey, so link pipelines and VC ring
+// buffers carry 4-byte handles. A router is stepped only while it has
+// buffered flits, NIC traffic, or anything arriving on its flit or
+// credit pipelines; allocator state held across an idle stretch is
+// only ever advanced by one of those, so skipping is exact.
 package buffered
 
 import (
@@ -33,6 +27,7 @@ import (
 	"math/bits"
 
 	"nocsim/internal/noc"
+	"nocsim/internal/noc/chassis"
 	"nocsim/internal/obs"
 	"nocsim/internal/topology"
 )
@@ -55,8 +50,7 @@ type Config struct {
 	// Policy gates and observes injection; nil means noc.Open{}.
 	Policy noc.InjectionPolicy
 	// NoActiveSet forces every router to be stepped every cycle even
-	// when the active-set conditions hold; see the bufferless fabric's
-	// field of the same name.
+	// when the active-set conditions hold (see the chassis package).
 	NoActiveSet bool
 	// Probe supplies the observability hooks; the zero Probe (nil
 	// collectors) costs one predictable branch per event.
@@ -109,15 +103,6 @@ type router struct {
 	out []int32
 }
 
-// linkRef locates the downstream end of one outgoing link: idx is the
-// plane offset neighbour*4+arrivalDir — the flit and credit pipelines
-// share this geometry — and nb the neighbour; idx is -1 off the mesh
-// edge (XY routing never selects such a port).
-type linkRef struct {
-	idx int32
-	nb  int32
-}
-
 // ageKey is the Oldest-First sort key (noc.Older's exact field order)
 // copied out of a candidate's front flit, so allocation and grant
 // comparisons are self-contained value compares with no repeated pool
@@ -167,76 +152,28 @@ type scratch struct {
 	reqs     [maxDirs*8 + numLocalVC]vcReq
 }
 
-// Fabric is the buffered VC network. It implements noc.Network.
+// Fabric is the buffered VC network. It implements noc.Network; the
+// chassis carries everything but the router policy below.
 type Fabric struct {
-	top    *topology.Topology
+	chassis.Mesh
 	cfg    Config
-	policy noc.InjectionPolicy
-	cycle  int64
-	depth  int
 	vcs    int
 	ejectW int
 
-	nics    []*noc.NIC
 	routers []router
 
-	// fpool stores every in-network flit; buffers and links carry its
-	// handles. Injection allocates a handle, ejection frees it.
-	fpool *noc.FlitPool
-	// hotp caches fpool.HotPlane() across one Step, so per-flit hot
-	// accesses are one indexed load. Refreshed after every Reserve.
-	hotp []noc.FlitHot
-	// Link pipelines in stage-major layout (see the bufferless
-	// fabric's in field): lin[stage*planeSz + node*4 + arrivalDir]
-	// with ringLen = depth+1 stages. The head plane (cycle%ringLen) is
-	// read by the node pass while upstream routers commit into the
-	// disjoint plane (cycle+depth)%ringLen, so a single pass per cycle
-	// needs no separate commit phase, and each plane is swept
-	// sequentially. Single writer per slot.
-	//
-	// A slot packs the flit and the returning credit that share the
-	// physical link: low 32 bits are the flit's pool handle (0 = none)
-	// and bits 32..39 hold credit+1 (0 = none; the credit is the freed
-	// VC index on node's output port toward arrivalDir's opposite).
-	// One word per link per cycle halves the memory the receive and
-	// commit walks touch, and the zero value means "empty link".
-	lin     []uint64
-	ringLen int
-	planeSz int
-	// stage and wstage are this cycle's read and write ring slots,
-	// computed once per Step so the per-node loop never divides.
-	stage  int
-	wstage int
-	// inCount[n] counts the flits and credits currently queued in node
-	// n's incoming pipelines, so "anything queued toward this node" is
-	// one load. Maintained only with the active set engaged.
-	inCount []int32
-
-	// links[n*4+d] resolves the link leaving node n in direction d.
-	links []linkRef
-
-	// Active-set state; see the bufferless fabric for the three-state
-	// protocol (0 idle, 1 active, 2 freshly woken).
-	skip     bool
-	active   []uint32
-	idle     noc.IdleTicker
-	lastTick []int64
-
-	// openPol short-circuits the injection-policy interface calls when
-	// the policy is noc.Open (always allow, never mark, no-op ticks).
-	openPol bool
+	// lin holds the link pipelines as chassis link planes (see
+	// chassis.Mesh). A slot packs the flit and the returning credit
+	// that share the physical link: low 32 bits are the flit's pool
+	// handle (0 = none) and bits 32..39 hold credit+1 (0 = none; the
+	// credit is the freed VC index on node's output port toward
+	// arrivalDir's opposite). One word per link per cycle halves the
+	// memory the receive and commit walks touch, and the zero value
+	// means "empty link".
+	lin []uint64
 
 	// scr is the allocation scratch space.
 	scr scratch
-
-	stats noc.Stats
-
-	// tr and sp are the observability collectors; nil when disabled
-	// (the common case), so every hook is one predictable branch.
-	tr *obs.Tracer
-	sp *obs.Spatial
-
-	inflight int64
 }
 
 // New constructs a buffered VC fabric.
@@ -262,57 +199,14 @@ func New(cfg Config) *Fabric {
 	if cfg.EjectWidth <= 0 {
 		cfg.EjectWidth = 2
 	}
-	if cfg.Policy == nil {
-		cfg.Policy = noc.Open{}
-	}
-	n := cfg.Topology.Nodes()
-	ringLen := cfg.HopLatency + 1
 	f := &Fabric{
-		top:     cfg.Topology,
 		cfg:     cfg,
-		policy:  cfg.Policy,
-		depth:   cfg.HopLatency,
 		vcs:     cfg.VCs,
 		ejectW:  cfg.EjectWidth,
-		nics:    make([]*noc.NIC, n),
-		routers: make([]router, n),
-		fpool:   noc.NewFlitPool(),
-		lin:     make([]uint64, n*maxDirs*ringLen),
-		ringLen: ringLen,
-		planeSz: n * maxDirs,
-		links:   make([]linkRef, n*maxDirs),
-		tr:      cfg.Probe.Tracer,
-		sp:      cfg.Probe.Spatial,
+		routers: make([]router, cfg.Topology.Nodes()),
 	}
-	f.idle, _ = cfg.Policy.(noc.IdleTicker)
-	_, open := cfg.Policy.(noc.Open)
-	f.openPol = open
-	f.skip = !cfg.NoActiveSet && (open || f.idle != nil)
-	if f.skip {
-		f.inCount = make([]int32, n)
-		f.active = make([]uint32, n)
-		f.lastTick = make([]int64, n)
-	}
-	for node := 0; node < n; node++ {
-		for d := 0; d < maxDirs; d++ {
-			nb := cfg.Topology.Neighbor(node, topology.Port(d))
-			if nb < 0 {
-				f.links[node*maxDirs+d] = linkRef{idx: -1, nb: -1}
-				continue
-			}
-			ad := int(topology.Opposite(topology.Port(d)))
-			f.links[node*maxDirs+d] = linkRef{
-				idx: int32(nb*maxDirs + ad),
-				nb:  int32(nb),
-			}
-		}
-	}
-	for i := range f.nics {
-		f.nics[i] = noc.NewNIC(i)
-		if f.skip {
-			f.nics[i].SetNotify(f.activate)
-		}
-	}
+	f.Init(cfg.Topology, cfg.HopLatency, cfg.Policy, cfg.NoActiveSet, cfg.Probe)
+	f.lin = make([]uint64, f.PlaneLen())
 	for i := range f.routers {
 		r := &f.routers[i]
 		r.in = make([]inVC, maxDirs*cfg.VCs)
@@ -328,115 +222,21 @@ func New(cfg Config) *Fabric {
 			r.local[v].outVC = -1
 		}
 	}
-	f.stats.Links = cfg.Topology.Links()
 	return f
-}
-
-// activate flags a node as freshly woken (see the bufferless fabric's
-// active-state machine); it is the NIC Send notification.
-func (f *Fabric) activate(node int) { f.active[node] = 2 }
-
-// Topology returns the fabric's topology.
-func (f *Fabric) Topology() *topology.Topology { return f.top }
-
-// Cycle returns the number of completed cycles.
-func (f *Fabric) Cycle() int64 { return f.cycle }
-
-// NIC returns node i's network interface.
-func (f *Fabric) NIC(i int) *noc.NIC { return f.nics[i] }
-
-// ActiveSet reports whether active-set skipping is engaged and, if so,
-// how many nodes are currently flagged active.
-func (f *Fabric) ActiveSet() (active int, enabled bool) {
-	if !f.skip {
-		return 0, false
-	}
-	for _, a := range f.active {
-		if a != 0 {
-			active++
-		}
-	}
-	return active, true
-}
-
-// Stats returns the accumulated counters.
-func (f *Fabric) Stats() noc.Stats {
-	s := f.stats
-	s.Cycles = f.cycle
-	return s
-}
-
-// InFlight returns the number of flits inside the network (buffers and
-// links).
-func (f *Fabric) InFlight() int64 { return f.inflight }
-
-// Drained reports whether no flit is in flight or queued.
-func (f *Fabric) Drained() bool {
-	if f.inflight != 0 {
-		return false
-	}
-	for _, nic := range f.nics {
-		if nic.HasTraffic() || nic.PendingPackets() > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// SyncPolicy replays every pending idle stretch into the policy; it
-// implements noc.PolicySyncer. See the bufferless fabric.
-func (f *Fabric) SyncPolicy() {
-	if !f.skip || f.idle == nil {
-		return
-	}
-	for node := range f.lastTick {
-		if gap := f.cycle - f.lastTick[node]; gap > 0 {
-			f.idle.TickIdle(node, gap)
-			f.lastTick[node] = f.cycle
-		}
-	}
 }
 
 // Step advances one cycle: a single pass over the (active) routers,
 // each running its pipeline and committing outgoing flits and credits
 // straight onto the downstream link rings.
 func (f *Fabric) Step() {
-	nodes := f.top.Nodes()
-	f.stage = int(f.cycle % int64(f.ringLen))
-	f.wstage = f.stage + f.depth
-	if f.wstage >= f.ringLen {
-		f.wstage -= f.ringLen
-	}
 	// At most one injection (the only Alloc) per node-cycle.
-	f.fpool.Reserve(nodes)
-	f.hotp = f.fpool.HotPlane()
-	f.stepNodes(nodes, &f.stats)
-	f.inflight = f.stats.FlitsInjected - f.stats.FlitsEjected
-	f.cycle++
-}
-
-// stepNodes runs the router pipeline for every node in index order,
-// skipping inactive ones when the active set is engaged, with the
-// bufferless fabric's three-state wake protocol.
-func (f *Fabric) stepNodes(nodes int, st *noc.Stats) {
-	if !f.skip {
-		for node := 0; node < nodes; node++ {
-			f.stepRouter(node, st)
-		}
-		return
-	}
-	for node := 0; node < nodes; node++ {
-		a := f.active[node]
-		if a == 0 {
-			continue
-		}
-		alive := f.stepRouter(node, st)
-		if a == 2 {
-			f.active[node] = 1
-		} else if !alive {
-			f.active[node] = 0
+	st := f.BeginStep(1)
+	for node, n := 0, f.Nodes(); node < n; node++ {
+		if a := f.Wake(node); a != 0 {
+			f.Settle(node, a, f.stepRouter(node, st))
 		}
 	}
+	f.EndStep()
 }
 
 // stepRouter runs one router's pipeline cycle. It reports whether the
@@ -446,17 +246,7 @@ func (f *Fabric) stepNodes(nodes int, st *noc.Stats) {
 // ever advanced by one of those inputs, so skipping a !alive node is
 // exact.
 func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
-	if f.skip && f.idle != nil {
-		// Replay the skipped stretch into the policy; SyncPolicy and
-		// this replay are lastTick's only readers, so non-IdleTicker
-		// policies skip the bookkeeping entirely.
-		if gap := f.cycle - f.lastTick[node]; gap > 0 {
-			f.idle.TickIdle(node, gap)
-		}
-		f.lastTick[node] = f.cycle + 1
-	}
-
-	stage := f.stage
+	f.Replay(node)
 	r := &f.routers[node]
 	base := node * maxDirs
 
@@ -465,7 +255,7 @@ func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 	// node's four inbound slots are contiguous in the read plane, so
 	// one subslice drops the per-direction offset arithmetic, and each
 	// slot is one packed word carrying the link's flit and credit.
-	ibase := stage*f.planeSz + base
+	ibase := f.ReadBase(node)
 	lin := f.lin[ibase : ibase+maxDirs : ibase+maxDirs]
 	for d := 0; d < maxDirs; d++ {
 		wd := lin[d]
@@ -474,13 +264,11 @@ func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 		}
 		lin[d] = 0
 		if h := noc.Handle(wd); h != 0 {
-			if f.inCount != nil {
-				f.inCount[node]--
-			}
-			vi := d*f.vcs + int(f.hotp[h].VC)
+			f.Depart(node, 1)
+			vi := d*f.vcs + int(f.Hot[h].VC)
 			vc := &r.in[vi]
 			if int(vc.count) >= len(vc.buf) {
-				panic(fmt.Sprintf("buffered: input buffer overflow at node %d dir %d vc %d", node, d, f.hotp[h].VC))
+				panic(fmt.Sprintf("buffered: input buffer overflow at node %d dir %d vc %d", node, d, f.Hot[h].VC))
 			}
 			p := int(vc.head) + int(vc.count)
 			if p >= len(vc.buf) {
@@ -490,16 +278,14 @@ func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 			vc.count++
 			r.nonEmpty |= 1 << uint(vi)
 			st.BufferWrites++
-			if f.tr != nil {
+			if f.Tracer != nil {
 				var fl noc.Flit
-				f.fpool.Get(h, &fl)
-				f.tr.Buffer(f.cycle, node, &fl)
+				f.Pool.Get(h, &fl)
+				f.Tracer.Buffer(f.Cycle(), node, &fl)
 			}
 		}
 		if cb := wd >> 32; cb != 0 {
-			if f.inCount != nil {
-				f.inCount[node]--
-			}
+			f.Depart(node, 1)
 			r.out[d*f.vcs+int(cb-1)]++
 		}
 	}
@@ -520,12 +306,12 @@ func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 	for m := r.nonEmpty; m != 0; m &= m - 1 {
 		vi := bits.TrailingZeros32(m)
 		vc := &r.in[vi]
-		fh := &f.hotp[vc.buf[vc.head]]
+		fh := &f.Hot[vc.buf[vc.head]]
 		if !vc.routed {
 			if fh.Index != 0 {
 				continue
 			}
-			vc.route = f.top.XYRoute(node, int(fh.Dst))
+			vc.route = f.Topology().XYRoute(node, int(fh.Dst))
 			vc.routed = true
 		}
 		if vc.route != topology.Local {
@@ -549,7 +335,7 @@ func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 			noms[d] = nominee{dir: int8(d), vc: int8(vi % f.vcs), route: vc.route, age: age}
 		}
 	}
-	nic := f.nics[node]
+	nic := f.NIC(node)
 	hasLocal := nic.HasTraffic()
 	if hasLocal {
 		f.routeLocal(node, nic)
@@ -635,47 +421,30 @@ func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 				continue
 			}
 			if g.dir == localDir {
-				injected = f.traverseLocal(node, r, nic, int(g.vc), topology.Port(out), &outH, st) || injected
+				f.traverseLocal(node, r, nic, int(g.vc), topology.Port(out), &outH)
+				injected = true
 			} else {
-				f.traverseDir(node, r, nic, int(g.dir), int(g.vc), topology.Port(out), &outH, &outC, st)
+				f.traverseDir(node, r, int(g.dir), int(g.vc), topology.Port(out), &outH, &outC, st)
 			}
 		}
 		for _, g := range localReq[:nLocal] {
 			if g.dir == localDir {
-				injected = f.traverseLocal(node, r, nic, int(g.vc), topology.Local, &outH, st) || injected
+				f.traverseLocal(node, r, nic, int(g.vc), topology.Local, &outH)
+				injected = true
 			} else {
-				f.traverseDir(node, r, nic, int(g.dir), int(g.vc), topology.Local, &outH, &outC, st)
+				f.traverseDir(node, r, int(g.dir), int(g.vc), topology.Local, &outH, &outC, st)
 			}
 		}
 	}
 
-	if wanted {
-		st.WantedCycles++
-		if !injected {
-			if throttled {
-				st.ThrottledCycles++
-				if f.sp != nil {
-					f.sp.AddThrottle(node)
-				}
-			} else {
-				st.StarvedCycles++
-				if f.sp != nil {
-					f.sp.AddStarve(node)
-				}
-			}
-		}
-	}
-	if !f.openPol {
-		f.policy.Tick(node, wanted, injected, throttled)
-	}
+	f.Outcome(node, wanted, injected, throttled)
 
 	// Commit departing flits and credits straight onto the downstream
 	// rings; distributed congestion marking and neighbour activation
 	// piggyback on the same walk.
-	wbase := f.wstage * f.planeSz
-	cong := !f.openPol && (outH[0]|outH[1]|outH[2]|outH[3]) != 0 &&
-		f.policy.MarkCongested(node)
-	lks := f.links[base : base+maxDirs : base+maxDirs]
+	wbase := f.WriteBase()
+	cong := (outH[0]|outH[1]|outH[2]|outH[3]) != 0 && f.Congested(node)
+	lks := f.Links[base : base+maxDirs : base+maxDirs]
 	for d := 0; d < maxDirs; d++ {
 		h, cv := outH[d], outC[d]
 		if h == 0 && cv < 0 {
@@ -683,43 +452,26 @@ func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 		}
 		lk := lks[d]
 		wd := uint64(h)
+		n := int32(0)
 		if h != 0 {
 			if cong {
-				f.hotp[h].CongBit = true
+				f.Hot[h].CongBit = true
 			}
 			st.LinkTraversals++
-			if f.sp != nil {
-				f.sp.AddLink(node, d)
+			if f.Spatial != nil {
+				f.Spatial.AddLink(node, d)
 			}
+			n++
 		}
 		if cv >= 0 {
 			wd |= uint64(cv+1) << 32
+			n++
 		}
-		f.lin[wbase+int(lk.idx)] = wd
-		if f.skip {
-			// Load-checked: the receiver may already have stepped and
-			// deactivated this cycle.
-			if h != 0 {
-				f.inCount[lk.nb]++
-			}
-			if cv >= 0 {
-				f.inCount[lk.nb]++
-			}
-			if f.active[lk.nb] == 0 {
-				f.active[lk.nb] = 1
-			}
-		}
+		f.lin[wbase+int(lk.Idx)] = wd
+		f.Arrive(lk.Nb, n)
 	}
 
-	alive = r.nonEmpty != 0 || nic.HasTraffic()
-	if f.skip && !alive {
-		// The flit+credit occupancy counter is exact, so "anything
-		// queued toward this node" is one load. An earlier node may
-		// have committed toward this one without re-flagging it; the
-		// counter is what keeps it awake.
-		alive = f.inCount[node] != 0
-	}
-	return alive
+	return r.nonEmpty != 0 || nic.HasTraffic() || f.Queued(node)
 }
 
 // routeLocal computes routes for the packets at the front of the NIC
@@ -733,7 +485,7 @@ func (f *Fabric) routeLocal(node int, nic *noc.NIC) {
 			continue
 		}
 		if !r.local[v].routed && fl.Index == 0 {
-			r.local[v].route = f.top.XYRoute(node, int(fl.Dst))
+			r.local[v].route = f.Topology().XYRoute(node, int(fl.Dst))
 			r.local[v].routed = true
 		}
 	}
@@ -829,7 +581,7 @@ func (f *Fabric) localReady(node int, r *router, nic *noc.NIC) (v int, throttled
 				continue
 			}
 		}
-		if noc.ThrottledKind(fl.Kind) && fl.Index == 0 && !f.openPol && !f.policy.Allow(node) {
+		if noc.ThrottledKind(fl.Kind) && fl.Index == 0 && !f.Admit(node) {
 			throttled = true
 			continue
 		}
@@ -843,7 +595,7 @@ func (f *Fabric) localReady(node int, r *router, nic *noc.NIC) (v int, throttled
 // (the handle moves straight from the VC ring to the link ring),
 // returning a credit upstream and releasing per-packet state on the
 // tail flit.
-func (f *Fabric) traverseDir(node int, r *router, nic *noc.NIC, dir, v int, out topology.Port, outH *[maxDirs]noc.Handle, outC *[maxDirs]int8, st *noc.Stats) {
+func (f *Fabric) traverseDir(node int, r *router, dir, v int, out topology.Port, outH *[maxDirs]noc.Handle, outC *[maxDirs]int8, st *noc.Stats) {
 	vi := dir*f.vcs + v
 	vc := &r.in[vi]
 	h := vc.buf[vc.head]
@@ -859,24 +611,10 @@ func (f *Fabric) traverseDir(node int, r *router, nic *noc.NIC, dir, v int, out 
 	st.CrossbarTraversals++
 	// Return a credit to the upstream router for the freed slot.
 	outC[dir] = int8(v)
-	fh := &f.hotp[h]
+	fh := &f.Hot[h]
 	tail := fh.Index == fh.Len-1
 	if out == topology.Local {
-		st.FlitsEjected++
-		st.NetFlitLatencySum += f.cycle - fh.Inject
-		var fl noc.Flit
-		f.fpool.Get(h, &fl)
-		f.fpool.Free(h)
-		if f.sp != nil {
-			f.sp.AddEject(node)
-		}
-		if f.tr != nil {
-			f.tr.Eject(f.cycle, node, &fl)
-		}
-		if _, done := nic.Receive(&fl, f.cycle); done {
-			st.PacketsDelivered++
-			st.PacketLatencySum += f.cycle - fl.Enq
-		}
+		f.EjectHandle(node, h)
 	} else {
 		ovc := vc.outVC
 		r.out[int(out)*f.vcs+int(ovc)]--
@@ -893,37 +631,18 @@ func (f *Fabric) traverseDir(node int, r *router, nic *noc.NIC, dir, v int, out 
 }
 
 // traverseLocal injects the front flit of a NIC queue, allocating its
-// pool slot. Returns true when a flit entered the network.
-func (f *Fabric) traverseLocal(node int, r *router, nic *noc.NIC, v int, out topology.Port, outH *[maxDirs]noc.Handle, st *noc.Stats) bool {
+// pool slot.
+func (f *Fabric) traverseLocal(node int, r *router, nic *noc.NIC, v int, out topology.Port, outH *[maxDirs]noc.Handle) {
 	fl := f.localPop(nic, v)
-	fl.Inject = f.cycle
-	st.FlitsInjected++
-	st.QueueLatencySum += f.cycle - fl.Enq
-	st.CrossbarTraversals++
-	if f.sp != nil {
-		f.sp.AddInject(node)
-	}
-	if f.tr != nil {
-		f.tr.Inject(f.cycle, node, &fl)
-	}
+	f.Injected(node, &fl)
 	if out == topology.Local {
 		// Self-addressed packet: immediately delivered, never pooled.
-		st.FlitsEjected++
-		if f.sp != nil {
-			f.sp.AddEject(node)
-		}
-		if f.tr != nil {
-			f.tr.Eject(f.cycle, node, &fl)
-		}
-		if _, done := nic.Receive(&fl, f.cycle); done {
-			st.PacketsDelivered++
-			st.PacketLatencySum += f.cycle - fl.Enq
-		}
+		f.Ejected(node, &fl)
 	} else {
 		ovc := r.local[v].outVC
 		r.out[int(out)*f.vcs+int(ovc)]--
 		fl.VC = ovc
-		outH[out] = f.fpool.Alloc(&fl)
+		outH[out] = f.Pool.Alloc(&fl)
 	}
 	if fl.Index == fl.Len-1 {
 		if out != topology.Local {
@@ -932,5 +651,4 @@ func (f *Fabric) traverseLocal(node int, r *router, nic *noc.NIC, v int, out top
 		r.local[v].outVC = -1
 		r.local[v].routed = false
 	}
-	return true
 }

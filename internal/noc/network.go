@@ -1,10 +1,14 @@
 package noc
 
-import "nocsim/internal/topology"
+import (
+	"nocsim/internal/snap"
+	"nocsim/internal/topology"
+)
 
-// Network is a cycle-stepped on-chip fabric. Both the bufferless BLESS
-// fabric and the buffered virtual-channel fabric implement it, so the
-// system simulator and the experiment harness are architecture-agnostic.
+// Network is a cycle-stepped on-chip fabric. The bufferless BLESS
+// fabric, the buffered virtual-channel fabric and the hierarchical
+// rings all implement it, so the system simulator and the experiment
+// harness are architecture-agnostic.
 //
 // The contract per Step:
 //   - every node's NIC head flit is considered for injection, subject to
@@ -27,4 +31,20 @@ type Network interface {
 	// Drained reports whether no flit is in flight or queued anywhere;
 	// used by tests and by end-of-run draining.
 	Drained() bool
+	// InFlight returns the number of flits inside the network.
+	InFlight() int64
+	// ActiveSet reports whether idle-unit skipping is engaged and, if
+	// so, how many units (routers or rings) are currently active.
+	ActiveSet() (active int, enabled bool)
+	// SyncPolicy flushes every idle tick the active set deferred, so
+	// the injection policy's observable state matches a fabric that
+	// ticked all nodes every cycle. Anything reading policy state from
+	// outside the fabric — e.g. a controller epoch collecting
+	// starvation rates — must call it first.
+	SyncPolicy()
+	// Snapshot encodes the fabric's complete dynamic state; Restore
+	// overlays it onto a fabric freshly constructed with the same
+	// configuration.
+	Snapshot(w *snap.Writer)
+	Restore(r *snap.Reader)
 }

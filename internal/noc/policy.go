@@ -38,16 +38,6 @@ type IdleTicker interface {
 	TickIdle(node int, cycles int64)
 }
 
-// PolicySyncer is implemented by fabrics that defer idle-node policy
-// ticks (active-set stepping). SyncPolicy flushes every deferred
-// TickIdle so the policy's observable state matches a fabric that
-// ticked all nodes every cycle. Anything reading policy state from
-// outside the fabric — e.g. a controller epoch collecting starvation
-// rates — must call it first.
-type PolicySyncer interface {
-	SyncPolicy()
-}
-
 // Open is an InjectionPolicy that never throttles and observes nothing.
 // It is the baseline (unthrottled BLESS / buffered) configuration.
 type Open struct{}

@@ -94,26 +94,6 @@ func (s Stats) StarvationRate(nodes int) float64 {
 	return float64(s.StarvedCycles) / (float64(s.Cycles) * float64(nodes))
 }
 
-// Merge adds o's event counters into s. Cycles and Links are fabric
-// properties, not events, and are left alone.
-func (s *Stats) Merge(o Stats) {
-	s.FlitsInjected += o.FlitsInjected
-	s.FlitsEjected += o.FlitsEjected
-	s.PacketsDelivered += o.PacketsDelivered
-	s.Deflections += o.Deflections
-	s.LinkTraversals += o.LinkTraversals
-	s.NetFlitLatencySum += o.NetFlitLatencySum
-	s.QueueLatencySum += o.QueueLatencySum
-	s.PacketLatencySum += o.PacketLatencySum
-	s.StarvedCycles += o.StarvedCycles
-	s.ThrottledCycles += o.ThrottledCycles
-	s.WantedCycles += o.WantedCycles
-	s.BufferReads += o.BufferReads
-	s.BufferWrites += o.BufferWrites
-	s.CrossbarTraversals += o.CrossbarTraversals
-	s.Arbitrations += o.Arbitrations
-}
-
 // Sub returns s - o, the delta of two snapshots. Links is preserved.
 func (s Stats) Sub(o Stats) Stats {
 	d := s

@@ -17,52 +17,11 @@ func fillDistinct(t *testing.T) Stats {
 		case reflect.Int64, reflect.Int:
 			f.SetInt(int64(100 + i))
 		default:
-			t.Fatalf("Stats.%s has kind %v; extend this test (and Merge/Sub) for it",
+			t.Fatalf("Stats.%s has kind %v; extend this test (and Sub) for it",
 				v.Type().Field(i).Name, f.Kind())
 		}
 	}
 	return s
-}
-
-// TestMergeCoversEveryField walks Stats by reflection so that a counter
-// added without updating Merge fails here instead of silently vanishing
-// from a merged total. Cycles and Links are fabric properties, not
-// events, and must be left alone.
-func TestMergeCoversEveryField(t *testing.T) {
-	src := fillDistinct(t)
-	var dst Stats
-	dst.Merge(src)
-
-	sv := reflect.ValueOf(src)
-	dv := reflect.ValueOf(dst)
-	typ := sv.Type()
-	for i := 0; i < sv.NumField(); i++ {
-		name := typ.Field(i).Name
-		got, want := dv.Field(i).Int(), sv.Field(i).Int()
-		switch name {
-		case "Cycles", "Links":
-			if got != 0 {
-				t.Errorf("Merge summed fabric property %s: got %d, want 0", name, got)
-			}
-		default:
-			if got != want {
-				t.Errorf("Merge dropped Stats.%s: got %d, want %d — update Merge for the new field", name, got, want)
-			}
-		}
-	}
-
-	// Merging twice must double every event counter (commutative sums).
-	dst.Merge(src)
-	dv = reflect.ValueOf(dst)
-	for i := 0; i < sv.NumField(); i++ {
-		name := typ.Field(i).Name
-		if name == "Cycles" || name == "Links" {
-			continue
-		}
-		if got, want := dv.Field(i).Int(), 2*sv.Field(i).Int(); got != want {
-			t.Errorf("double Merge of Stats.%s: got %d, want %d", name, got, want)
-		}
-	}
 }
 
 // TestSubCoversEveryField checks the snapshot delta the same way:

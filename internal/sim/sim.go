@@ -568,9 +568,7 @@ func (s *Sim) Step() {
 	// observation for idle nodes; flush that debt so the epoch reads
 	// starvation windows as if no node had been skipped.
 	if s.cycle%s.cfg.Params.Epoch == 0 {
-		if ps, ok := s.net.(noc.PolicySyncer); ok {
-			ps.SyncPolicy()
-		}
+		s.net.SyncPolicy()
 		s.runEpoch()
 	}
 

@@ -3,7 +3,6 @@ package sim
 import (
 	"nocsim/internal/cache"
 	"nocsim/internal/core"
-	"nocsim/internal/noc"
 	"nocsim/internal/obs"
 	"nocsim/internal/snap"
 	"nocsim/internal/trace"
@@ -89,12 +88,6 @@ func init() {
 
 const tagSim = 0x30
 
-// fabricCodec is implemented by all three fabrics.
-type fabricCodec interface {
-	Snapshot(*snap.Writer)
-	Restore(*snap.Reader)
-}
-
 // NormalizeWarm maps cfg to its warmup configuration: the run every
 // grid point sharing this config prefix starts from. Measured knobs —
 // the congestion controller and its parameters, observability, epoch
@@ -124,9 +117,7 @@ func (s *Sim) Snapshot() []byte {
 	// only the fabric's lastTick bookkeeping remembers. Restore pins
 	// lastTick to the restored cycle, so the debt must be zero at encode
 	// time or it is silently dropped.
-	if ps, ok := s.net.(noc.PolicySyncer); ok {
-		ps.SyncPolicy()
-	}
+	s.net.SyncPolicy()
 	w := snap.NewWriter()
 	s.encode(w)
 	return w.Bytes()
@@ -210,7 +201,7 @@ func (s *Sim) encode(w *snap.Writer) {
 		w.I32(int32(d.ThrottledNodes))
 		w.I32(int32(d.ControlPackets))
 	}
-	s.net.(fabricCodec).Snapshot(w)
+	s.net.Snapshot(w)
 	w.Bool(s.obs != nil)
 	if s.obs != nil {
 		s.obs.Snapshot(w)
@@ -344,7 +335,7 @@ func (s *Sim) decode(r *snap.Reader) {
 		d.ControlPackets = int(r.I32())
 		s.decisions = append(s.decisions, d)
 	}
-	s.net.(fabricCodec).Restore(r)
+	s.net.Restore(r)
 	hasObs := r.Bool()
 	if r.Err() != nil {
 		return

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"nocsim/internal/app"
@@ -48,10 +50,14 @@ func TestSnapshotCoverageComplete(t *testing.T) {
 
 // snapCase is one byte-identity scenario: a fabric plus the knobs that
 // light up its optional state (side buffers, adaptive load, random
-// arbitration streams, VC credits, ring bridges).
+// arbitration streams, VC credits, ring bridges). digest pins the
+// sha256 of the straight run's blob at the byte-identity cycle, so a
+// codec change that stays self-consistent still cannot silently change
+// the format.
 type snapCase struct {
-	name string
-	cfg  Config
+	name   string
+	cfg    Config
+	digest string
 }
 
 func snapCases() []snapCase {
@@ -112,10 +118,10 @@ func snapCases() []snapCase {
 		hr.Groups[i] = i / 8
 	}
 	return []snapCase{
-		{"bless", bl},
-		{"bless-minbd-random-distributed", blMinBD},
-		{"buffered-static", buf},
-		{"hierring-groupmap", hr},
+		{"bless", bl, "53c5e707d20fd5157b6757718af5c4e1b3d51f5cf55b2a0cea024bd7a7b22fd8"},
+		{"bless-minbd-random-distributed", blMinBD, "e0e00bae503e59f73d8d75a857962c1ba6dda34cb92087e3875b1a82f18d6975"},
+		{"buffered-static", buf, "62756a3bdd1c4e4e73885b68c121edb6d2ebd863f25ae8e1c30a393be507c1f1"},
+		{"hierring-groupmap", hr, "2b22263d83a6f88014a3d30a93f33381051a5786b5224bb1d8ed1181b313794e"},
 	}
 }
 
@@ -173,7 +179,7 @@ func countersHash(s *Sim) string {
 // TestSnapshotByteIdentity is the acceptance criterion: for every
 // fabric, a run snapshotted at cycle k and resumed to N must match a
 // straight 0→N run byte for byte — counters hash, observability
-// exports, and the full state blob itself.
+// exports, and the full state blob itself, whose digest is pinned.
 func TestSnapshotByteIdentity(t *testing.T) {
 	const (
 		total = 400
@@ -185,6 +191,9 @@ func TestSnapshotByteIdentity(t *testing.T) {
 			straight := New(tc.cfg)
 			straight.Run(total)
 			wantBlob := straight.Snapshot()
+			if sum := sha256.Sum256(wantBlob); hex.EncodeToString(sum[:]) != tc.digest {
+				t.Errorf("blob digest %x, pinned %s", sum, tc.digest)
+			}
 			wantHash := countersHash(straight)
 			wantObs := obsExports(t, straight)
 

@@ -66,6 +66,18 @@ func Cover(zero any, c Coverage) {
 	coverage[t] = c
 }
 
+// CoverConfig registers a configuration struct: every field is a
+// construction input, waived, because the configuration a blob is
+// restored into must match the one it was taken from.
+func CoverConfig(zero any) {
+	t := reflect.TypeOf(zero)
+	c := Coverage{Waived: map[string]string{}}
+	for i := 0; i < t.NumField(); i++ {
+		c.Waived[t.Field(i).Name] = "config: construction input"
+	}
+	Cover(zero, c)
+}
+
 // Covered returns the registered coverage for t, if any.
 func Covered(t reflect.Type) (Coverage, bool) {
 	coverMu.Lock()
