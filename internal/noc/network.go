@@ -1,9 +1,6 @@
 package noc
 
-import (
-	"nocsim/internal/snap"
-	"nocsim/internal/topology"
-)
+import "nocsim/internal/topology"
 
 // Network is a cycle-stepped on-chip fabric. The bufferless BLESS
 // fabric, the buffered virtual-channel fabric and the hierarchical
@@ -42,9 +39,8 @@ type Network interface {
 	// outside the fabric — e.g. a controller epoch collecting
 	// starvation rates — must call it first.
 	SyncPolicy()
-	// Snapshot encodes the fabric's complete dynamic state; Restore
-	// overlays it onto a fabric freshly constructed with the same
-	// configuration.
-	Snapshot(w *snap.Writer)
-	Restore(r *snap.Reader)
+	// Flits calls fn with every flit the fabric holds — queued, in the
+	// network, or reassembling in a NIC (as its head flit) — so a
+	// restored state can be checked as a whole.
+	Flits(fn func(*Flit))
 }

@@ -12,21 +12,11 @@ func init() {
 	})
 }
 
-// Snapshot writes the stream's state words.
-func (s *Source) Snapshot(w *snap.Writer) {
-	for _, v := range s.s {
-		w.U64(v)
+// DecodeSnap rejects the all-zero state, which a forged or corrupt
+// checkpoint alone can hold: xoshiro256** never leaves it, so every
+// draw would be 0 and rejection sampling (Intn) would spin forever.
+func (s *Source) DecodeSnap(r *snap.Reader) {
+	if s.s == [4]uint64{} {
+		r.Failf("rng state is all zero")
 	}
-}
-
-// Restore overwrites the stream's state with words written by Snapshot.
-func (s *Source) Restore(r *snap.Reader) {
-	var st [4]uint64
-	for i := range st {
-		st[i] = r.U64()
-	}
-	if r.Err() != nil {
-		return
-	}
-	s.SetState(st)
 }

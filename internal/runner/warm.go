@@ -124,7 +124,11 @@ func (p *Plan) warmBlob(cfg sim.Config) []byte {
 			panic(fmt.Sprintf("runner: warm prefix key: %v", err))
 		}
 		if blob, ok := st.Get(digest, cfg.Warmup, key); ok {
-			return blob
+			if _, err := sim.Restore(warm, blob); err == nil {
+				return blob
+			}
+			// An entry this codec cannot restore (an older format
+			// version, say) is recomputed below and overwritten.
 		}
 		// Longest cached prefix strictly below the warmup point: restore,
 		// run the remainder, checkpoint the extension.

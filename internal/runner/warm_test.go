@@ -173,3 +173,41 @@ func TestSameConfigResume(t *testing.T) {
 		t.Errorf("resumed metrics differ from cold run:\n got %+v\nwant %+v", got, want)
 	}
 }
+
+// TestWarmStaleStoreEntry checks that a stored warm prefix the codec
+// cannot restore — here the header of an older format version, filed
+// under the right key — is recomputed cold and overwritten, with
+// metrics identical to an empty store.
+func TestWarmStaleStoreEntry(t *testing.T) {
+	sc := warmScale(t, 0)
+	w := warmWorkload(sc)
+	cfg := Baseline(w, 4, 4, sc, WithStaticUniform(0.4))
+	exec := func(sc Scale) []sim.Metrics {
+		plan := NewPlan(sc)
+		plan.Add("stale/static", cfg, sc.Cycles)
+		return plan.Execute()
+	}
+	empty := sc
+	empty.Snapshots, _ = snap.NewStore(t.TempDir(), 0)
+	want := exec(empty)
+
+	digest := mustWarmDigest(cfg)
+	key, err := CacheKey(sim.NormalizeWarm(cfg), cfg.Warmup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := []byte{'N', 'O', 'C', 'S', 'N', 'A', 'P', '1', 0, 0, 0, 0}
+	if err := sc.Snapshots.Put(digest, cfg.Warmup, key, stale); err != nil {
+		t.Fatal(err)
+	}
+	if got := exec(sc); !reflect.DeepEqual(got, want) {
+		t.Errorf("metrics over a stale prefix differ from an empty store:\n%+v\n%+v", got, want)
+	}
+	blob, ok := sc.Snapshots.Get(digest, cfg.Warmup, key)
+	if !ok {
+		t.Fatal("recomputed prefix not filed back")
+	}
+	if _, err := sim.Restore(sim.NormalizeWarm(cfg), blob); err != nil {
+		t.Errorf("stale prefix not overwritten: %v", err)
+	}
+}

@@ -448,7 +448,9 @@ func (s *Server) handleCacheEntry(w http.ResponseWriter, r *http.Request) {
 // snapshot bytes as the body. A preempting coordinator pushes the
 // checkpointed state of a half-finished run here so the receiving peer
 // can warm-start the remainder; the store's own key verification (the
-// state key covers config and cycle) rejects mismatched blobs on read.
+// state key covers config and cycle) rejects mismatched blobs on read,
+// and a body without a current snapshot header is answered 400 before
+// it reaches the store.
 func (s *Server) handleSnapPush(w http.ResponseWriter, r *http.Request) {
 	if s.snaps == nil {
 		s.fail(w, http.StatusNotImplemented, "no checkpoint store configured")
@@ -467,6 +469,10 @@ func (s *Server) handleSnapPush(w http.ResponseWriter, r *http.Request) {
 	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<30))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "reading snapshot body: %v", err)
+		return
+	}
+	if _, err := snap.NewReader(blob); err != nil {
+		s.fail(w, http.StatusBadRequest, "snapshot body: %v", err)
 		return
 	}
 	if err := s.snaps.Put(r.PathValue("digest"), cycle, key, blob); err != nil {

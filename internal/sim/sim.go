@@ -581,15 +581,20 @@ func (s *Sim) Step() {
 // recordSample closes one observability window: cumulative fabric
 // counters plus cumulative retired instructions and network misses.
 func (s *Sim) recordSample() {
-	var retired, misses int64
-	for i, c := range s.cores {
-		if c == nil {
-			continue
-		}
-		retired += c.Retired()
-		misses += s.misses[i]
-	}
+	retired, misses := s.totals()
 	s.obs.Sampler.Record(s.cycle, s.net.Stats(), retired, misses)
+}
+
+// totals returns the cumulative retired instructions and network
+// misses over all cores.
+func (s *Sim) totals() (retired, misses int64) {
+	for i, c := range s.cores {
+		if c != nil {
+			retired += c.Retired()
+			misses += s.misses[i]
+		}
+	}
+	return retired, misses
 }
 
 // Obs returns the observability collectors, or nil when disabled.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime"
 	"testing"
 
 	"nocsim/internal/app"
@@ -118,10 +119,10 @@ func snapCases() []snapCase {
 		hr.Groups[i] = i / 8
 	}
 	return []snapCase{
-		{"bless", bl, "53c5e707d20fd5157b6757718af5c4e1b3d51f5cf55b2a0cea024bd7a7b22fd8"},
-		{"bless-minbd-random-distributed", blMinBD, "e0e00bae503e59f73d8d75a857962c1ba6dda34cb92087e3875b1a82f18d6975"},
-		{"buffered-static", buf, "62756a3bdd1c4e4e73885b68c121edb6d2ebd863f25ae8e1c30a393be507c1f1"},
-		{"hierring-groupmap", hr, "2b22263d83a6f88014a3d30a93f33381051a5786b5224bb1d8ed1181b313794e"},
+		{"bless", bl, "0a7ec4174eef8aa75e4cda6131e14c3b3ab2d442b3ca8a936bdff24a9a24bd5b"},
+		{"bless-minbd-random-distributed", blMinBD, "d4c7504e35fd1bb6767609f3e4b8e9f6c7e437025a2438d6580474c5be95872c"},
+		{"buffered-static", buf, "4431b7db95e037d4980a885d7689968b73f7ee2a3ca84b3aa098b58491c7b983"},
+		{"hierring-groupmap", hr, "bb9e968aa30a8695d586586cd440aa8b211397f7a3bf3febc0027068a15447ad"},
 	}
 }
 
@@ -315,4 +316,88 @@ func TestRestoreRejectsWrongFabric(t *testing.T) {
 	if _, err := Restore(wrong, blob); err == nil {
 		t.Fatal("Restore accepted a blob from a different fabric")
 	}
+}
+
+// fuzzCases are the 4x4 configurations FuzzSimRestore restores into:
+// one per fabric, with the controllers, collectors and optional fabric
+// state of the byte-identity cases. A small L1 keeps the blobs short,
+// so mutations land on core, fabric and controller state rather than
+// on cache contents.
+func fuzzCases() []Config {
+	var out []Config
+	for _, tc := range snapCases() {
+		cfg := tc.cfg
+		cfg.Width, cfg.Height = 4, 4
+		cfg.Apps = cfg.Apps[:16]
+		cfg.Apps[3], cfg.Apps[15] = nil, nil
+		cfg.L1.SizeBytes = 4 << 10
+		if cfg.Groups != nil {
+			cfg.Groups = cfg.Groups[:16]
+		}
+		if cfg.Router != BLESS || cfg.Controller != Central {
+			cfg.Obs = obs.Options{}
+		}
+		out = append(out, cfg)
+	}
+	return out
+}
+
+// headCorrupted returns a mid-run blob of cfg whose first core's window
+// head reads 0x7fffffff: a decodable blob whose state indexes outside
+// the window.
+func headCorrupted(t testing.TB, cfg Config) []byte {
+	s := New(cfg)
+	s.Run(200)
+	blob := s.Snapshot()
+	w := &snap.Writer{}
+	snap.Encode(w, s.Core(0)) // a Core's encoding starts with head
+	off := bytes.Index(blob, w.Bytes())
+	if off < 0 {
+		t.Fatal("core 0 not found in its blob")
+	}
+	out := append([]byte(nil), blob...)
+	copy(out[off:], []byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})
+	return out
+}
+
+// FuzzSimRestore feeds arbitrary bytes to Restore. The bar: an error,
+// or a Sim that runs 64 cycles without panicking, and no allocation
+// beyond O(blob) on top of New(cfg).
+func FuzzSimRestore(f *testing.F) {
+	cases := fuzzCases()
+	for i, cfg := range cases {
+		s := New(cfg)
+		s.Run(200)
+		blob := s.Snapshot()
+		if _, err := Restore(cfg, blob); err != nil {
+			f.Fatalf("seed %d: %v", i, err)
+		}
+		f.Add(uint8(i), blob)
+	}
+	bad := headCorrupted(f, cases[0])
+	if _, err := Restore(cases[0], bad); err == nil {
+		f.Fatal("a core head outside the window restored without error")
+	}
+	f.Add(uint8(0), bad)
+	base := make([]uint64, len(cases))
+	for i, cfg := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		New(cfg)
+		runtime.ReadMemStats(&after)
+		base[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		i := int(which) % len(cases)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := Restore(cases[i], data)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, base[i]+uint64(16*len(data)+1<<20); got > limit {
+			t.Fatalf("restore of a %d-byte blob allocated %d bytes (limit %d)", len(data), got, limit)
+		}
+		if err == nil {
+			s.Run(64)
+		}
+	})
 }

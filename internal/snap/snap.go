@@ -5,45 +5,40 @@
 // (config, cycle) pair always encodes to the same bytes and a restored
 // simulation replays the original cycle-for-cycle.
 //
-// The package has three parts:
+// The package has four parts:
 //
-//   - Writer/Reader: little-endian primitives with a tag-framing
-//     discipline (every logical section starts with a one-byte tag
-//     behind a sentinel byte) so a decoder that drifts out of sync
-//     fails loudly at the next section boundary instead of silently
-//     misreading state.
+//   - Writer/Reader: little-endian primitives behind a blob header
+//     (magic + version), with sticky errors so a decode needs one check
+//     at the end.
 //
 //   - the coverage registry (Cover / Verify): every snapshottable
 //     struct declares, field by field, whether the field is serialized
 //     or waived (with a reason). A reflection walk over the reachable
-//     type graph fails when any field of any state struct is neither —
-//     the codec cannot silently rot as fabrics grow.
+//     type graph fails when any field of any state struct is neither,
+//     or when a serialized field is of a kind the codec cannot encode.
 //
 //   - Store: a content-addressed on-disk checkpoint store with
 //     crash-safe temp+rename writes, longest-prefix lookup per config
 //     digest, size-capped oldest-first eviction, and corrupt-entry
 //     detection via a whole-file checksum.
 //
+//   - Encode/Decode: the codec itself. The Serialized list of each
+//     registered struct is its encoding, walked in list order by a
+//     per-type plan compiled once; types whose encoding is more than
+//     their field list add Encoder/Decoder hooks (see codec.go).
+//
 // The codec deliberately lives outside every fabric's Step path:
 // Snapshot and Restore run only in sequential regions (between Step
 // calls), so serialization adds nothing to the hot path.
 package snap
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Version is the codec version; bump on any incompatible layout change.
-const Version = 1
+const Version = 2
 
 // magic prefixes every snapshot blob.
 var magic = [8]byte{'N', 'O', 'C', 'S', 'N', 'A', 'P', '1'}
-
-// sentinel precedes every section tag; a reader that lands anywhere
-// else in the byte stream will almost never see it, which turns codec
-// drift into an immediate decode error.
-const sentinel = 0xA7
 
 // Writer appends little-endian primitives to a growing buffer. The
 // zero Writer is ready to use.
@@ -84,38 +79,10 @@ func (w *Writer) U32(v uint32) {
 	w.buf = append(w.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 
-// U64 writes a little-endian uint64.
-func (w *Writer) U64(v uint64) {
-	w.buf = append(w.buf,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-// I64 writes a little-endian int64.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// I32 writes a little-endian int32.
-func (w *Writer) I32(v int32) { w.U32(uint32(v)) }
-
-// F64 writes a float64 as its IEEE-754 bit pattern, little-endian.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
-// Blob writes a length-prefixed byte string.
-func (w *Writer) Blob(b []byte) {
-	w.U64(uint64(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
 // Str writes a length-prefixed string.
 func (w *Writer) Str(s string) {
-	w.U64(uint64(len(s)))
+	w.U32(uint32(len(s)))
 	w.buf = append(w.buf, s...)
-}
-
-// Tag opens a new section: sentinel byte + one-byte tag. Readers
-// consume it with Expect.
-func (w *Writer) Tag(t uint8) {
-	w.buf = append(w.buf, sentinel, t)
 }
 
 // Reader decodes a blob written by Writer. Errors are sticky: after
@@ -195,54 +162,5 @@ func (r *Reader) U32() uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
-// U64 reads a little-endian uint64.
-func (r *Reader) U64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-// I64 reads a little-endian int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// I32 reads a little-endian int32.
-func (r *Reader) I32() int32 { return int32(r.U32()) }
-
-// F64 reads a float64 written by Writer.F64.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// Blob reads a length-prefixed byte string. The slice aliases the
-// reader's buffer.
-func (r *Reader) Blob() []byte {
-	n := r.U64()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.buf)-r.off) {
-		r.fail("blob length %d exceeds remaining input", n)
-		return nil
-	}
-	return r.take(int(n))
-}
-
 // Str reads a length-prefixed string.
-func (r *Reader) Str() string { return string(r.Blob()) }
-
-// Expect consumes a section tag and fails unless it matches t.
-func (r *Reader) Expect(t uint8) {
-	s := r.U8()
-	got := r.U8()
-	if r.err != nil {
-		return
-	}
-	if s != sentinel {
-		r.fail("lost framing: sentinel %#x, want %#x (section %#x)", s, sentinel, t)
-		return
-	}
-	if got != t {
-		r.fail("section tag %#x, want %#x", got, t)
-	}
-}
+func (r *Reader) Str() string { return string(r.take(int(r.U32()))) }
