@@ -8,7 +8,10 @@
 // serviced by its home node without going to memory.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // L1Config describes a private L1 cache.
 type L1Config struct {
@@ -34,27 +37,38 @@ func (c *L1Config) setDefaults() {
 
 // L1 is a set-associative write-allocate cache with true-LRU replacement.
 // It models hit/miss behaviour only; data values are not stored.
+//
+// Each line is one word, tag<<shift | rank<<2 | dirty<<1 | valid. The
+// tag is the block address without its set bits, which the line's
+// position implies. The rank is the line's LRU position within its set,
+// 0 for the most recently used way and ways-1 for the least; the ranks
+// of a set are always a permutation of 0..ways-1, invalid ways included.
 type L1 struct {
 	sets      int
 	ways      int
 	blockBits uint
+	setBits   uint
 	setMask   uint64
-	tags      []uint64
-	valid     []bool
-	dirty     []bool
-	stamp     []uint64 // per-line LRU timestamp
-	clock     uint64
+	shift     uint     // tag position: 2 + bits to hold ways-1
+	lines     []uint64 // sets*ways line words, set-major
 
 	hits, misses, writebacks int64
 }
 
-// NewL1 builds an L1 cache. It panics on non-power-of-two geometry.
+const (
+	lineValid = 1 << 0
+	lineDirty = 1 << 1
+	rankShift = 2
+)
+
+// NewL1 builds an L1 cache. It panics on non-power-of-two geometry and
+// on a geometry whose block and set bits cannot hold the rank field, as
+// the packed tag would then drop high address bits.
 func NewL1(cfg L1Config) *L1 {
 	cfg.setDefaults()
 	if cfg.BlockBytes&(cfg.BlockBytes-1) != 0 {
 		panic("cache: block size must be a power of two")
 	}
-	// dirty tracking is allocated eagerly; it costs one bool per line.
 	blocks := cfg.SizeBytes / cfg.BlockBytes
 	if blocks == 0 || blocks%cfg.Ways != 0 {
 		panic(fmt.Sprintf("cache: bad geometry %d bytes / %d-way / %dB blocks",
@@ -64,19 +78,25 @@ func NewL1(cfg L1Config) *L1 {
 	if sets&(sets-1) != 0 {
 		panic("cache: set count must be a power of two")
 	}
-	bb := uint(0)
-	for 1<<bb < cfg.BlockBytes {
-		bb++
+	bb := uint(bits.TrailingZeros(uint(cfg.BlockBytes)))
+	sb := uint(bits.TrailingZeros(uint(sets)))
+	shift := rankShift + uint(bits.Len(uint(cfg.Ways-1)))
+	if bb+sb < shift {
+		panic(fmt.Sprintf("cache: %d block+set bits cannot hold a %d-bit line state (%d bytes / %d-way / %dB blocks)",
+			bb+sb, shift, cfg.SizeBytes, cfg.Ways, cfg.BlockBytes))
+	}
+	lines := make([]uint64, blocks)
+	for i := range lines {
+		lines[i] = uint64(i%cfg.Ways) << rankShift
 	}
 	return &L1{
 		sets:      sets,
 		ways:      cfg.Ways,
 		blockBits: bb,
+		setBits:   sb,
 		setMask:   uint64(sets - 1),
-		tags:      make([]uint64, blocks),
-		valid:     make([]bool, blocks),
-		dirty:     make([]bool, blocks),
-		stamp:     make([]uint64, blocks),
+		shift:     shift,
+		lines:     lines,
 	}
 }
 
@@ -104,41 +124,69 @@ func (c *L1) Access(addr uint64) bool {
 // dirty (write-allocate, write-back). When a miss evicts a dirty line,
 // wb is true and wbAddr is the evicted block's address — the simulator
 // turns it into a one-way writeback packet to the block's home slice.
+//
+// A miss fills the last invalid way of the set, or the LRU way when
+// every way is valid.
 func (c *L1) AccessRW(addr uint64, write bool) (hit bool, wbAddr uint64, wb bool) {
-	c.clock++
 	block := addr >> c.blockBits
-	base := int(block&c.setMask) * c.ways
-	victim := base
-	oldest := ^uint64(0)
-	for i := base; i < base+c.ways; i++ {
-		if c.valid[i] && c.tags[i] == block {
-			c.stamp[i] = c.clock
+	set := block & c.setMask
+	base := int(set) * c.ways
+	lines := c.lines[base : base+c.ways : base+c.ways]
+	want := block>>c.setBits<<c.shift | lineValid
+	ranks := c.ranks()
+	state := ranks | lineDirty
+	lru := uint64(len(lines)-1) << rankShift
+	victim, oldest := -1, -1
+	for i, l := range lines {
+		if l&^state == want {
+			c.touch(lines, i)
 			if write {
-				c.dirty[i] = true
+				lines[i] |= lineDirty
 			}
 			c.hits++
 			return true, 0, false
 		}
-		if !c.valid[i] {
+		if l&lineValid == 0 {
 			victim = i
-			oldest = 0
-		} else if c.stamp[i] < oldest {
-			victim = i
-			oldest = c.stamp[i]
+		} else if l&ranks == lru {
+			oldest = i
 		}
 	}
+	if victim < 0 {
+		victim = oldest
+	}
 	c.misses++
-	if c.valid[victim] && c.dirty[victim] {
+	if old := lines[victim]; old&(lineValid|lineDirty) == lineValid|lineDirty {
 		wb = true
-		wbAddr = c.tags[victim] << c.blockBits
+		wbAddr = (old>>c.shift<<c.setBits | set) << c.blockBits
 		c.writebacks++
 	}
-	c.tags[victim] = block
-	c.valid[victim] = true
-	c.dirty[victim] = write
-	c.stamp[victim] = c.clock
+	c.touch(lines, victim)
+	if write {
+		want |= lineDirty
+	}
+	lines[victim] = want
 	return false, wbAddr, wb
 }
+
+// touch makes way i of a set's lines the MRU way: every way more recent
+// than it moves one rank down, and it takes rank 0.
+func (c *L1) touch(lines []uint64, i int) {
+	ranks := c.ranks()
+	r := lines[i] & ranks
+	if r == 0 {
+		return
+	}
+	for j, l := range lines {
+		if l&ranks < r {
+			lines[j] = l + 1<<rankShift
+		}
+	}
+	lines[i] &^= ranks
+}
+
+// ranks is the mask of a line word's rank field.
+func (c *L1) ranks() uint64 { return uint64(1)<<c.shift - 1<<rankShift }
 
 // Warm inserts addr's block without touching the hit/miss counters;
 // used to preload a working set so measurements start from a warm cache.
@@ -153,8 +201,10 @@ func (c *L1) Warm(addr uint64) {
 func (c *L1) Probe(addr uint64) bool {
 	block := addr >> c.blockBits
 	base := int(block&c.setMask) * c.ways
-	for i := base; i < base+c.ways; i++ {
-		if c.valid[i] && c.tags[i] == block {
+	want := block>>c.setBits<<c.shift | lineValid
+	state := c.ranks() | lineDirty
+	for _, l := range c.lines[base : base+c.ways] {
+		if l&^state == want {
 			return true
 		}
 	}
@@ -179,11 +229,12 @@ func (c *L1) MissRate() float64 {
 	return float64(c.misses) / float64(total)
 }
 
-// Reset clears contents and counters.
+// Reset clears contents and counters. Only the valid and dirty bits
+// are cleared: an invalid line never hits, and the ranks stay a
+// permutation.
 func (c *L1) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.dirty[i] = false
+	for i := range c.lines {
+		c.lines[i] &^= lineValid | lineDirty
 	}
-	c.hits, c.misses, c.writebacks, c.clock = 0, 0, 0, 0
+	c.hits, c.misses, c.writebacks = 0, 0, 0
 }

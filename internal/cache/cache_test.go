@@ -1,11 +1,15 @@
 package cache
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"nocsim/internal/rng"
+	"nocsim/internal/snap"
 	"nocsim/internal/topology"
 )
 
@@ -111,12 +115,24 @@ func TestL1Reset(t *testing.T) {
 }
 
 func TestL1PanicsOnBadGeometry(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-power-of-two block size did not panic")
-		}
-	}()
-	NewL1(L1Config{BlockBytes: 24})
+	for _, tc := range []struct {
+		name string
+		cfg  L1Config
+	}{
+		{"non-power-of-two block size", L1Config{BlockBytes: 24}},
+		// One set of 1-byte blocks leaves no address bits below the
+		// tag for the 4-bit line state of a 4-way cache.
+		{"no room for the packed line state", L1Config{SizeBytes: 4, Ways: 4, BlockBytes: 1}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewL1(%+v) did not panic", tc.name, tc.cfg)
+				}
+			}()
+			NewL1(tc.cfg)
+		}()
+	}
 }
 
 func TestXORInterleaveInRangeAndUniform(t *testing.T) {
@@ -398,4 +414,228 @@ func TestGroupedPanicsOnEmptyGroup(t *testing.T) {
 		}
 	}()
 	NewGrouped([]int{0, 2}, 1) // group 1 empty
+}
+
+// refL1 is the stamp-based L1 the packed layout replaced, kept as the
+// reference model: per-line tag, valid, dirty and LRU stamp arrays, a
+// global access clock, and the minimum-stamp way as the LRU victim.
+type refL1 struct {
+	sets      int
+	ways      int
+	blockBits uint
+	setMask   uint64
+	tags      []uint64
+	valid     []bool
+	dirty     []bool
+	stamp     []uint64 // per-line LRU timestamp
+	clock     uint64
+
+	hits, misses, writebacks int64
+}
+
+func newRefL1(cfg L1Config) *refL1 {
+	cfg.setDefaults()
+	blocks := cfg.SizeBytes / cfg.BlockBytes
+	sets := blocks / cfg.Ways
+	bb := uint(0)
+	for 1<<bb < cfg.BlockBytes {
+		bb++
+	}
+	return &refL1{
+		sets:      sets,
+		ways:      cfg.Ways,
+		blockBits: bb,
+		setMask:   uint64(sets - 1),
+		tags:      make([]uint64, blocks),
+		valid:     make([]bool, blocks),
+		dirty:     make([]bool, blocks),
+		stamp:     make([]uint64, blocks),
+	}
+}
+
+func (c *refL1) AccessRW(addr uint64, write bool) (hit bool, wbAddr uint64, wb bool) {
+	c.clock++
+	block := addr >> c.blockBits
+	base := int(block&c.setMask) * c.ways
+	victim := base
+	oldest := ^uint64(0)
+	for i := base; i < base+c.ways; i++ {
+		if c.valid[i] && c.tags[i] == block {
+			c.stamp[i] = c.clock
+			if write {
+				c.dirty[i] = true
+			}
+			c.hits++
+			return true, 0, false
+		}
+		if !c.valid[i] {
+			victim = i
+			oldest = 0
+		} else if c.stamp[i] < oldest {
+			victim = i
+			oldest = c.stamp[i]
+		}
+	}
+	c.misses++
+	if c.valid[victim] && c.dirty[victim] {
+		wb = true
+		wbAddr = c.tags[victim] << c.blockBits
+		c.writebacks++
+	}
+	c.tags[victim] = block
+	c.valid[victim] = true
+	c.dirty[victim] = write
+	c.stamp[victim] = c.clock
+	return false, wbAddr, wb
+}
+
+func (c *refL1) Probe(addr uint64) bool {
+	block := addr >> c.blockBits
+	base := int(block&c.setMask) * c.ways
+	for i := base; i < base+c.ways; i++ {
+		if c.valid[i] && c.tags[i] == block {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refL1) Reset() {
+	for i := range c.valid {
+		c.valid[i] = false
+		c.dirty[i] = false
+	}
+	c.hits, c.misses, c.writebacks, c.clock = 0, 0, 0, 0
+}
+
+// modelGeometry maps a selector to one of the geometries the model
+// tests sweep: 1-, 2-, 3-, 4- and 8-way caches of 1 to 256 sets with
+// 4- to 64-byte blocks. A few are too small to hold the packed line
+// state; checkL1Model expects NewL1 to refuse exactly those.
+func modelGeometry(sel uint8) L1Config {
+	ways := []int{1, 2, 3, 4, 8}[sel%5]
+	sets := []int{1, 2, 4, 16, 256}[sel/5%5]
+	block := []int{4, 8, 32, 64}[sel/25%4]
+	return L1Config{SizeBytes: sets * ways * block, Ways: ways, BlockBytes: block}
+}
+
+// checkL1Model replays ops against the packed L1 and refL1 and fails on
+// the first difference. Each op is three bytes: the first picks the
+// operation (Reset, Probe or an access, whose write flag is bit 0) and
+// whether the address carries high bits; the other two pick a block
+// among four times the cache's capacity, so sets see hits, conflict
+// misses and dirty evictions.
+func checkL1Model(t *testing.T, cfg L1Config, ops []byte) {
+	t.Helper()
+	want := newRefL1(cfg)
+	state := 2 + bits.Len(uint(cfg.Ways-1))
+	if fits := int(want.blockBits)+bits.TrailingZeros(uint(want.sets)) >= state; !fits {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%+v: NewL1 accepted a geometry that cannot hold a %d-bit line state", cfg, state)
+			}
+		}()
+	}
+	got := NewL1(cfg)
+	span := uint64(4 * len(want.tags))
+	for n := 0; n+3 <= len(ops); n += 3 {
+		op, idx := ops[n], uint64(ops[n+1])|uint64(ops[n+2])<<8
+		addr := (idx%span)<<want.blockBits | uint64(op>>2)%uint64(cfg.BlockBytes)
+		if op&0x80 != 0 {
+			addr |= 0xfedc << 48
+		}
+		switch kind := op >> 1 & 0x1f; {
+		case kind == 0:
+			got.Reset()
+			want.Reset()
+		case kind < 6:
+			if g, w := got.Probe(addr), want.Probe(addr); g != w {
+				t.Fatalf("%+v op %d: Probe(%#x) = %v, reference %v", cfg, n/3, addr, g, w)
+			}
+		default:
+			write := op&1 != 0
+			gh, gw, gb := got.AccessRW(addr, write)
+			wh, ww, wb := want.AccessRW(addr, write)
+			if gh != wh || gw != ww || gb != wb {
+				t.Fatalf("%+v op %d: AccessRW(%#x, %v) = (%v, %#x, %v), reference (%v, %#x, %v)",
+					cfg, n/3, addr, write, gh, gw, gb, wh, ww, wb)
+			}
+		}
+		if got.Hits() != want.hits || got.Misses() != want.misses || got.Writebacks() != want.writebacks {
+			t.Fatalf("%+v op %d: counters %d/%d/%d, reference %d/%d/%d", cfg, n/3,
+				got.Hits(), got.Misses(), got.Writebacks(), want.hits, want.misses, want.writebacks)
+		}
+	}
+}
+
+// TestL1MatchesReference is the seeded table version of FuzzL1Model:
+// every model geometry, the non-power-of-two 3-way ones included,
+// replays a long random op stream against refL1.
+func TestL1MatchesReference(t *testing.T) {
+	r := rng.New(23)
+	for sel := 0; sel < 100; sel++ {
+		cfg := modelGeometry(uint8(sel))
+		ops := make([]byte, 3*20000)
+		for i := range ops {
+			ops[i] = byte(r.Intn(256))
+		}
+		t.Run(fmt.Sprintf("%dway/%dsets/%dB", cfg.Ways, cfg.SizeBytes/cfg.Ways/cfg.BlockBytes, cfg.BlockBytes), func(t *testing.T) {
+			checkL1Model(t, cfg, ops)
+		})
+	}
+}
+
+// FuzzL1Model lets the fuzzer pick the geometry and the op stream.
+func FuzzL1Model(f *testing.F) {
+	f.Add(uint8(3), []byte{0x0e, 0, 0, 0x0f, 4, 0, 0x0e, 8, 0, 0x0e, 0, 0, 0x0e, 12, 0, 0x0e, 16, 0})
+	f.Add(uint8(17), []byte{0x8f, 1, 0, 0x8e, 2, 0, 0x8e, 3, 0, 0x8e, 4, 0, 0x00, 0, 0, 0x02, 1, 0})
+	f.Fuzz(func(t *testing.T, sel uint8, ops []byte) {
+		checkL1Model(t, modelGeometry(sel), ops)
+	})
+}
+
+// TestL1Footprint pins the packed layout: one 8-byte word per line, so
+// the default 4,096-line L1 allocates 32 KiB plus its header.
+func TestL1Footprint(t *testing.T) {
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c := NewL1(L1Config{})
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(c)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > 33<<10 {
+		t.Errorf("NewL1(L1Config{}) allocated %d bytes, want <= %d", least, 33<<10)
+	}
+}
+
+// TestL1RestoreRejectsBrokenRanks: a restored set whose ranks are not a
+// permutation may lack an LRU way, and its next miss would have no
+// victim. Decode must reject it.
+func TestL1RestoreRejectsBrokenRanks(t *testing.T) {
+	cfg := L1Config{SizeBytes: 1 << 10, Ways: 4, BlockBytes: 32}
+	c := NewL1(cfg)
+	for a := uint64(0); a < 4<<10; a += 32 {
+		c.AccessRW(a, a&64 != 0)
+	}
+	decode := func() error {
+		w := snap.NewWriter()
+		snap.Encode(w, c)
+		r, err := snap.NewReader(w.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Decode(r, NewL1(cfg))
+		return r.Err()
+	}
+	if err := decode(); err != nil {
+		t.Fatalf("intact L1 rejected: %v", err)
+	}
+	ranks := uint64(1)<<c.shift - 1<<rankShift
+	c.lines[5] = c.lines[5]&^ranks | c.lines[6]&ranks // set 1: two ways share a rank
+	if err := decode(); err == nil {
+		t.Fatal("an L1 set with a duplicated rank restored without error")
+	}
 }

@@ -4,21 +4,23 @@ import "nocsim/internal/snap"
 
 // Checkpoint codec for the L1 model and the stochastic address
 // mappers. L1 geometry (sets/ways/masks) is construction-derived; only
-// contents, LRU clocks and counters are encoded. The mappers' topology
-// and member tables are likewise construction-derived — their only
-// mutable state is the per-source random streams (and, for Locality,
-// a scratch buffer that every draw rewrites from scratch).
+// the line words (tag, LRU rank, dirty and valid bits) and counters
+// are encoded. The mappers' topology and member tables are likewise
+// construction-derived — their only mutable state is the per-source
+// random streams (and, for Locality, a scratch buffer that every draw
+// rewrites from scratch).
 
 func init() {
 	snap.Cover(L1{}, snap.Coverage{
 		Serialized: []string{
-			"tags", "valid", "dirty", "stamp", "clock",
-			"hits", "misses", "writebacks",
+			"lines", "hits", "misses", "writebacks",
 		},
 		Waived: map[string]string{
 			"sets":      "construction: derived from L1Config",
 			"ways":      "construction: derived from L1Config",
 			"blockBits": "construction: derived from L1Config",
+			"setBits":   "construction: derived from L1Config",
+			"shift":     "construction: derived from L1Config",
 			"setMask":   "construction: derived from L1Config",
 		},
 	})
@@ -52,4 +54,23 @@ func init() {
 			"members": "construction: derived from the group assignment",
 		},
 	})
+}
+
+// DecodeSnap checks what a miss relies on: the ranks of every set are a
+// permutation of 0..ways-1, so each set has exactly one LRU way to
+// evict.
+func (c *L1) DecodeSnap(r *snap.Reader) {
+	ranks := c.ranks()
+	seen := make([]bool, c.ways)
+	for base := 0; base < len(c.lines); base += c.ways {
+		clear(seen)
+		for _, l := range c.lines[base : base+c.ways] {
+			rank := (l & ranks) >> rankShift
+			if rank >= uint64(c.ways) || seen[rank] {
+				r.Failf("cache set %d ranks are not a permutation of 0..%d", base/c.ways, c.ways-1)
+				return
+			}
+			seen[rank] = true
+		}
+	}
 }

@@ -554,6 +554,26 @@ func (s *Server) job(id string) *job {
 	return s.jobs[id]
 }
 
+// Connection deadlines of the daemon's HTTP server. A client gets
+// readHeaderTimeout to send its request line and headers, and an idle
+// keep-alive connection is closed after idleTimeout, so a client that
+// never finishes a request cannot hold a connection open forever.
+// Request bodies and event streams are not bounded: a plan upload is
+// small and a stream lasts as long as its job.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// httpServer is the daemon's HTTP server around its handler.
+func (s *Server) httpServer() *http.Server {
+	return &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // ListenAndServe runs the daemon until a signal arrives on stop, then
 // drains: intake closes (503), queued jobs finish, the HTTP server
 // shuts down gracefully, and the method returns nil for a clean drain.
@@ -563,7 +583,7 @@ func (s *Server) ListenAndServe(addr string, stop <-chan os.Signal) error {
 		return fmt.Errorf("serve: listening on %s: %w", addr, err)
 	}
 	s.Start()
-	hs := &http.Server{Handler: s.Handler()}
+	hs := s.httpServer()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	s.logf("listening on %s (cache %s, queue %d, %d workers)",

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"runtime"
 	"testing"
@@ -119,10 +120,10 @@ func snapCases() []snapCase {
 		hr.Groups[i] = i / 8
 	}
 	return []snapCase{
-		{"bless", bl, "0a7ec4174eef8aa75e4cda6131e14c3b3ab2d442b3ca8a936bdff24a9a24bd5b"},
-		{"bless-minbd-random-distributed", blMinBD, "d4c7504e35fd1bb6767609f3e4b8e9f6c7e437025a2438d6580474c5be95872c"},
-		{"buffered-static", buf, "4431b7db95e037d4980a885d7689968b73f7ee2a3ca84b3aa098b58491c7b983"},
-		{"hierring-groupmap", hr, "bb9e968aa30a8695d586586cd440aa8b211397f7a3bf3febc0027068a15447ad"},
+		{"bless", bl, "ef4c555f5cda3db3789605e77970850e9aa8a16e54e53544bd9a50c863d3e951"},
+		{"bless-minbd-random-distributed", blMinBD, "2f55ef5406518d164017924096e0314faf01d8151bb1f6a94b345535c4291f1a"},
+		{"buffered-static", buf, "cac0d12826ec5b3a4a2048b996e8a11828688c24d976c68d413160c2e543f64a"},
+		{"hierring-groupmap", hr, "c2f3ea5e0d49827654ad355b1d622c08a99c00b5c846b9c1ab16b3b13b047f9b"},
 	}
 }
 
@@ -360,6 +361,27 @@ func headCorrupted(t testing.TB, cfg Config) []byte {
 	return out
 }
 
+// rankCorrupted returns a mid-run blob of cfg in which the first set of
+// core 0's L1 has two ways of equal LRU rank (a 4-way line word keeps
+// its rank in bits 2-3): a decodable blob whose set has no LRU way for
+// its next miss to evict.
+func rankCorrupted(t testing.TB, cfg Config) []byte {
+	s := New(cfg)
+	s.Run(200)
+	blob := s.Snapshot()
+	w := &snap.Writer{}
+	snap.Encode(w, s.l1s[0]) // an L1's encoding starts with its line count and words
+	off := bytes.Index(blob, w.Bytes())
+	if off < 0 {
+		t.Fatal("L1 0 not found in its blob")
+	}
+	out := append([]byte(nil), blob...)
+	lines := out[off+4:]
+	way0, way1 := binary.LittleEndian.Uint64(lines), binary.LittleEndian.Uint64(lines[8:])
+	binary.LittleEndian.PutUint64(lines, way0&^0xc|way1&0xc)
+	return out
+}
+
 // FuzzSimRestore feeds arbitrary bytes to Restore. The bar: an error,
 // or a Sim that runs 64 cycles without panicking, and no allocation
 // beyond O(blob) on top of New(cfg).
@@ -379,6 +401,11 @@ func FuzzSimRestore(f *testing.F) {
 		f.Fatal("a core head outside the window restored without error")
 	}
 	f.Add(uint8(0), bad)
+	bad = rankCorrupted(f, cases[1])
+	if _, err := Restore(cases[1], bad); err == nil {
+		f.Fatal("an L1 set without an LRU way restored without error")
+	}
+	f.Add(uint8(1), bad)
 	base := make([]uint64, len(cases))
 	for i, cfg := range cases {
 		var before, after runtime.MemStats
