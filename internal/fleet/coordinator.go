@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,14 +16,11 @@ import (
 // maxBackoff caps the exponential retry delay after peer failures.
 const maxBackoff = 2 * time.Second
 
-// pollInterval is the remote job status polling period.
-const pollInterval = 25 * time.Millisecond
-
 // peer is one remote daemon the coordinator dispatches to. All mutable
 // state is guarded by the coordinator's mutex.
 type peer struct {
 	name   string
-	client *serve.Client // dispatch and polling
+	client *serve.Client // dispatch and completion streams
 	probe  *serve.Client // short-timeout health probes
 
 	alive    bool
@@ -40,8 +38,11 @@ func (p *peer) load() int { return len(p.queue) + len(p.inflight) }
 
 // task is one delegated job's uncached remainder moving through the
 // fleet. The immutable fields are set at creation; everything mutable
-// is guarded by the coordinator's mutex. doneCh closes exactly once,
-// when the task turns terminal (done or failed).
+// is guarded by the coordinator's mutex. settled is cancelled exactly
+// once, by settle, when the task turns terminal (done or failed): the
+// submitting goroutine waits on it, and every worker's completion
+// stream runs under it, so a worker whose duplicate lost stops waiting
+// the moment another settles the task.
 type task struct {
 	dj   serve.DelegatedJob
 	miss []int           // indices into dj.Runs still to execute
@@ -54,7 +55,8 @@ type task struct {
 	failed    bool
 	results   []serve.RunResult // per missed run, in miss order
 	errMsg    string
-	doneCh    chan struct{}
+	settled   context.Context
+	settle    context.CancelFunc
 	preempted bool
 	preemptTo *peer
 }
@@ -66,7 +68,8 @@ func (t *task) terminal() bool { return t.done || t.failed }
 // in-flight windows, the worker pool (Window workers per peer) and the
 // health prober. One mutex guards everything; the condition variable
 // wakes idle workers on task arrival, peer death/revival and backoff
-// expiry.
+// expiry, and peerDown wakes submitting goroutines waiting to claim
+// their task for local execution.
 type coordinator struct {
 	srv *serve.Server
 	cfg Config
@@ -78,6 +81,9 @@ type coordinator struct {
 	peers    []*peer
 	closed   bool
 	preempts int64
+	// peerDown is closed and replaced whenever a peer failure is
+	// recorded: the moment a task may have become claimable locally.
+	peerDown chan struct{}
 
 	wg        sync.WaitGroup
 	stopProbe chan struct{}
@@ -88,6 +94,7 @@ func newCoordinator(s *serve.Server, cfg Config) *coordinator {
 		srv:       s,
 		cfg:       cfg,
 		dispatch:  serve.NewHistogram("nocd_peer_dispatch_seconds"),
+		peerDown:  make(chan struct{}),
 		stopProbe: make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
@@ -181,8 +188,17 @@ func (c *coordinator) Execute(dj serve.DelegatedJob) ([]serve.RunResult, string,
 	c.assign(t)
 
 	for {
+		// Take the peer-death signal before trying the claim, so a
+		// death recorded after a failed claim still wakes this loop.
+		c.mu.Lock()
+		down := c.peerDown
+		c.mu.Unlock()
+		if c.claimForLocal(t) {
+			res, errMsg := c.runLocal(t)
+			c.completeLocal(t, res, errMsg)
+		}
 		select {
-		case <-t.doneCh:
+		case <-t.settled.Done():
 			c.mu.Lock()
 			failed, errMsg, res := t.failed, t.errMsg, t.results
 			c.mu.Unlock()
@@ -193,11 +209,7 @@ func (c *coordinator) Execute(dj serve.DelegatedJob) ([]serve.RunResult, string,
 				results[i] = res[k]
 			}
 			return results, "", true
-		case <-time.After(50 * time.Millisecond):
-			if c.claimForLocal(t) {
-				res, errMsg := c.runLocal(t)
-				c.completeLocal(t, res, errMsg)
-			}
+		case <-down:
 		}
 	}
 }
@@ -255,7 +267,9 @@ func (c *coordinator) newTask(dj serve.DelegatedJob, miss []int) (*task, error) 
 			Label: r.Label, Cycles: r.Cycles, Config: raw,
 		})
 	}
-	return &task{dj: dj, miss: miss, spec: spec, doneCh: make(chan struct{})}, nil
+	t := &task{dj: dj, miss: miss, spec: spec}
+	t.settled, t.settle = context.WithCancel(context.Background())
+	return t, nil
 }
 
 // assign queues the task on the least-loaded alive peer — or, with
@@ -427,9 +441,12 @@ func (c *coordinator) stealInflight(p *peer) *task {
 	return oldest
 }
 
-// runOn dispatches the task to p and polls the remote job to a
-// terminal state, recording the dispatch latency and trace spans and
-// replicating fresh results into the local cache.
+// runOn dispatches the task to p and follows the remote job's event
+// stream to a terminal state, recording the dispatch latency and trace
+// spans and replicating fresh results into the local cache. The stream
+// runs under the task's settled context: when another worker settles
+// the task first, the request is cancelled and this execution is
+// released as a duplicate.
 func (c *coordinator) runOn(p *peer, t *task) {
 	start := time.Now()
 	sub, err := p.client.SubmitDispatch(t.spec)
@@ -443,36 +460,27 @@ func (c *coordinator) runOn(p *peer, t *task) {
 	p.dispatched++
 	c.mu.Unlock()
 
-	for {
-		c.mu.Lock()
-		settled := t.terminal()
-		c.mu.Unlock()
-		if settled {
+	jr, err := p.client.Wait(t.settled, sub.ID)
+	if err != nil {
+		if t.settled.Err() != nil {
 			c.releaseFrom(p, t)
-			return
-		}
-		jr, err := p.client.Job(sub.ID)
-		if err != nil {
+		} else {
 			c.peerFailed(p, t, err)
-			return
 		}
-		switch jr.Status {
-		case "done":
-			t.dj.Span("peer_run", "", start, time.Since(start))
-			if len(jr.Results) != len(t.miss) {
-				c.failTask(p, t, fmt.Sprintf("fleet: peer %s returned %d results for %d runs",
-					p.name, len(jr.Results), len(t.miss)))
-				return
-			}
-			c.replicate(t, jr.Results)
-			c.completeRemote(p, t, jr.Results)
-			return
-		case "failed":
-			c.failTask(p, t, fmt.Sprintf("fleet: peer %s: %s", p.name, jr.Error))
-			return
-		}
-		time.Sleep(pollInterval)
+		return
 	}
+	if jr.Status == "failed" {
+		c.failTask(p, t, fmt.Sprintf("fleet: peer %s: %s", p.name, jr.Error))
+		return
+	}
+	t.dj.Span("peer_run", "", start, time.Since(start))
+	if len(jr.Results) != len(t.miss) {
+		c.failTask(p, t, fmt.Sprintf("fleet: peer %s returned %d results for %d runs",
+			p.name, len(jr.Results), len(t.miss)))
+		return
+	}
+	c.replicate(t, jr.Results)
+	c.completeRemote(p, t, jr.Results)
 }
 
 // replicate copies each fresh result the peer computed into the local
@@ -512,12 +520,12 @@ func (c *coordinator) completeRemote(p *peer, t *task, results []serve.RunResult
 			t.dj.CountRun(outcome)
 			t.dj.EmitRunDone(r.Label, r.Key, r.Cached, r.CountersHash)
 		}
-		close(t.doneCh)
+		t.settle()
 	}
 }
 
 // releaseFrom drops a duplicate execution whose task was settled by
-// another worker while this one was polling.
+// another worker while this one was waiting on its peer.
 func (c *coordinator) releaseFrom(p *peer, t *task) {
 	c.mu.Lock()
 	delete(p.inflight, t)
@@ -548,7 +556,7 @@ func (c *coordinator) completeLocal(t *task, results []serve.RunResult, errMsg s
 				t.dj.EmitRunDone(r.Label, r.Key, r.Cached, r.CountersHash)
 			}
 		}
-		close(t.doneCh)
+		t.settle()
 	}
 }
 
@@ -566,7 +574,7 @@ func (c *coordinator) failTask(p *peer, t *task, msg string) {
 	}
 	c.mu.Unlock()
 	if first {
-		close(t.doneCh)
+		t.settle()
 	}
 }
 
@@ -608,13 +616,21 @@ func (c *coordinator) peerFailed(p *peer, t *task, err error) {
 		best.queue = append(best.queue, t)
 		time.AfterFunc(backoff+time.Millisecond, c.cond.Broadcast)
 	}
-	c.cond.Broadcast()
+	c.signalPeerDown()
 	c.mu.Unlock()
 	if transient {
 		c.logf("peer %s rejected dispatch (%v); will retry", p.name, err)
 	} else {
 		c.logf("peer %s marked dead: %v", p.name, err)
 	}
+}
+
+// signalPeerDown wakes idle workers and every submitting goroutine
+// waiting to claim its task locally; callers hold c.mu.
+func (c *coordinator) signalPeerDown() {
+	c.cond.Broadcast()
+	close(c.peerDown)
+	c.peerDown = make(chan struct{})
 }
 
 // isAdmission reports whether a dispatch error is the peer's admission

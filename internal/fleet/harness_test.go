@@ -8,6 +8,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
@@ -107,8 +108,8 @@ func (f *flakyProxy) setDelay(d time.Duration) {
 }
 
 // armDeathAfterDispatch lets exactly one more dispatch through, then
-// kills the proxy: the coordinator sees the submission succeed and
-// every poll after it fail.
+// kills the proxy: the coordinator sees the submission succeed and the
+// completion stream's open fail.
 func (f *flakyProxy) armDeathAfterDispatch() {
 	f.mu.Lock()
 	f.dieAfterDispatch = true
@@ -197,21 +198,15 @@ func referenceHashes(t *testing.T, spec SweepSpec) map[string]string {
 	return out
 }
 
-// awaitJob polls a daemon for a job until it turns terminal.
+// awaitJob waits for a daemon's job to turn terminal through
+// Client.Wait, failing the test if it takes longer than 60s.
 func awaitJob(t *testing.T, cl *serve.Client, id string) serve.JobResponse {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		jr, err := cl.Job(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if jr.Status == "done" || jr.Status == "failed" {
-			return jr
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in state %q", id, jr.Status)
-		}
-		time.Sleep(10 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	jr, err := cl.Wait(ctx, id)
+	if err != nil {
+		t.Fatalf("waiting for job %s: %v", id, err)
 	}
+	return jr
 }

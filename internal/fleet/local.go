@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -205,28 +206,21 @@ func (c *coordinator) handoff(t *task, preempted []int, blobs [][]byte, blobCycl
 		c.mu.Lock()
 		p.dispatched++
 		c.mu.Unlock()
-		for {
-			jr, jerr := p.client.Job(sub.ID)
-			if jerr != nil {
-				err = jerr
-				break
-			}
-			if jr.Status == "done" {
-				if len(jr.Results) != len(preempted) {
-					return fmt.Sprintf("fleet: peer %s returned %d results for %d preempted runs",
-						p.name, len(jr.Results), len(preempted))
-				}
-				dj.Span("peer_run", "", start, time.Since(start))
-				c.replicate(t, jr.Results)
-				for j, k := range preempted {
-					results[k] = jr.Results[j]
-				}
-				return ""
-			}
+		var jr serve.JobResponse
+		if jr, err = p.client.Wait(context.Background(), sub.ID); err == nil {
 			if jr.Status == "failed" {
 				return fmt.Sprintf("fleet: peer %s: %s", p.name, jr.Error)
 			}
-			time.Sleep(pollInterval)
+			if len(jr.Results) != len(preempted) {
+				return fmt.Sprintf("fleet: peer %s returned %d results for %d preempted runs",
+					p.name, len(jr.Results), len(preempted))
+			}
+			dj.Span("peer_run", "", start, time.Since(start))
+			c.replicate(t, jr.Results)
+			for j, k := range preempted {
+				results[k] = jr.Results[j]
+			}
+			return ""
 		}
 	}
 	c.logf("hand-off to %s failed: %v (finishing locally)", p.name, err)
@@ -241,7 +235,7 @@ func (c *coordinator) markDead(p *peer) {
 		p.alive = false
 		p.dead++
 	}
-	c.cond.Broadcast()
+	c.signalPeerDown()
 	c.mu.Unlock()
 }
 

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 
 	"nocsim/internal/runner"
 	"nocsim/internal/serve"
@@ -305,10 +304,13 @@ func (sw *sweeps) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // run drives every point to a terminal state: points are submitted as
-// fast as the daemon's admission allows (429 retries on a tick, 503
-// fails the remainder — the daemon is draining) and polled to
-// completion, emitting each point's event as it settles. Identical
-// points resolve to the same plan key and dedup onto one job.
+// fast as the daemon's admission allows (a 429 retries once a worker
+// dequeues a job, 503 fails the remainder — the daemon is draining)
+// and followed to completion, emitting each point's event as it
+// settles. Identical points resolve to the same plan key and dedup
+// onto one job. A pass over the points that makes no progress blocks
+// on the daemon's change signal, taken before the pass, so it wakes on
+// the first dequeue or job completion after anything it read.
 func (sw *sweeps) run(rec *sweepRec, sc runner.Scale, runs []runner.ResolvedRun, emit func(any)) {
 	n := len(runs)
 	jobs := make([]string, n)  // job id per point; "" = unsubmitted
@@ -316,6 +318,7 @@ func (sw *sweeps) run(rec *sweepRec, sc runner.Scale, runs []runner.ResolvedRun,
 	remaining := n
 	draining := false
 	for remaining > 0 {
+		changed := sw.srv.Changed()
 		progressed := false
 		for i := 0; i < n; i++ {
 			if settled[i] {
@@ -335,7 +338,7 @@ func (sw *sweeps) run(rec *sweepRec, sc runner.Scale, runs []runner.ResolvedRun,
 					jobs[i] = resp.ID
 					progressed = true
 				case http.StatusTooManyRequests:
-					continue // backpressure; retry next tick
+					continue // backpressure; retry after the next dequeue
 				case http.StatusServiceUnavailable:
 					draining = true
 					sw.settle(rec, i, PointEvent{
@@ -383,7 +386,7 @@ func (sw *sweeps) run(rec *sweepRec, sc runner.Scale, runs []runner.ResolvedRun,
 			}
 		}
 		if remaining > 0 && !progressed {
-			time.Sleep(20 * time.Millisecond)
+			<-changed
 		}
 	}
 }

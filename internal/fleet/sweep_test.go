@@ -179,6 +179,34 @@ func TestSweepLocalDaemon(t *testing.T) {
 	}
 }
 
+// TestSweepQueueCapOne runs a sweep through a coordinator whose queue
+// holds one job and whose single worker runs one at a time: most
+// submissions are first refused with 429, and each must be retried
+// when the worker dequeues a job, until every point is done with its
+// reference hash.
+func TestSweepQueueCapOne(t *testing.T) {
+	_, peer := startPeer(t, testServeConfig(t))
+	cfg := testServeConfig(t)
+	cfg.QueueCap, cfg.Jobs = 1, 1
+	_, _, ts := startDaemon(t, cfg, Config{
+		Peers:         []string{peer.URL},
+		Window:        1,
+		ProbeInterval: 50 * time.Millisecond,
+		StealAfter:    -1,
+		Backoff:       time.Millisecond,
+	})
+	spec := smallGrid()
+	want := referenceHashes(t, spec)
+	res, err := NewClient(ts.URL).Sweep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Done != 4 || res.Failed != 0 {
+		t.Fatalf("sweep done %d failed %d, want all 4 done", res.Done, res.Failed)
+	}
+	assertHashes(t, res, want)
+}
+
 // TestSweepRejectsBadGrid pins atomic validation: a grid with any bad
 // point is rejected whole with 400 before a single job is queued.
 func TestSweepRejectsBadGrid(t *testing.T) {

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,14 +16,13 @@ import (
 
 // Client is the daemon's HTTP client side and the runner.Remote
 // implementation behind cmd/experiments -server: it submits a plan,
-// polls the job to completion, and hands the results back in plan
-// order. The determinism contract makes a plan executed through a
-// Client metrics-identical to the same plan executed in-process.
+// waits on the job's event stream until it completes, and hands the
+// results back in plan order. The determinism contract makes a plan
+// executed through a Client metrics-identical to the same plan
+// executed in-process.
 type Client struct {
 	base string
 	hc   *http.Client
-	// poll is the job status polling period.
-	poll time.Duration
 }
 
 // NewClient returns a client for a daemon at base (e.g.
@@ -30,7 +31,6 @@ func NewClient(base string) *Client {
 	return &Client{
 		base: strings.TrimRight(base, "/"),
 		hc:   &http.Client{},
-		poll: 200 * time.Millisecond,
 	}
 }
 
@@ -77,6 +77,44 @@ func (c *Client) Job(id string) (JobResponse, error) {
 	var jr JobResponse
 	err := c.do("GET", "/v1/runs/"+id, nil, &jr)
 	return jr, err
+}
+
+// Wait blocks until job id turns terminal and returns its final
+// status and results. It follows GET /v1/runs/{id}/events, which the
+// daemon writes as events are emitted, up to the job_done event, then
+// makes one GET /v1/runs/{id} for the results. A stream that ends
+// before job_done — the daemon died, the connection broke, or ctx was
+// cancelled — is an error. A failed job is not: its JobResponse comes
+// back with status "failed" and nil error.
+func (c *Client) Wait(ctx context.Context, id string) (JobResponse, error) {
+	path := "/v1/runs/" + id + "/events"
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	if err != nil {
+		return JobResponse{}, fmt.Errorf("serve: building GET %s: %w", path, err)
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return JobResponse{}, fmt.Errorf("serve: GET %s: %w", path, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+		return JobResponse{}, httpError("GET", path, resp.StatusCode, raw)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, 16<<20)
+	for sc.Scan() {
+		var ev struct {
+			Type string `json:"type"`
+		}
+		if json.Unmarshal(sc.Bytes(), &ev) == nil && ev.Type == "job_done" {
+			return c.Job(id)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return JobResponse{}, fmt.Errorf("serve: reading GET %s: %w", path, err)
+	}
+	return JobResponse{}, fmt.Errorf("serve: GET %s: stream ended before job_done", path)
 }
 
 // Health probes the daemon's /healthz.
@@ -146,39 +184,30 @@ func (c *Client) PushSnapshot(digest string, cycle int64, key string, blob []byt
 // ExecuteSpecs submits the plan and blocks until the daemon finishes
 // it, returning one result per run in plan order.
 func (c *Client) ExecuteSpecs(spec runner.PlanSpec) ([]runner.RemoteResult, error) {
-	body, err := json.Marshal(spec)
+	sub, err := c.Submit(spec)
 	if err != nil {
-		return nil, fmt.Errorf("serve: encoding plan: %w", err)
-	}
-	var sub SubmitResponse
-	if err := c.do("POST", "/v1/runs", body, &sub); err != nil {
 		return nil, err
 	}
-	for {
-		var jr JobResponse
-		if err := c.do("GET", "/v1/runs/"+sub.ID, nil, &jr); err != nil {
-			return nil, err
-		}
-		switch jr.Status {
-		case stateDone:
-			if len(jr.Results) != len(spec.Runs) {
-				return nil, fmt.Errorf("serve: job %s returned %d results for %d runs",
-					sub.ID, len(jr.Results), len(spec.Runs))
-			}
-			out := make([]runner.RemoteResult, len(jr.Results))
-			for i, r := range jr.Results {
-				out[i] = runner.RemoteResult{
-					Metrics:   r.Metrics,
-					ElapsedMS: r.ElapsedMS,
-					Cached:    r.Cached,
-				}
-			}
-			return out, nil
-		case stateFailed:
-			return nil, fmt.Errorf("serve: job %s failed: %s", sub.ID, jr.Error)
-		}
-		time.Sleep(c.poll)
+	jr, err := c.Wait(context.Background(), sub.ID)
+	if err != nil {
+		return nil, err
 	}
+	if jr.Status != stateDone {
+		return nil, fmt.Errorf("serve: job %s failed: %s", sub.ID, jr.Error)
+	}
+	if len(jr.Results) != len(spec.Runs) {
+		return nil, fmt.Errorf("serve: job %s returned %d results for %d runs",
+			sub.ID, len(jr.Results), len(spec.Runs))
+	}
+	out := make([]runner.RemoteResult, len(jr.Results))
+	for i, r := range jr.Results {
+		out[i] = runner.RemoteResult{
+			Metrics:   r.Metrics,
+			ElapsedMS: r.ElapsedMS,
+			Cached:    r.Cached,
+		}
+	}
+	return out, nil
 }
 
 // do runs one JSON round trip, mapping non-2xx answers to errors via
@@ -211,14 +240,20 @@ func (c *Client) do(method, path string, body []byte, out any, hdr ...map[string
 		return fmt.Errorf("serve: reading %s %s response: %w", method, path, err)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var er ErrorResponse
-		if json.Unmarshal(raw, &er) == nil && er.Error != "" {
-			return fmt.Errorf("serve: %s %s: %s (HTTP %d)", method, path, er.Error, resp.StatusCode)
-		}
-		return fmt.Errorf("serve: %s %s: HTTP %d", method, path, resp.StatusCode)
+		return httpError(method, path, resp.StatusCode, raw)
 	}
 	if err := json.Unmarshal(raw, out); err != nil {
 		return fmt.Errorf("serve: decoding %s %s response: %w", method, path, err)
 	}
 	return nil
+}
+
+// httpError maps a non-2xx answer to an error, quoting the daemon's
+// ErrorResponse body when it has one.
+func httpError(method, path string, code int, raw []byte) error {
+	var er ErrorResponse
+	if json.Unmarshal(raw, &er) == nil && er.Error != "" {
+		return fmt.Errorf("serve: %s %s: %s (HTTP %d)", method, path, er.Error, code)
+	}
+	return fmt.Errorf("serve: %s %s: HTTP %d", method, path, code)
 }

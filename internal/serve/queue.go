@@ -38,6 +38,17 @@ type job struct {
 	events     []json.RawMessage
 	eventsDone bool
 	spans      []jobSpan
+	// changed is closed and replaced on every state change and every
+	// emitted event: a waiter takes the current channel together with
+	// what it has read, and wakes on the next change after that read.
+	changed chan struct{}
+}
+
+// signalLocked wakes every waiter on the job's current change channel
+// and arms a fresh one; callers hold j.mu.
+func (j *job) signalLocked() {
+	close(j.changed)
+	j.changed = make(chan struct{})
 }
 
 func (j *job) getState() string {
@@ -49,6 +60,7 @@ func (j *job) getState() string {
 func (j *job) setState(st string) {
 	j.mu.Lock()
 	j.state = st
+	j.signalLocked()
 	j.mu.Unlock()
 }
 
@@ -63,6 +75,7 @@ func (j *job) emit(ev any) {
 	}
 	j.mu.Lock()
 	j.events = append(j.events, b)
+	j.signalLocked()
 	j.mu.Unlock()
 }
 
@@ -82,23 +95,32 @@ func (j *job) finish(results []RunResult, errMsg string) {
 	j.results = results
 	j.events = append(j.events, last)
 	j.eventsDone = true
+	j.signalLocked()
 	j.mu.Unlock()
 }
 
-// eventsSince returns the buffered events from index n on, plus whether
-// the stream is complete. When done is true the returned slice contains
-// every remaining event.
-func (j *job) eventsSince(n int) ([]json.RawMessage, bool) {
+// eventsSince returns the buffered events from index n on, whether the
+// stream is complete, and a channel closed on the job's next change
+// after this read. When done is true the returned slice contains every
+// remaining event.
+func (j *job) eventsSince(n int) ([]json.RawMessage, bool, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if n > len(j.events) {
 		n = len(j.events)
 	}
-	return j.events[n:], j.eventsDone
+	return j.events[n:], j.eventsDone, j.changed
 }
 
 // response snapshots the job as its GET /v1/runs/{id} body.
 func (j *job) response() JobResponse {
+	jr, _ := j.watch()
+	return jr
+}
+
+// watch snapshots the job together with a channel closed on its next
+// change after the snapshot.
+func (j *job) watch() (JobResponse, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return JobResponse{
@@ -107,7 +129,7 @@ func (j *job) response() JobResponse {
 		PlanKey: j.key,
 		Error:   j.errMsg,
 		Results: j.results,
-	}
+	}, j.changed
 }
 
 // Start launches the queue workers. Call once, before serving requests.
@@ -145,6 +167,7 @@ func (s *Server) runJob(j *job) {
 	j.addSpan("queue", "", j.born, wait)
 	s.mu.Lock()
 	s.inflight++
+	s.signalLocked() // a queue slot freed up
 	s.mu.Unlock()
 	defer func() {
 		if r := recover(); r != nil {
@@ -156,6 +179,7 @@ func (s *Server) runJob(j *job) {
 		s.mu.Lock()
 		s.inflight--
 		s.jobsTotal++
+		s.signalLocked() // the job is terminal
 		s.mu.Unlock()
 	}()
 	j.setState(stateRunning)

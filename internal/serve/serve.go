@@ -13,9 +13,9 @@
 // indistinguishable from re-simulating, byte for byte.
 //
 // The daemon is sanctioned ground for the two things the simulator
-// forbids elsewhere: wall-clock reads (request latency metrics, job
-// deadlines, stream polling — none of which can reach a cached or
-// reported result; a timed-out job is discarded, never cached) and
+// forbids elsewhere: wall-clock reads (request latency metrics and job
+// deadlines — neither of which can reach a cached or reported result;
+// a timed-out job is discarded, never cached) and
 // goroutines outside the runner's pools (the HTTP listener and the
 // queue workers, which sit strictly above the runner and share no
 // simulator state).
@@ -91,6 +91,9 @@ type Server struct {
 	draining  bool
 	inflight  int
 	jobsTotal int64
+	// changed is closed and replaced whenever a worker dequeues a job or
+	// a job turns terminal (see Changed).
+	changed chan struct{}
 
 	queue chan *job
 	wg    sync.WaitGroup
@@ -145,6 +148,7 @@ func New(cfg Config) (*Server, error) {
 		active:    make(map[string]*job),
 		queue:     make(chan *job, cfg.QueueCap),
 		endpoints: make(map[string]*endpointStats),
+		changed:   make(chan struct{}),
 	}
 	s.mux = http.NewServeMux()
 	s.route("POST /v1/runs", s.handleSubmit)
@@ -287,13 +291,14 @@ func (s *Server) submit(sc runner.Scale, runs []runner.ResolvedRun, direct bool)
 	}
 	s.seq++
 	j := &job{
-		id:     fmt.Sprintf("job-%06d", s.seq),
-		key:    key,
-		sc:     sc,
-		runs:   runs,
-		direct: direct,
-		state:  stateQueued,
-		born:   time.Now(),
+		id:      fmt.Sprintf("job-%06d", s.seq),
+		key:     key,
+		sc:      sc,
+		runs:    runs,
+		direct:  direct,
+		state:   stateQueued,
+		born:    time.Now(),
+		changed: make(chan struct{}),
 	}
 	select {
 	case s.queue <- j:
@@ -315,14 +320,40 @@ func (s *Server) submit(sc runner.Scale, runs []runner.ResolvedRun, direct bool)
 	}, http.StatusAccepted
 }
 
-// JobStatus snapshots a job by id for in-process pollers (the fleet
+// JobStatus snapshots a job by id for in-process callers (the fleet
 // sweep layer); ok is false for unknown ids.
 func (s *Server) JobStatus(id string) (JobResponse, bool) {
+	jr, _, ok := s.JobWatch(id)
+	return jr, ok
+}
+
+// JobWatch is JobStatus plus a channel closed on the job's next state
+// change or event after the snapshot, so an in-process caller can wait
+// for a non-terminal job without polling it.
+func (s *Server) JobWatch(id string) (JobResponse, <-chan struct{}, bool) {
 	j := s.job(id)
 	if j == nil {
-		return JobResponse{}, false
+		return JobResponse{}, nil, false
 	}
-	return j.response(), true
+	jr, ch := j.watch()
+	return jr, ch, true
+}
+
+// Changed returns a channel closed the next time any worker dequeues a
+// job (a queue slot frees up) or any job turns terminal. Take it before
+// reading the state it guards — submitting, or reading JobStatus — and
+// a wait on it cannot miss the change it waits for.
+func (s *Server) Changed() <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.changed
+}
+
+// signalLocked wakes every waiter on Changed and arms a fresh channel;
+// callers hold s.mu.
+func (s *Server) signalLocked() {
+	close(s.changed)
+	s.changed = make(chan struct{})
 }
 
 // handleExtend accepts {"cycles": N} and enqueues a new job covering
@@ -377,8 +408,9 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvents streams a job's event buffer as NDJSON: the backlog is
-// replayed immediately, then the stream follows the live buffer until
-// the job finishes or the client disconnects.
+// replayed immediately, then the stream follows the live buffer —
+// waking on each emitted event, never on a timer — until the job
+// finishes or the client disconnects.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
@@ -390,7 +422,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fl, _ := w.(http.Flusher)
 	sent := 0
 	for {
-		evs, done := j.eventsSince(sent)
+		evs, done, changed := j.eventsSince(sent)
 		for _, e := range evs {
 			if _, err := w.Write(append(e, '\n')); err != nil {
 				return
@@ -406,7 +438,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case <-time.After(50 * time.Millisecond):
+		case <-changed:
 		}
 	}
 }

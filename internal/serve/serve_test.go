@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -77,29 +78,18 @@ func submit(t *testing.T, ts *httptest.Server, plan string, wantCode int) serve.
 	return sub
 }
 
-// await polls the job until it reaches a terminal state.
+// await waits for the job to reach a terminal state through
+// Client.Wait, the production completion path, failing the test if it
+// takes longer than 30s.
 func await(t *testing.T, ts *httptest.Server, id string) serve.JobResponse {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := http.Get(ts.URL + "/v1/runs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var jr serve.JobResponse
-		err = json.NewDecoder(resp.Body).Decode(&jr)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if jr.Status == "done" || jr.Status == "failed" {
-			return jr
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in state %q", id, jr.Status)
-		}
-		time.Sleep(10 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	jr, err := serve.NewClient(ts.URL).Wait(ctx, id)
+	if err != nil {
+		t.Fatalf("waiting for job %s: %v", id, err)
 	}
+	return jr
 }
 
 // TestIdenticalPlanTwice is the service-layer determinism pin: the same
