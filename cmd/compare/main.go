@@ -9,7 +9,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -44,7 +43,7 @@ func main() {
 		warmup   = flag.Int64("warmup", 0, "shared uncontrolled warm-start prefix in cycles (0 = cold runs)")
 		snapDir  = flag.String("snapdir", "", "checkpoint store directory for warm-start prefixes")
 		snapCap  = flag.Int64("snapcap", 0, "checkpoint store byte cap, oldest evicted first (0 = unlimited)")
-		server   = flag.String("server", "", "nocd daemon URL; executes the comparison through the fleet sweep API")
+		server   = flag.String("server", "", "nocd daemon URL; the runs execute remotely through the fleet sweep API")
 	)
 	flag.Parse()
 
@@ -70,6 +69,9 @@ func main() {
 		}
 		sc.Snapshots = st
 	}
+	if *server != "" {
+		sc.Remote = fleet.NewClient(*server)
+	}
 
 	mapKind := sim.XORMap
 	switch *mapping {
@@ -94,46 +96,16 @@ func main() {
 			append(common[:2:2], runner.WithRouter(sim.Buffered))...), true},
 	}
 	// Execute before printing anything: a failed run (the runner panics
-	// on infrastructure failures) or a failed sweep point exits non-zero
-	// with a message instead of a partial table.
-	var ms []sim.Metrics
-	var err error
-	if *server != "" {
-		// Ship the exact assembled configurations: the daemon re-keys
-		// and executes them, byte-identical to the local path.
-		spec := fleet.SweepSpec{Scale: runner.ScaleSpec{Cycles: sc.Cycles, Epoch: sc.Epoch}}
-		for _, mode := range modes {
-			raw, merr := json.Marshal(&mode.cfg)
-			if merr != nil {
-				fmt.Fprintf(os.Stderr, "compare: encoding %s config: %v\n", mode.name, merr)
-				os.Exit(1)
-			}
-			spec.Runs = append(spec.Runs, runner.RunSpec{
-				Label: "compare/" + mode.name, Cycles: sc.Cycles, Config: raw,
-			})
-		}
-		res, serr := fleet.NewClient(*server).Sweep(spec)
-		if serr != nil {
-			fmt.Fprintf(os.Stderr, "compare: %v\n", serr)
-			os.Exit(1)
-		}
-		for _, pt := range res.Points {
-			if pt.Metrics == nil {
-				fmt.Fprintf(os.Stderr, "compare: point %q carries no metrics\n", pt.Label)
-				os.Exit(1)
-			}
-			ms = append(ms, *pt.Metrics)
-		}
-	} else {
-		plan := runner.NewPlan(sc)
-		for _, mode := range modes {
-			plan.Add("compare/"+mode.name, mode.cfg, sc.Cycles)
-		}
-		ms, err = execute(plan)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "compare: %v\n", err)
-			os.Exit(1)
-		}
+	// on infrastructure failures, a failed remote execution included)
+	// exits non-zero with a message instead of a partial table.
+	plan := runner.NewPlan(sc)
+	for _, mode := range modes {
+		plan.Add("compare/"+mode.name, mode.cfg, sc.Cycles)
+	}
+	ms, err := execute(plan)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "compare: %v\n", err)
+		os.Exit(1)
 	}
 
 	model := power.Default()

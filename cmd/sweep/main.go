@@ -1,12 +1,14 @@
 // Command sweep runs the §6.4 parameter-sensitivity studies: it sweeps
 // one controller parameter (or the epoch length) over a congested
-// workload and prints throughput at each setting. With -server it
-// instead submits a declarative parameter grid to a nocd daemon's
-// sweep API and prints the aggregated points.
+// workload and prints throughput at each setting. With -grid it
+// instead expands a declarative parameter grid over RunSpec fields and
+// prints one row per point. With -server every mode executes its runs
+// on a nocd daemon instead of in-process, printing the same bytes.
 //
 //	sweep -param alpha_starve
 //	sweep -param epoch -cycles 300000
 //	sweep -all
+//	sweep -grid "preset=baseline,controlled" -grid "seed=1,2,3"
 //	sweep -server http://host:8080 -grid "preset=baseline,controlled" -grid "seed=1,2,3"
 package main
 
@@ -22,11 +24,12 @@ import (
 	"nocsim/internal/exp"
 	"nocsim/internal/fleet"
 	"nocsim/internal/runner"
+	"nocsim/internal/sim"
 	"nocsim/internal/snap"
 )
 
 // gridFlags collects repeated -grid "axis=v1,v2,..." declarations.
-type gridFlags []fleet.Axis
+type gridFlags []runner.Axis
 
 func (g *gridFlags) String() string { return fmt.Sprintf("%d axes", len(*g)) }
 
@@ -35,7 +38,7 @@ func (g *gridFlags) Set(s string) error {
 	if !ok || name == "" || vals == "" {
 		return fmt.Errorf("want axis=v1,v2,..., got %q", s)
 	}
-	ax := fleet.Axis{Name: strings.TrimSpace(name)}
+	ax := runner.Axis{Name: strings.TrimSpace(name)}
 	for _, tok := range strings.Split(vals, ",") {
 		ax.Values = append(ax.Values, gridValue(strings.TrimSpace(tok)))
 	}
@@ -80,7 +83,7 @@ func main() {
 		snapDir  = flag.String("snapdir", "", "checkpoint store directory for warm-start prefixes")
 		snapCap  = flag.Int64("snapcap", 0, "checkpoint store byte cap, oldest evicted first (0 = unlimited)")
 
-		server   = flag.String("server", "", "nocd daemon URL; enables grid mode (-grid)")
+		server   = flag.String("server", "", "nocd daemon URL; runs execute remotely through the fleet sweep API")
 		preset   = flag.String("preset", "controlled", "grid base preset: baseline | controlled | static")
 		category = flag.String("workload", "H", "grid base workload category")
 		router   = flag.String("router", "", "grid base router: bless | buffered | hierring")
@@ -89,23 +92,8 @@ func main() {
 		label    = flag.String("label", "", "grid base label")
 	)
 	var grid gridFlags
-	flag.Var(&grid, "grid", "axis=v1,v2,... to sweep (repeatable); requires -server")
+	flag.Var(&grid, "grid", "axis=v1,v2,... to sweep (repeatable); selects grid mode")
 	flag.Parse()
-
-	if len(grid) > 0 && *server == "" {
-		fmt.Fprintln(os.Stderr, "sweep: -grid requires -server")
-		os.Exit(2)
-	}
-	if *server != "" {
-		runGrid(*server, grid, fleet.SweepSpec{
-			Scale: runner.ScaleSpec{Cycles: *cycles, Seed: *seed},
-			Base: runner.RunSpec{
-				Label: *label, Preset: *preset, Workload: *category,
-				Router: *router, Mapping: *mapping, Width: *size, Height: *size,
-			},
-		})
-		return
-	}
 
 	sc := exp.DefaultScale()
 	sc.Cycles = *cycles
@@ -120,6 +108,9 @@ func main() {
 			os.Exit(1)
 		}
 		sc.Snapshots = st
+	}
+	if *server != "" {
+		sc.Remote = fleet.NewClient(*server)
 	}
 
 	// Each sweep renders into a buffer and reaches stdout only once it
@@ -140,6 +131,14 @@ func main() {
 	}
 
 	switch {
+	case len(grid) > 0:
+		runGrid(sc, runner.SweepSpec{
+			Base: runner.RunSpec{
+				Label: *label, Preset: *preset, Workload: *category,
+				Router: *router, Mapping: *mapping, Width: *size, Height: *size,
+			},
+			Axes: grid,
+		})
 	case *all:
 		run("sens")
 		run("epoch")
@@ -161,38 +160,50 @@ func main() {
 		}
 		os.Stdout.Write(buf.Bytes())
 	default:
-		fmt.Fprintln(os.Stderr, "sweep: pass -param <name>, -all, or -server with -grid")
+		fmt.Fprintln(os.Stderr, "sweep: pass -param <name>, -all, or -grid")
 		os.Exit(2)
 	}
 }
 
-// runGrid submits the grid to the daemon's sweep API and prints the
-// aggregated points. The table renders into a buffer and reaches
-// stdout only after the whole sweep has succeeded: any point failing
-// terminally exits non-zero with a message and no partial output.
-func runGrid(server string, grid gridFlags, spec fleet.SweepSpec) {
-	if len(grid) == 0 {
-		fmt.Fprintln(os.Stderr, "sweep: grid mode needs at least one -grid axis")
-		os.Exit(2)
+// runGrid expands the grid, resolves its points against the command's
+// scale and executes them as one plan — in-process, or on the daemon
+// when sc.Remote is set — then prints a row per point. Every column,
+// the counters hash included, comes from the returned metrics, so the
+// local and remote tables are byte-identical; only the cached/fresh
+// split, which depends on what the daemon ran before, goes to stderr.
+// The table reaches stdout only after the whole plan has succeeded.
+func runGrid(sc runner.Scale, spec runner.SweepSpec) {
+	points, err := spec.Points(runner.MaxSweepPoints)
+	var runs []runner.ResolvedRun
+	if err == nil {
+		_, runs, err = runner.PlanSpec{Runs: points}.Resolve(sc)
 	}
-	spec.Axes = grid
-	res, err := fleet.NewClient(server).Sweep(spec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
 		os.Exit(1)
 	}
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "sweep %s: %d points (%d cached, %d fresh)\n",
-		res.ID, len(res.Points), res.Cached, len(res.Points)-res.Cached)
-	fmt.Fprintf(&buf, "%-44s %8s %8s %9s  %s\n", "point", "IPC/node", "util", "lat(cyc)", "counters")
-	for _, pt := range res.Points {
-		m := pt.Metrics
-		hash := pt.CountersHash
-		if len(hash) > 12 {
-			hash = hash[:12]
+	plan := runner.NewPlan(sc)
+	for _, r := range runs {
+		plan.Add(r.Label, r.Config, r.Cycles)
+	}
+	var ms []sim.Metrics
+	if err := guard(func() { ms = plan.Execute() }); err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		os.Exit(1)
+	}
+	stats := plan.Stats()
+	cached := 0
+	for _, st := range stats {
+		if st.Cached {
+			cached++
 		}
+	}
+	fmt.Fprintf(os.Stderr, "sweep: %d points (%d cached, %d fresh)\n", len(ms), cached, len(ms)-cached)
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "%-44s %8s %8s %9s  %s\n", "point", "IPC/node", "util", "lat(cyc)", "counters")
+	for i, m := range ms {
 		fmt.Fprintf(&buf, "%-44s %8.3f %8.3f %9.1f  %s\n",
-			pt.Label, m.ThroughputPerNode, m.NetUtilization, m.AvgNetLatency, hash)
+			stats[i].Label, m.ThroughputPerNode, m.NetUtilization, m.AvgNetLatency, runner.CountersHash(m)[:12])
 	}
 	os.Stdout.Write(buf.Bytes())
 }

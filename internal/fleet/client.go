@@ -15,9 +15,10 @@ import (
 )
 
 // Client is the sweep API's client side: it submits a grid, consumes
-// the NDJSON stream, and hands back the points in grid order. It also
-// implements runner.Remote, so the experiment drivers' -server path
-// rides the sweep API unchanged.
+// the NDJSON stream, and hands back the points in grid order. It is
+// the one runner.Remote: every command's -server flag sets it as
+// Scale.Remote, so a plan runs through the same runner.Plan locally or
+// on a daemon, whose sweep API fans the points out over its peers.
 //
 // Failure semantics are all-or-nothing: any point failing terminally —
 // or the stream truncating mid-sweep — fails the whole call, so a
@@ -121,27 +122,68 @@ func (c *Client) Sweep(spec SweepSpec) (*SweepResult, error) {
 }
 
 // ExecuteSpecs implements runner.Remote over the sweep API: the plan's
-// runs become explicit sweep points, and the completed points map back
-// to results in plan order.
+// runs become explicit sweep points, submitted as consecutive sweeps
+// that each fit the daemon's body cap, and the completed points map
+// back to results in plan order.
 func (c *Client) ExecuteSpecs(spec runner.PlanSpec) ([]runner.RemoteResult, error) {
-	res, err := c.Sweep(SweepSpec{Scale: spec.Scale, Runs: spec.Runs})
+	batches, err := batchSweeps(spec, serve.MaxBodyBytes)
 	if err != nil {
 		return nil, err
 	}
-	if len(res.Points) != len(spec.Runs) {
-		return nil, fmt.Errorf("fleet: sweep %s returned %d points for %d runs",
-			res.ID, len(res.Points), len(spec.Runs))
+	out := make([]runner.RemoteResult, 0, len(spec.Runs))
+	for _, b := range batches {
+		res, err := c.Sweep(b)
+		if err != nil {
+			return nil, err
+		}
+		if len(res.Points) != len(b.Runs) {
+			return nil, fmt.Errorf("fleet: sweep %s returned %d points for %d runs",
+				res.ID, len(res.Points), len(b.Runs))
+		}
+		for _, pt := range res.Points {
+			if pt.Metrics == nil {
+				return nil, fmt.Errorf("fleet: sweep %s point %q carries no metrics", res.ID, pt.Label)
+			}
+			out = append(out, runner.RemoteResult{
+				Metrics:   *pt.Metrics,
+				ElapsedMS: pt.ElapsedMS,
+				Cached:    pt.Cached,
+			})
+		}
 	}
-	out := make([]runner.RemoteResult, len(res.Points))
-	for i, pt := range res.Points {
-		if pt.Metrics == nil {
-			return nil, fmt.Errorf("fleet: sweep %s point %q carries no metrics", res.ID, pt.Label)
+	return out, nil
+}
+
+// batchSweeps splits a plan's runs, in order, into explicit-point
+// sweeps whose JSON encodings each fit in limit bytes and whose point
+// counts fit runner.MaxSweepPoints. A run too large to ship alone is
+// an error.
+func batchSweeps(spec runner.PlanSpec, limit int) ([]SweepSpec, error) {
+	empty, err := json.Marshal(SweepSpec{Scale: spec.Scale})
+	if err != nil {
+		return nil, fmt.Errorf("fleet: encoding sweep: %w", err)
+	}
+	// A batch encodes as the empty sweep plus `,"runs":[` and `]`, and
+	// one comma between runs.
+	overhead := len(empty) + len(`,"runs":[]`)
+	var out []SweepSpec
+	size := 0
+	for _, r := range spec.Runs {
+		b, err := json.Marshal(r)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: encoding run %q: %w", r.Label, err)
 		}
-		out[i] = runner.RemoteResult{
-			Metrics:   *pt.Metrics,
-			ElapsedMS: pt.ElapsedMS,
-			Cached:    pt.Cached,
+		if overhead+len(b) > limit {
+			return nil, fmt.Errorf("fleet: run %q encodes to %d bytes, over the %d-byte request cap",
+				r.Label, len(b), limit)
 		}
+		if len(out) == 0 || size+1+len(b) > limit || len(out[len(out)-1].Runs) == runner.MaxSweepPoints {
+			out = append(out, SweepSpec{Scale: spec.Scale})
+			size = overhead - 1 // the first run takes no comma
+		}
+		last := &out[len(out)-1]
+		last.Runs = append(last.Runs, r)
+		size += 1 + len(b)
 	}
 	return out, nil
 }

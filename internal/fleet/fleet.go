@@ -50,8 +50,6 @@ type Config struct {
 	// Backoff is the base retry delay after a peer failure, doubling
 	// per attempt and capped at 2s. 0 means 50ms.
 	Backoff time.Duration
-	// MaxPoints caps a single sweep's expanded grid. 0 means 4096.
-	MaxPoints int
 	// Log receives operational lines; nil discards them.
 	Log io.Writer
 }
@@ -80,16 +78,13 @@ func Enable(s *serve.Server, cfg Config) (*Fleet, error) {
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 50 * time.Millisecond
 	}
-	if cfg.MaxPoints <= 0 {
-		cfg.MaxPoints = 4096
-	}
 	for _, p := range cfg.Peers {
 		if strings.TrimSpace(p) == "" {
 			return nil, fmt.Errorf("fleet: empty peer address")
 		}
 	}
 
-	f := &Fleet{sw: newSweeps(s, cfg)}
+	f := &Fleet{sw: newSweeps(s)}
 	s.Route("POST /v1/sweeps", f.sw.handleSubmit)
 	s.Route("GET /v1/sweeps/{id}", f.sw.handleGet)
 	if len(cfg.Peers) > 0 {

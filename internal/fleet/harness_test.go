@@ -18,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"nocsim/internal/obs"
 	"nocsim/internal/runner"
 	"nocsim/internal/serve"
 )
@@ -173,7 +172,7 @@ func (l *signalLog) String() string {
 // guarantee is stated against — and returns counters hash per label.
 func referenceHashes(t *testing.T, spec SweepSpec) map[string]string {
 	t.Helper()
-	points, err := spec.Points(4096)
+	points, err := spec.Points(runner.MaxSweepPoints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +188,7 @@ func referenceHashes(t *testing.T, spec SweepSpec) map[string]string {
 	ms := plan.Execute()
 	out := make(map[string]string, len(runs))
 	for i, r := range runs {
-		var retired int64
-		for _, rt := range ms[i].Retired {
-			retired += rt
-		}
-		out[r.Label] = obs.HashCounters(ms[i].Net, retired, ms[i].Misses)
+		out[r.Label] = runner.CountersHash(ms[i])
 	}
 	return out
 }

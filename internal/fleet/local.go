@@ -105,7 +105,7 @@ func (c *coordinator) runLocal(t *task) ([]serve.RunResult, string) {
 			continue
 		}
 		dj.Span("simulate", r.Label, starts[k], stats[k].Elapsed)
-		res, err := c.finishRun(r, metrics[k], stats[k].Elapsed, origins[k], originCycles[k])
+		res, err := c.srv.FileResult(r, metrics[k], stats[k].Elapsed, origins[k], originCycles[k])
 		if err != nil {
 			return nil, err.Error()
 		}
@@ -117,44 +117,6 @@ func (c *coordinator) runLocal(t *task) ([]serve.RunResult, string) {
 		}
 	}
 	return results, ""
-}
-
-// finishRun hashes, manifests and caches one completed local run —
-// the exact write path serve's own executor uses, so a fleet-local
-// result is indistinguishable from a standalone daemon's.
-func (c *coordinator) finishRun(r runner.ResolvedRun, m sim.Metrics, elapsed time.Duration, origin string, originCycle int64) (serve.RunResult, error) {
-	var retired int64
-	for _, rt := range m.Retired {
-		retired += rt
-	}
-	hash := obs.HashCounters(m.Net, retired, m.Misses)
-	elapsedMS := float64(elapsed.Microseconds()) / 1000
-	rawCfg, err := json.Marshal(&r.Config)
-	if err != nil {
-		return serve.RunResult{}, fmt.Errorf("fleet: encoding config of run %q: %v", r.Label, err)
-	}
-	man := obs.Manifest{
-		Label:        r.Label,
-		Seed:         r.Config.Seed,
-		Nodes:        m.Nodes,
-		Cycles:       m.Cycles,
-		ElapsedMS:    elapsedMS,
-		CountersHash: hash,
-		WarmSource:   origin,
-		WarmCycle:    originCycle,
-		Config:       rawCfg,
-	}
-	if man.WarmSource == "" {
-		man.WarmSource = "cold"
-	}
-	man.FillEnv()
-	if err := c.srv.Cache().Put(&serve.Entry{Key: r.Key, Manifest: man, Metrics: m}); err != nil {
-		c.logf("caching %q: %v (result served uncached)", r.Label, err)
-	}
-	return serve.RunResult{
-		Label: r.Label, Key: r.Key, Cached: false,
-		CountersHash: hash, ElapsedMS: elapsedMS, Metrics: m,
-	}, nil
 }
 
 // handoff ships the preempted runs' checkpoints to the idle peer that
@@ -283,7 +245,7 @@ func (c *coordinator) finishLocally(t *task, preempted []int, results []serve.Ru
 	for j, k := range preempted {
 		r := dj.Runs[t.miss[k]]
 		dj.Span("simulate", r.Label, starts[j], stats[j].Elapsed)
-		res, err := c.finishRun(r, metrics[j], stats[j].Elapsed, origins[j], originCycles[j])
+		res, err := c.srv.FileResult(r, metrics[j], stats[j].Elapsed, origins[j], originCycles[j])
 		if err != nil {
 			return err.Error()
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 
 	"nocsim/internal/runner"
@@ -12,153 +11,13 @@ import (
 	"nocsim/internal/sim"
 )
 
-// SweepSpec is the wire form of a parameter grid: a base run, axes
-// that vary its declarative fields, and optional explicit extra runs.
-// The grid expands to Base with every combination of axis values
-// applied (the last axis varying fastest), each point becoming one
-// single-run job keyed by runner.CacheKey — so repeated sweeps, and
-// sweeps overlapping other sweeps, dedup point by point.
-type SweepSpec struct {
-	// Scale overrides the daemon's base scale for every point.
-	Scale runner.ScaleSpec `json:"scale,omitempty"`
-	// Base is the run every grid point starts from.
-	Base runner.RunSpec `json:"base,omitempty"`
-	// Axes are the varied dimensions, in nesting order.
-	Axes []Axis `json:"axes,omitempty"`
-	// Runs are explicit extra points, appended after the grid.
-	Runs []runner.RunSpec `json:"runs,omitempty"`
-}
-
-// Axis names one RunSpec field and the values it sweeps over.
-type Axis struct {
-	Name   string            `json:"name"`
-	Values []json.RawMessage `json:"values"`
-}
-
-// Points expands the spec into its run list, erroring on unknown axes,
-// empty axes, malformed values, or a grid larger than maxPoints.
-func (s SweepSpec) Points(maxPoints int) ([]runner.RunSpec, error) {
-	total := 1
-	for _, ax := range s.Axes {
-		if ax.Name == "" {
-			return nil, fmt.Errorf("fleet: axis with no name")
-		}
-		if len(ax.Values) == 0 {
-			return nil, fmt.Errorf("fleet: axis %q has no values", ax.Name)
-		}
-		total *= len(ax.Values)
-		if total > maxPoints {
-			return nil, fmt.Errorf("fleet: grid exceeds %d points", maxPoints)
-		}
-	}
-	var points []runner.RunSpec
-	if len(s.Axes) > 0 {
-		idx := make([]int, len(s.Axes))
-		for {
-			pt := s.Base
-			var parts []string
-			for a, ax := range s.Axes {
-				v := ax.Values[idx[a]]
-				if err := applyAxis(&pt, ax.Name, v); err != nil {
-					return nil, err
-				}
-				parts = append(parts, ax.Name+"="+valueLabel(v))
-			}
-			base := s.Base.Label
-			if base == "" {
-				base = "sweep"
-			}
-			pt.Label = base + "/" + strings.Join(parts, ",")
-			points = append(points, pt)
-			// Odometer: last axis fastest.
-			a := len(idx) - 1
-			for ; a >= 0; a-- {
-				idx[a]++
-				if idx[a] < len(s.Axes[a].Values) {
-					break
-				}
-				idx[a] = 0
-			}
-			if a < 0 {
-				break
-			}
-		}
-	}
-	points = append(points, s.Runs...)
-	if len(points) == 0 {
-		return nil, fmt.Errorf("fleet: sweep declares no points")
-	}
-	if len(points) > maxPoints {
-		return nil, fmt.Errorf("fleet: grid exceeds %d points", maxPoints)
-	}
-	return points, nil
-}
-
-// applyAxis sets one declarative RunSpec field from a JSON value.
-// Raw configs cannot be swept: the axes exist so grids stay
-// rawconfig-clean, validated through the preset builders like any
-// PlanSpec.
-func applyAxis(r *runner.RunSpec, name string, v json.RawMessage) error {
-	fail := func(err error) error {
-		return fmt.Errorf("fleet: axis %q value %s: %v", name, string(v), err)
-	}
-	switch name {
-	case "preset":
-		return fail1(json.Unmarshal(v, &r.Preset), fail)
-	case "workload":
-		return fail1(json.Unmarshal(v, &r.Workload), fail)
-	case "router":
-		return fail1(json.Unmarshal(v, &r.Router), fail)
-	case "mapping":
-		return fail1(json.Unmarshal(v, &r.Mapping), fail)
-	case "width":
-		return fail1(json.Unmarshal(v, &r.Width), fail)
-	case "height":
-		return fail1(json.Unmarshal(v, &r.Height), fail)
-	case "size":
-		var n int
-		if err := json.Unmarshal(v, &n); err != nil {
-			return fail(err)
-		}
-		r.Width, r.Height = n, n
-		return nil
-	case "ring_group":
-		return fail1(json.Unmarshal(v, &r.RingGroup), fail)
-	case "side_buffer":
-		return fail1(json.Unmarshal(v, &r.SideBuffer), fail)
-	case "cycles":
-		return fail1(json.Unmarshal(v, &r.Cycles), fail)
-	case "seed":
-		return fail1(json.Unmarshal(v, &r.Seed), fail)
-	case "mean_hops":
-		return fail1(json.Unmarshal(v, &r.MeanHops), fail)
-	case "static_rate":
-		return fail1(json.Unmarshal(v, &r.StaticRate), fail)
-	case "adaptive":
-		return fail1(json.Unmarshal(v, &r.Adaptive), fail)
-	case "random_arb":
-		return fail1(json.Unmarshal(v, &r.RandomArb), fail)
-	}
-	return fmt.Errorf("fleet: unknown axis %q", name)
-}
-
-// fail1 wraps an unmarshal error with its axis context.
-func fail1(err error, fail func(error) error) error {
-	if err != nil {
-		return fail(err)
-	}
-	return nil
-}
-
-// valueLabel renders an axis value for point labels: strings unquoted,
-// everything else as its compact JSON.
-func valueLabel(v json.RawMessage) string {
-	var s string
-	if json.Unmarshal(v, &s) == nil {
-		return s
-	}
-	return string(v)
-}
+// SweepSpec and Axis are the sweep API's request body; the grid
+// expands through runner, so a command executing a grid locally and the
+// daemon expanding a posted one agree point for point.
+type (
+	SweepSpec = runner.SweepSpec
+	Axis      = runner.Axis
+)
 
 // Wire shapes of the sweep NDJSON stream and status endpoint.
 
@@ -209,7 +68,6 @@ type SweepResponse struct {
 // the registry behind GET /v1/sweeps/{id}.
 type sweeps struct {
 	srv *serve.Server
-	cfg Config
 
 	mu   sync.Mutex
 	seq  int64
@@ -227,8 +85,8 @@ type sweepRec struct {
 	points []PointEvent
 }
 
-func newSweeps(s *serve.Server, cfg Config) *sweeps {
-	return &sweeps{srv: s, cfg: cfg, byID: make(map[string]*sweepRec)}
+func newSweeps(s *serve.Server) *sweeps {
+	return &sweeps{srv: s, byID: make(map[string]*sweepRec)}
 }
 
 // handleSubmit expands, validates and executes a sweep, streaming
@@ -237,14 +95,14 @@ func newSweeps(s *serve.Server, cfg Config) *sweeps {
 // is queued — and a client that disconnects mid-stream does not stop
 // the sweep: the registry keeps filling for GET /v1/sweeps/{id}.
 func (sw *sweeps) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	var spec SweepSpec
 	if err := dec.Decode(&spec); err != nil {
 		sw.fail(w, http.StatusBadRequest, "decoding sweep: %v", err)
 		return
 	}
-	points, err := spec.Points(sw.cfg.MaxPoints)
+	points, err := spec.Points(runner.MaxSweepPoints)
 	if err != nil {
 		sw.fail(w, http.StatusBadRequest, "%v", err)
 		return

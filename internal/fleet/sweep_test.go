@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -18,84 +21,50 @@ func rawVals(vals ...string) []json.RawMessage {
 	return out
 }
 
-// TestSweepExpansion pins the grid semantics: odometer order with the
-// last axis fastest, labels naming every axis value, the size axis
-// setting both mesh dimensions, and explicit runs appended last.
-func TestSweepExpansion(t *testing.T) {
-	spec := SweepSpec{
-		Base: runner.RunSpec{Label: "g", Preset: "controlled", Workload: "H", Width: 4, Height: 4},
-		Axes: []Axis{
-			{Name: "preset", Values: rawVals(`"baseline"`, `"controlled"`)},
-			{Name: "seed", Values: rawVals("1", "2", "3")},
-		},
-		Runs: []runner.RunSpec{{Label: "extra", Preset: "static", Workload: "H", Width: 4, Height: 4}},
-	}
-	points, err := spec.Points(4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantLabels := []string{
-		"g/preset=baseline,seed=1", "g/preset=baseline,seed=2", "g/preset=baseline,seed=3",
-		"g/preset=controlled,seed=1", "g/preset=controlled,seed=2", "g/preset=controlled,seed=3",
-		"extra",
-	}
-	if len(points) != len(wantLabels) {
-		t.Fatalf("expanded to %d points, want %d", len(points), len(wantLabels))
-	}
-	for i, want := range wantLabels {
-		if points[i].Label != want {
-			t.Errorf("point %d label = %q, want %q", i, points[i].Label, want)
-		}
-	}
-	if points[0].Preset != "baseline" || points[0].Seed != 1 {
-		t.Errorf("point 0 = %+v, want baseline seed 1", points[0])
-	}
-	if points[5].Preset != "controlled" || points[5].Seed != 3 {
-		t.Errorf("point 5 = %+v, want controlled seed 3", points[5])
-	}
-
-	// The size axis sets both dimensions; an unlabeled base gets the
-	// "sweep" prefix.
-	sz := SweepSpec{
-		Base: runner.RunSpec{Preset: "controlled", Workload: "H"},
-		Axes: []Axis{{Name: "size", Values: rawVals("4", "8")}},
-	}
-	pts, err := sz.Points(4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pts[1].Width != 8 || pts[1].Height != 8 {
-		t.Errorf("size axis point = %+v, want 8x8", pts[1])
-	}
-	if pts[0].Label != "sweep/size=4" {
-		t.Errorf("unlabeled base expands to %q, want sweep/size=4", pts[0].Label)
-	}
-}
-
-// TestSweepExpansionErrors pins the rejection paths: unknown axes,
-// empty axes, malformed values, oversized grids and empty sweeps all
-// error before anything executes.
+// TestSweepExpansionErrors pins the sweep API's side of expansion:
+// every grid runner.SweepSpec.Points rejects — unknown axes (the label
+// and a raw config among them), empty axes, malformed values, grids
+// over runner.MaxSweepPoints and empty sweeps — is answered 400 with
+// the expansion error, before a single job is queued.
 func TestSweepExpansionErrors(t *testing.T) {
+	s, _, ts := startDaemon(t, testServeConfig(t), Config{})
+	wide := make([]string, 65)
+	for i := range wide {
+		wide[i] = strconv.Itoa(i + 1)
+	}
 	cases := []struct {
 		name string
 		spec SweepSpec
-		max  int
 		want string
 	}{
-		{"unknown axis", SweepSpec{Axes: []Axis{{Name: "bogus", Values: rawVals("1")}}}, 4096, "unknown axis"},
-		{"unnamed axis", SweepSpec{Axes: []Axis{{Values: rawVals("1")}}}, 4096, "no name"},
-		{"empty axis", SweepSpec{Axes: []Axis{{Name: "seed"}}}, 4096, "no values"},
-		{"bad value", SweepSpec{Axes: []Axis{{Name: "seed", Values: rawVals(`"many"`)}}}, 4096, `axis "seed"`},
-		{"oversized", SweepSpec{Axes: []Axis{{Name: "seed", Values: rawVals("1", "2", "3", "4")}}}, 3, "exceeds 3 points"},
-		{"empty sweep", SweepSpec{}, 4096, "no points"},
+		{"unknown axis", SweepSpec{Axes: []Axis{{Name: "bogus", Values: rawVals("1")}}}, "unknown axis"},
+		{"unnamed axis", SweepSpec{Axes: []Axis{{Values: rawVals("1")}}}, "no name"},
+		{"empty axis", SweepSpec{Axes: []Axis{{Name: "seed"}}}, "no values"},
+		{"bad value", SweepSpec{Axes: []Axis{{Name: "seed", Values: rawVals(`"many"`)}}}, `axis \"seed\"`},
+		{"oversized", SweepSpec{Axes: []Axis{{Name: "seed", Values: rawVals(wide...)}, {Name: "width", Values: rawVals(wide...)}}}, "exceeds 4096 points"},
+		{"empty sweep", SweepSpec{}, "no points"},
+		{"label axis", SweepSpec{Axes: []Axis{{Name: "label", Values: rawVals(`"x"`)}}}, `unknown axis \"label\"`},
+		{"config axis", SweepSpec{Axes: []Axis{{Name: "config", Values: rawVals(`{"Width":4}`)}}}, `unknown axis \"config\"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := tc.spec.Points(tc.max)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Points() error = %v, want mention of %q", err, tc.want)
+			body, err := json.Marshal(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), tc.want) {
+				t.Fatalf("POST /v1/sweeps: HTTP %d %s, want 400 mentioning %q", resp.StatusCode, raw, tc.want)
 			}
 		})
+	}
+	if _, ok := s.JobStatus("job-000001"); ok {
+		t.Fatal("a rejected sweep queued a job")
 	}
 }
 

@@ -65,10 +65,6 @@ func ExportObs(s *sim.Sim, dir, label string, cfg sim.Config, elapsed time.Durat
 	}
 
 	m := s.Metrics()
-	var retired int64
-	for _, r := range m.Retired {
-		retired += r
-	}
 	rawCfg, err := json.Marshal(&cfg)
 	if err != nil {
 		return fmt.Errorf("runner: encoding config for manifest: %w", err)
@@ -79,7 +75,7 @@ func ExportObs(s *sim.Sim, dir, label string, cfg sim.Config, elapsed time.Durat
 		Nodes:        m.Nodes,
 		Cycles:       m.Cycles,
 		ElapsedMS:    float64(elapsed.Microseconds()) / 1000,
-		CountersHash: obs.HashCounters(m.Net, retired, m.Misses),
+		CountersHash: CountersHash(m),
 		Config:       rawCfg,
 	}
 	man.WarmSource, man.WarmCycle = s.Origin()
@@ -88,6 +84,17 @@ func ExportObs(s *sim.Sim, dir, label string, cfg sim.Config, elapsed time.Durat
 	}
 	man.FillEnv()
 	return writeFile(base+".manifest.json", man.Write)
+}
+
+// CountersHash is a run's integrity digest: the fabric counters plus
+// the total retired instructions and L1 misses, the hash every manifest,
+// cache entry and sweep point carries.
+func CountersHash(m sim.Metrics) string {
+	var retired int64
+	for _, r := range m.Retired {
+		retired += r
+	}
+	return obs.HashCounters(m.Net, retired, m.Misses)
 }
 
 // writeFile creates path and streams one collector export into it.

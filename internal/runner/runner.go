@@ -57,15 +57,17 @@ type Run struct {
 	CancelEvery int64
 }
 
-// Stat reports one executed run. Elapsed is wall clock and therefore
-// nondeterministic; it is excluded from JSON so that a rendered Result
-// is byte-identical across pool sizes (callers that want timings, like
-// cmd/experiments -json, read the field directly).
+// Stat reports one executed run. Elapsed is wall clock and Cached
+// (the remote executor answered from its result cache) depends on what
+// ran before; both are excluded from JSON so that a rendered Result is
+// byte-identical across pool sizes and executors (callers that want
+// them, like cmd/experiments -json, read the fields directly).
 type Stat struct {
 	Label   string        `json:"label"`
 	Nodes   int           `json:"nodes"`
 	Cycles  int64         `json:"cycles"`
 	Elapsed time.Duration `json:"-"`
+	Cached  bool          `json:"-"`
 }
 
 // Plan is an ordered collection of declared runs.
@@ -194,6 +196,7 @@ func (p *Plan) executeRemote(out []sim.Metrics) (local []int) {
 			Nodes:   nodesOf(p.runs[i].Config),
 			Cycles:  results[k].Metrics.Cycles,
 			Elapsed: time.Duration(results[k].ElapsedMS * float64(time.Millisecond)),
+			Cached:  results[k].Cached,
 		}
 		if p.progress != nil {
 			p.progress.finish(p.stats[i])

@@ -326,9 +326,9 @@ type RemoteResult struct {
 	Cached bool `json:"cached"`
 }
 
-// Remote executes assembled run specs somewhere else — the nocd
-// daemon's job queue. Implementations return one result per spec run,
-// in spec order.
+// Remote executes assembled run specs somewhere else — a nocd daemon
+// or fleet, through fleet.Client. Implementations return one result
+// per spec run, in spec order.
 type Remote interface {
 	ExecuteSpecs(PlanSpec) ([]RemoteResult, error)
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"nocsim/internal/obs"
+	"nocsim/internal/runner"
 	"nocsim/internal/sim"
 )
 
@@ -35,11 +36,7 @@ func (e *Entry) Verify(key string) error {
 	if e.Key != key {
 		return fmt.Errorf("serve: cache entry %s claims key %s", short(key), short(e.Key))
 	}
-	var retired int64
-	for _, r := range e.Metrics.Retired {
-		retired += r
-	}
-	got := obs.HashCounters(e.Metrics.Net, retired, e.Metrics.Misses)
+	got := runner.CountersHash(e.Metrics)
 	if got != e.Manifest.CountersHash {
 		return fmt.Errorf("serve: cache entry %s failed verification: counters hash %s, manifest says %s",
 			short(key), got, e.Manifest.CountersHash)

@@ -14,12 +14,11 @@ import (
 	"nocsim/internal/runner"
 )
 
-// Client is the daemon's HTTP client side and the runner.Remote
-// implementation behind cmd/experiments -server: it submits a plan,
-// waits on the job's event stream until it completes, and hands the
-// results back in plan order. The determinism contract makes a plan
-// executed through a Client metrics-identical to the same plan
-// executed in-process.
+// Client is the daemon's HTTP client side for the job API: it submits
+// plans, follows a job's event stream to completion, probes health and
+// the cache, and pushes checkpoints. The fleet coordinator dispatches
+// to peers through it; commands execute plans remotely through
+// fleet.Client, the one runner.Remote.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -33,8 +32,6 @@ func NewClient(base string) *Client {
 		hc:   &http.Client{},
 	}
 }
-
-var _ runner.Remote = (*Client)(nil)
 
 // WithTimeout bounds every HTTP round trip the client makes (the fleet
 // coordinator uses a short-timeout client for health probes) and
@@ -179,35 +176,6 @@ func (c *Client) PushSnapshot(digest string, cycle int64, key string, blob []byt
 		return fmt.Errorf("serve: pushing snapshot: HTTP %d", resp.StatusCode)
 	}
 	return nil
-}
-
-// ExecuteSpecs submits the plan and blocks until the daemon finishes
-// it, returning one result per run in plan order.
-func (c *Client) ExecuteSpecs(spec runner.PlanSpec) ([]runner.RemoteResult, error) {
-	sub, err := c.Submit(spec)
-	if err != nil {
-		return nil, err
-	}
-	jr, err := c.Wait(context.Background(), sub.ID)
-	if err != nil {
-		return nil, err
-	}
-	if jr.Status != stateDone {
-		return nil, fmt.Errorf("serve: job %s failed: %s", sub.ID, jr.Error)
-	}
-	if len(jr.Results) != len(spec.Runs) {
-		return nil, fmt.Errorf("serve: job %s returned %d results for %d runs",
-			sub.ID, len(jr.Results), len(spec.Runs))
-	}
-	out := make([]runner.RemoteResult, len(jr.Results))
-	for i, r := range jr.Results {
-		out[i] = runner.RemoteResult{
-			Metrics:   r.Metrics,
-			ElapsedMS: r.ElapsedMS,
-			Cached:    r.Cached,
-		}
-	}
-	return out, nil
 }
 
 // do runs one JSON round trip, mapping non-2xx answers to errors via

@@ -372,43 +372,53 @@ func (s *Server) execute(j *job) ([]RunResult, string) {
 			s.tele.observe(s.tele.runDur, stats[k].Elapsed)
 			j.addSpan("simulate", r.Label, starts[k], stats[k].Elapsed)
 			s.tele.countRun("fresh")
-			var retired int64
-			for _, rt := range m.Retired {
-				retired += rt
-			}
-			hash := obs.HashCounters(m.Net, retired, m.Misses)
-			elapsedMS := float64(stats[k].Elapsed.Microseconds()) / 1000
-
-			rawCfg, err := json.Marshal(&r.Config)
+			res, err := s.FileResult(r, m, stats[k].Elapsed, origins[k], originCycles[k])
 			if err != nil {
-				return nil, fmt.Sprintf("serve: encoding config of run %q: %v", r.Label, err)
+				return nil, err.Error()
 			}
-			man := obs.Manifest{
-				Label:        r.Label,
-				Seed:         r.Config.Seed,
-				Nodes:        m.Nodes,
-				Cycles:       m.Cycles,
-				ElapsedMS:    elapsedMS,
-				CountersHash: hash,
-				WarmSource:   origins[k],
-				WarmCycle:    originCycles[k],
-				Config:       rawCfg,
-			}
-			if man.WarmSource == "" {
-				man.WarmSource = "cold"
-			}
-			man.FillEnv()
-			if err := s.cache.Put(&Entry{Key: r.Key, Manifest: man, Metrics: m}); err != nil {
-				s.logf("job %s: %v (result served uncached)", j.id, err)
-			}
-			results[i] = RunResult{
-				Label: r.Label, Key: r.Key, Cached: false,
-				CountersHash: hash, ElapsedMS: elapsedMS, Metrics: m,
-			}
+			results[i] = res
 			j.emit(runDoneEvent{Type: "run_done", Label: r.Label, Key: r.Key,
-				Cached: false, CountersHash: hash})
+				Cached: false, CountersHash: res.CountersHash})
 		}
 		j.addSpan("export", "", exportStart, time.Since(exportStart))
 	}
 	return results, ""
+}
+
+// FileResult hashes, manifests and caches one freshly simulated run —
+// the one write path for every in-process execution in the daemon, the
+// queue's own and the fleet coordinator's local fallback alike, so a
+// result is indistinguishable whoever computed it. origin and
+// originCycle are the run's warm-start provenance (sim.Origin). A
+// cache write failure degrades to a log line; only an unencodable
+// config is an error.
+func (s *Server) FileResult(r runner.ResolvedRun, m sim.Metrics, elapsed time.Duration, origin string, originCycle int64) (RunResult, error) {
+	hash := runner.CountersHash(m)
+	elapsedMS := float64(elapsed.Microseconds()) / 1000
+	rawCfg, err := json.Marshal(&r.Config)
+	if err != nil {
+		return RunResult{}, fmt.Errorf("serve: encoding config of run %q: %v", r.Label, err)
+	}
+	if origin == "" {
+		origin = "cold"
+	}
+	man := obs.Manifest{
+		Label:        r.Label,
+		Seed:         r.Config.Seed,
+		Nodes:        m.Nodes,
+		Cycles:       m.Cycles,
+		ElapsedMS:    elapsedMS,
+		CountersHash: hash,
+		WarmSource:   origin,
+		WarmCycle:    originCycle,
+		Config:       rawCfg,
+	}
+	man.FillEnv()
+	if err := s.cache.Put(&Entry{Key: r.Key, Manifest: man, Metrics: m}); err != nil {
+		s.logf("caching %q: %v (result served uncached)", r.Label, err)
+	}
+	return RunResult{
+		Label: r.Label, Key: r.Key, Cached: false,
+		CountersHash: hash, ElapsedMS: elapsedMS, Metrics: m,
+	}, nil
 }

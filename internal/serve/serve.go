@@ -46,6 +46,10 @@ import (
 // knows.
 const DispatchHeader = "X-Nocd-Dispatch"
 
+// MaxBodyBytes caps a submitted plan or sweep body; clients split
+// larger plans into consecutive submissions under it.
+const MaxBodyBytes = 1 << 20
+
 // Config assembles a Server.
 type Config struct {
 	// Scale is the base execution scale; submitted plans may override
@@ -224,7 +228,7 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 // work, and enqueues it — or answers 429 when the queue is full, 503
 // when draining.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	var spec runner.PlanSpec
 	if err := dec.Decode(&spec); err != nil {

@@ -173,41 +173,6 @@ func TestDedupWhileActive(t *testing.T) {
 	}
 }
 
-// TestLocalAndRemoteAgree runs the same plan in-process and through the
-// daemon client and requires identical metrics — the determinism
-// contract extended over the wire.
-func TestLocalAndRemoteAgree(t *testing.T) {
-	_, ts := startServer(t, testConfig(t))
-
-	var spec runner.PlanSpec
-	if err := json.Unmarshal([]byte(planJSON), &spec); err != nil {
-		t.Fatal(err)
-	}
-	base := runner.DefaultScale()
-	sc, runs, err := spec.Resolve(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	localPlan := runner.NewPlan(sc)
-	for _, r := range runs {
-		localPlan.Add(r.Label, r.Config, r.Cycles)
-	}
-	local := localPlan.Execute()
-
-	rsc := sc
-	rsc.Remote = serve.NewClient(ts.URL)
-	remotePlan := runner.NewPlan(rsc)
-	for _, r := range runs {
-		remotePlan.Add(r.Label, r.Config, r.Cycles)
-	}
-	remote := remotePlan.Execute()
-
-	if !reflect.DeepEqual(local, remote) {
-		t.Fatal("remote execution through the daemon diverged from local execution")
-	}
-}
-
 // TestJobTimeout pins the timeout path: a tripped deadline fails the
 // job and nothing partial reaches the cache.
 func TestJobTimeout(t *testing.T) {
