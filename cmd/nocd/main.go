@@ -2,9 +2,9 @@
 // plans over HTTP (POST /v1/runs) and parameter grids (POST
 // /v1/sweeps), executes them on a bounded job queue through the
 // runner, and answers repeat submissions from a content-addressed
-// result cache. With -peers it becomes a fleet coordinator, fanning
-// jobs out to peer daemons with work-stealing, retry-on-peer-death and
-// peer-aware caching. See internal/serve for the API and the
+// result cache. With -peers it becomes a fleet coordinator whose peer
+// daemons pull jobs from one queue, with duplicate steals of stalled
+// jobs, retry-on-peer-death and peer-aware caching. See internal/serve for the API and the
 // determinism argument that makes the cache sound, and internal/fleet
 // for the distribution layer.
 //

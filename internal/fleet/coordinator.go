@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -13,8 +14,12 @@ import (
 	"nocsim/internal/serve"
 )
 
-// maxBackoff caps the exponential retry delay after peer failures.
-const maxBackoff = 2 * time.Second
+// backoff is the base retry delay after a peer failure, doubling per
+// attempt up to maxBackoff.
+const (
+	backoff    = 50 * time.Millisecond
+	maxBackoff = 2 * time.Second
+)
 
 // peer is one remote daemon the coordinator dispatches to. All mutable
 // state is guarded by the coordinator's mutex.
@@ -24,17 +29,13 @@ type peer struct {
 	probe  *serve.Client // short-timeout health probes
 
 	alive    bool
-	queue    []*task             // assigned, not yet picked up
 	inflight map[*task]time.Time // dispatched, keyed by pickup instant
 
 	dispatched int64 // jobs sent to this peer
-	stolen     int64 // tasks this peer's workers took from another peer
+	stolen     int64 // in-flight tasks this peer's workers duplicated
 	retried    int64 // tasks requeued after this peer failed mid-job
 	dead       int64 // times this peer was marked dead
 }
-
-// load is the peer's assigned-plus-inflight task count.
-func (p *peer) load() int { return len(p.queue) + len(p.inflight) }
 
 // task is one delegated job's uncached remainder moving through the
 // fleet. The immutable fields are set at creation; everything mutable
@@ -57,14 +58,12 @@ type task struct {
 	errMsg    string
 	settled   context.Context
 	settle    context.CancelFunc
-	preempted bool
-	preemptTo *peer
 }
 
 // terminal reports done-or-failed; callers hold the coordinator mutex.
 func (t *task) terminal() bool { return t.done || t.failed }
 
-// coordinator owns the fleet's dispatch state: per-peer queues and
+// coordinator owns the fleet's dispatch state: one pull queue, per-peer
 // in-flight windows, the worker pool (Window workers per peer) and the
 // health prober. One mutex guards everything; the condition variable
 // wakes idle workers on task arrival, peer death/revival and backoff
@@ -76,11 +75,11 @@ type coordinator struct {
 
 	dispatch *serve.Histogram // dispatch round-trip latency
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	peers    []*peer
-	closed   bool
-	preempts int64
+	mu     sync.Mutex
+	cond   *sync.Cond
+	peers  []*peer
+	queue  []*task // waiting for a worker, in arrival order
+	closed bool
 	// peerDown is closed and replaced whenever a peer failure is
 	// recorded: the moment a task may have become claimable locally.
 	peerDown chan struct{}
@@ -185,7 +184,10 @@ func (c *coordinator) Execute(dj serve.DelegatedJob) ([]serve.RunResult, string,
 	if err != nil {
 		return nil, err.Error(), true
 	}
-	c.assign(t)
+	c.mu.Lock()
+	c.queue = append(c.queue, t)
+	c.cond.Broadcast()
+	c.mu.Unlock()
 
 	for {
 		// Take the peer-death signal before trying the claim, so a
@@ -272,23 +274,6 @@ func (c *coordinator) newTask(dj serve.DelegatedJob, miss []int) (*task, error) 
 	return t, nil
 }
 
-// assign queues the task on the least-loaded alive peer — or, with
-// every peer dead, on the least-loaded peer regardless, where it waits
-// for a revival or the submitting goroutine's claim-for-local.
-func (c *coordinator) assign(t *task) {
-	c.mu.Lock()
-	var best *peer
-	for _, p := range c.peers {
-		if best == nil || (p.alive && !best.alive) ||
-			(p.alive == best.alive && p.load() < best.load()) {
-			best = p
-		}
-	}
-	best.queue = append(best.queue, t)
-	c.cond.Broadcast()
-	c.mu.Unlock()
-}
-
 // claimForLocal atomically claims the task for local execution. The
 // claim succeeds only when no peer is alive, no worker is running the
 // task and it is not already terminal — graceful degradation, never a
@@ -304,27 +289,14 @@ func (c *coordinator) claimForLocal(t *task) bool {
 			return false
 		}
 	}
-	for _, p := range c.peers {
-		p.queue = removeTask(p.queue, t)
-	}
+	c.queue = slices.DeleteFunc(c.queue, func(x *task) bool { return x == t })
 	t.running++
 	return true
 }
 
-// removeTask drops t from a queue, preserving order.
-func removeTask(q []*task, t *task) []*task {
-	for i, x := range q {
-		if x == t {
-			return append(q[:i], q[i+1:]...)
-		}
-	}
-	return q
-}
-
-// worker is one dispatch slot on one peer: it claims tasks — own queue
-// first, then stealing from the longest other queue, then duplicating
-// a long-inflight task from a slower peer — and runs each against the
-// peer to completion.
+// worker is one dispatch slot on one peer: it claims tasks — the
+// queue's first eligible one, else a duplicate of a long-inflight task
+// on a slower peer — and runs each against the peer to completion.
 func (c *coordinator) worker(p *peer) {
 	defer c.wg.Done()
 	for {
@@ -337,9 +309,9 @@ func (c *coordinator) worker(p *peer) {
 }
 
 // claim blocks until the worker's peer is alive and a task is
-// available, in preference order: the peer's own queue, a steal from
-// the longest other queue, a duplicate steal of the oldest inflight
-// task elsewhere that has exceeded StealAfter. Returns nil when the
+// available, in preference order: the first backoff-eligible task in
+// the queue, then a duplicate steal of the oldest inflight task
+// elsewhere that has exceeded StealAfter. Returns nil when the
 // coordinator closes.
 func (c *coordinator) claim(p *peer) *task {
 	c.mu.Lock()
@@ -349,19 +321,13 @@ func (c *coordinator) claim(p *peer) *task {
 			return nil
 		}
 		if p.alive {
-			if t := c.takeEligible(p); t != nil {
-				p.inflight[t] = time.Now()
-				t.running++
-				return t
+			t := c.takeEligible()
+			if t == nil {
+				if t = c.stealInflight(p); t != nil {
+					p.stolen++
+				}
 			}
-			if t := c.stealQueued(p); t != nil {
-				p.stolen++
-				p.inflight[t] = time.Now()
-				t.running++
-				return t
-			}
-			if t := c.stealInflight(p); t != nil {
-				p.stolen++
+			if t != nil {
 				p.inflight[t] = time.Now()
 				t.running++
 				return t
@@ -371,42 +337,14 @@ func (c *coordinator) claim(p *peer) *task {
 	}
 }
 
-// takeEligible pops the first backoff-eligible task off p's own queue.
-func (c *coordinator) takeEligible(p *peer) *task {
+// takeEligible pops the first backoff-eligible task off the queue.
+func (c *coordinator) takeEligible() *task {
 	now := time.Now()
-	for _, t := range p.queue {
-		if t.notBefore.After(now) {
-			continue
+	for i, t := range c.queue {
+		if !t.notBefore.After(now) {
+			c.queue = slices.Delete(c.queue, i, i+1)
+			return t
 		}
-		p.queue = removeTask(p.queue, t)
-		return t
-	}
-	return nil
-}
-
-// stealQueued takes a backoff-eligible task from the longest other
-// queue: a peer that drains its own work pulls queued work from its
-// slowest sibling.
-func (c *coordinator) stealQueued(p *peer) *task {
-	now := time.Now()
-	var victim *peer
-	for _, o := range c.peers {
-		if o == p || len(o.queue) == 0 {
-			continue
-		}
-		if victim == nil || len(o.queue) > len(victim.queue) {
-			victim = o
-		}
-	}
-	if victim == nil {
-		return nil
-	}
-	for _, t := range victim.queue {
-		if t.notBefore.After(now) {
-			continue
-		}
-		victim.queue = removeTask(victim.queue, t)
-		return t
 	}
 	return nil
 }
@@ -580,8 +518,8 @@ func (c *coordinator) failTask(p *peer, t *task, msg string) {
 
 // peerFailed handles a transport failure against p while running t:
 // the peer is marked dead (the prober revives it), and the task — a
-// job lost with a peer is requeued, never dropped — goes back to the
-// best remaining peer with capped exponential backoff. An admission
+// job lost with a peer is requeued, never dropped — goes back on the
+// queue with capped exponential backoff. An admission
 // rejection (429/503) is backpressure, not death: the task is requeued
 // without marking the peer dead.
 func (c *coordinator) peerFailed(p *peer, t *task, err error) {
@@ -596,25 +534,13 @@ func (c *coordinator) peerFailed(p *peer, t *task, err error) {
 	if !t.terminal() {
 		t.attempts++
 		p.retried++
-		backoff := c.cfg.Backoff << (t.attempts - 1)
-		if backoff > maxBackoff || backoff <= 0 {
-			backoff = maxBackoff
+		delay := backoff << (t.attempts - 1)
+		if delay > maxBackoff || delay <= 0 {
+			delay = maxBackoff
 		}
-		t.notBefore = time.Now().Add(backoff)
-		var best *peer
-		for _, o := range c.peers {
-			if !o.alive {
-				continue
-			}
-			if best == nil || o.load() < best.load() {
-				best = o
-			}
-		}
-		if best == nil {
-			best = p
-		}
-		best.queue = append(best.queue, t)
-		time.AfterFunc(backoff+time.Millisecond, c.cond.Broadcast)
+		t.notBefore = time.Now().Add(delay)
+		c.queue = append(c.queue, t)
+		time.AfterFunc(delay+time.Millisecond, c.cond.Broadcast)
 	}
 	c.signalPeerDown()
 	c.mu.Unlock()
@@ -676,34 +602,13 @@ func (c *coordinator) prober() {
 	}
 }
 
-// preemptReady decides (and records, once per task) whether a locally
-// running task should checkpoint and hand its remainder to a peer: a
-// peer has come back alive and sits idle while the coordinator grinds
-// locally. Called from the runner's cancel polling.
-func (c *coordinator) preemptReady(t *task) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t.preempted {
-		return true
-	}
-	for _, p := range c.peers {
-		if p.alive && p.load() == 0 {
-			t.preempted = true
-			t.preemptTo = p
-			c.preempts++
-			return true
-		}
-	}
-	return false
-}
-
 // peerMetrics are the per-peer counter names, in render order.
 var peerMetrics = []string{"dispatched", "stolen", "retried", "dead"}
 
 // WriteMetrics renders the fleet section of /metrics: the live-peer
-// gauge, per-peer counters in configuration order, the preemption
-// counter and the dispatch-latency histogram — fixed order, pinned by
-// the format-stability test.
+// gauge, per-peer counters in configuration order and the
+// dispatch-latency histogram — fixed order, pinned by the
+// format-stability test.
 func (c *coordinator) WriteMetrics(w io.Writer) {
 	c.mu.Lock()
 	live := 0
@@ -719,7 +624,6 @@ func (c *coordinator) WriteMetrics(w io.Writer) {
 		vals["retried"] = append(vals["retried"], p.retried)
 		vals["dead"] = append(vals["dead"], p.dead)
 	}
-	preempts := c.preempts
 	c.mu.Unlock()
 
 	fmt.Fprintf(w, "nocd_peers_live %d\n", live)
@@ -728,7 +632,6 @@ func (c *coordinator) WriteMetrics(w io.Writer) {
 			fmt.Fprintf(w, "nocd_peer_%s_total{peer=%q} %d\n", m, name, vals[m][i])
 		}
 	}
-	fmt.Fprintf(w, "nocd_fleet_preempted_total %d\n", preempts)
 	c.dispatch.Write(w)
 }
 

@@ -3,8 +3,8 @@ package fleet
 // Failure-injection suite for the coordinator. Every test pins the
 // fleet's hard guarantee — counters hashes byte-identical to a local
 // -parallel 1 execution — while injecting the failure mode under test
-// through the flaky proxy: peer death mid-job, duplicate steals,
-// every peer down, and preemption hand-off.
+// through the flaky proxy: a slow peer, peer death mid-job, duplicate
+// steals, and every peer down.
 
 import (
 	"io"
@@ -13,9 +13,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"nocsim/internal/runner"
-	"nocsim/internal/serve"
 )
 
 // fleetCounters is a consistent snapshot of the coordinator's per-peer
@@ -23,7 +20,6 @@ import (
 type fleetCounters struct {
 	live                              int
 	dispatched, stolen, retried, dead []int64
-	preempts                          int64
 }
 
 func snapshotCounters(f *Fleet) fleetCounters {
@@ -40,7 +36,6 @@ func snapshotCounters(f *Fleet) fleetCounters {
 		fc.retried = append(fc.retried, p.retried)
 		fc.dead = append(fc.dead, p.dead)
 	}
-	fc.preempts = c.preempts
 	return fc
 }
 
@@ -141,7 +136,6 @@ func TestFleetByteIdentity(t *testing.T) {
 		Window:        2,
 		ProbeInterval: 50 * time.Millisecond,
 		StealAfter:    -1,
-		Backoff:       time.Millisecond,
 	})
 
 	spec := wideGrid()
@@ -195,6 +189,42 @@ func TestFleetByteIdentity(t *testing.T) {
 	}
 }
 
+// TestFleetSlowPeerDoesNotHoldWork puts one of two peers behind a long
+// delay with duplicate steals off: both peers' workers pull from the one
+// queue, so the fast peer takes most of the grid while the slow peer
+// holds only what it is running, and nothing is stolen.
+func TestFleetSlowPeerDoesNotHoldWork(t *testing.T) {
+	_, fast := startPeer(t, testServeConfig(t))
+	_, realSlow := startPeer(t, testServeConfig(t))
+	slow, slowTS := newFlakyProxy(t, realSlow.URL)
+	slow.setDelay(300 * time.Millisecond)
+	_, fl, ts := startDaemon(t, testServeConfig(t), Config{
+		Peers:         []string{fast.URL, slowTS.URL},
+		Window:        1,
+		ProbeInterval: 50 * time.Millisecond,
+		StealAfter:    -1,
+	})
+
+	spec := wideGrid()
+	want := referenceHashes(t, spec)
+	res, err := NewClient(ts.URL).Sweep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Done != 6 {
+		t.Fatalf("sweep done %d, want 6", res.Done)
+	}
+	assertHashes(t, res, want)
+
+	fc := snapshotCounters(fl)
+	if fc.dispatched[0] <= fc.dispatched[1] {
+		t.Errorf("fast peer dispatched %d points, slow peer %d; want the fast peer ahead", fc.dispatched[0], fc.dispatched[1])
+	}
+	if sum(fc.stolen) != 0 {
+		t.Errorf("stolen = %v with duplicate steals off, want 0", fc.stolen)
+	}
+}
+
 // TestFleetPeerDeathMidJob kills a peer after it accepts a dispatch:
 // the coordinator must mark it dead, requeue the orphaned job on the
 // surviving peer, and still deliver every point with reference-equal
@@ -208,7 +238,6 @@ func TestFleetPeerDeathMidJob(t *testing.T) {
 		Window:        2,
 		ProbeInterval: 25 * time.Millisecond,
 		StealAfter:    -1,
-		Backoff:       time.Millisecond,
 	})
 	proxyA.armDeathAfterDispatch()
 
@@ -249,7 +278,6 @@ func TestFleetDuplicateSteal(t *testing.T) {
 		Window:        1,
 		ProbeInterval: 10 * time.Millisecond,
 		StealAfter:    20 * time.Millisecond,
-		Backoff:       time.Millisecond,
 	})
 
 	spec := smallGrid()
@@ -300,7 +328,6 @@ func TestFleetDuplicateLoserCancelled(t *testing.T) {
 		Window:        1,
 		ProbeInterval: 10 * time.Millisecond,
 		StealAfter:    20 * time.Millisecond,
-		Backoff:       time.Millisecond,
 	})
 
 	spec := smallGrid()
@@ -338,13 +365,12 @@ func TestFleetAllPeersDownFallback(t *testing.T) {
 	proxyB, proxyBTS := newFlakyProxy(t, realB.URL)
 	proxyB.setDead(true)
 
-	log := newSignalLog("executing")
+	log := &syncLog{}
 	_, fl, ts := startDaemon(t, testServeConfig(t), Config{
 		Peers:         []string{proxyATS.URL, proxyBTS.URL},
 		Window:        1,
 		ProbeInterval: 20 * time.Millisecond,
 		StealAfter:    -1,
-		Backoff:       time.Millisecond,
 		Log:           log,
 	})
 
@@ -385,7 +411,6 @@ func TestFleetFallbackAfterOutage(t *testing.T) {
 		Window:        1,
 		ProbeInterval: 20 * time.Millisecond,
 		StealAfter:    -1,
-		Backoff:       time.Millisecond,
 	})
 
 	first := smallGrid()
@@ -410,71 +435,5 @@ func TestFleetFallbackAfterOutage(t *testing.T) {
 	assertHashes(t, res, want)
 	if fc := snapshotCounters(fl); sum(fc.dispatched) != 0 {
 		t.Errorf("%d dispatches against a dead peer succeeded", sum(fc.dispatched))
-	}
-}
-
-// TestFleetPreemptionHandoff pins the preemption path: with its only
-// peer dead, the coordinator starts a long job locally; the peer
-// revives mid-run, the local run checkpoints and hands the remainder
-// off, and the peer resumes from the pushed blob — the result's
-// manifest records the warm source, and its counters hash equals the
-// unpreempted local reference.
-func TestFleetPreemptionHandoff(t *testing.T) {
-	peerCfg := testServeConfig(t)
-	peerCfg.SnapDir = t.TempDir()
-	_, peerTS := startPeer(t, peerCfg)
-	proxy, proxyTS := newFlakyProxy(t, peerTS.URL)
-	proxy.setDead(true)
-
-	log := newSignalLog("executing")
-	coordCfg := testServeConfig(t)
-	coordCfg.SnapDir = t.TempDir()
-	coordSrv, fl, ts := startDaemon(t, coordCfg, Config{
-		Peers:         []string{proxyTS.URL},
-		Window:        1,
-		ProbeInterval: 5 * time.Millisecond,
-		StealAfter:    -1,
-		Backoff:       time.Millisecond,
-		Log:           log,
-	})
-
-	plan := runner.PlanSpec{
-		Scale: runner.ScaleSpec{Cycles: 30_000, Epoch: 1000},
-		Runs: []runner.RunSpec{
-			{Label: "pre", Preset: "controlled", Workload: "H", Width: 8, Height: 8},
-		},
-	}
-	refSpec := SweepSpec{Scale: plan.Scale, Runs: plan.Runs}
-	want := referenceHashes(t, refSpec)
-
-	cl := serve.NewClient(ts.URL)
-	sub, err := cl.Submit(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-log.ch:
-	case <-time.After(30 * time.Second):
-		t.Fatalf("local fallback never started; log:\n%s", log.String())
-	}
-	proxy.setDead(false) // peer revives while the local run grinds
-
-	jr := awaitJob(t, cl, sub.ID)
-	if jr.Status != "done" || len(jr.Results) != 1 {
-		t.Fatalf("job = %+v, want done with 1 result", jr)
-	}
-	if jr.Results[0].CountersHash != want["pre"] {
-		t.Errorf("preempted run hash %s, want %s (unpreempted local reference)",
-			jr.Results[0].CountersHash, want["pre"])
-	}
-	if fc := snapshotCounters(fl); fc.preempts < 1 {
-		t.Fatalf("run completed without preemption (timing too fast for this host?): %+v; log:\n%s", fc, log.String())
-	}
-	e, err := coordSrv.Cache().Get(jr.Results[0].Key)
-	if err != nil || e == nil {
-		t.Fatalf("preempted result not in the coordinator cache: %v", err)
-	}
-	if e.Manifest.WarmSource == "" || e.Manifest.WarmSource == "cold" {
-		t.Errorf("peer did not resume from the pushed checkpoint: warm source %q", e.Manifest.WarmSource)
 	}
 }

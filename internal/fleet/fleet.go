@@ -1,9 +1,10 @@
 // Package fleet turns a nocd daemon into a horizontally scalable
 // service: a batch sweep API that expands parameter grids into
-// individually cached jobs, a coordinator that fans jobs out to peer
-// daemons with bounded in-flight windows, work-stealing and
-// retry-on-peer-death, and peer-aware caching that replicates remote
-// results into the local content-addressed store.
+// individually cached jobs, a coordinator whose peers pull jobs from
+// one queue into bounded in-flight windows, with duplicate steals of
+// stalled jobs, retry-on-peer-death and a local fallback when every
+// peer is down, and peer-aware caching that replicates remote results
+// into the local content-addressed store.
 //
 // The layer adds no new correctness machinery — it leans entirely on
 // the determinism contract underneath. runner.CacheKey is
@@ -47,9 +48,6 @@ type Config struct {
 	// an idle worker duplicates it onto another (the cache key dedups
 	// the results). 0 means 30s; negative disables duplicate steals.
 	StealAfter time.Duration
-	// Backoff is the base retry delay after a peer failure, doubling
-	// per attempt and capped at 2s. 0 means 50ms.
-	Backoff time.Duration
 	// Log receives operational lines; nil discards them.
 	Log io.Writer
 }
@@ -74,9 +72,6 @@ func Enable(s *serve.Server, cfg Config) (*Fleet, error) {
 	}
 	if cfg.StealAfter == 0 {
 		cfg.StealAfter = 30 * time.Second
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 50 * time.Millisecond
 	}
 	for _, p := range cfg.Peers {
 		if strings.TrimSpace(p) == "" {

@@ -8,12 +8,10 @@ package fleet
 
 import (
 	"bytes"
-	"context"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -133,35 +131,20 @@ func (f *flakyProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.rp.ServeHTTP(w, r)
 }
 
-// signalLog is an io.Writer that closes a channel the first time the
-// accumulated log contains needle — how tests synchronize with the
-// coordinator's internal transitions without polling.
-type signalLog struct {
-	needle string
-	ch     chan struct{}
-	t0     time.Time
-
-	mu   sync.Mutex
-	buf  bytes.Buffer
-	once sync.Once
+// syncLog collects the coordinator's log lines; its writers are
+// concurrent.
+type syncLog struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
 }
 
-func newSignalLog(needle string) *signalLog {
-	return &signalLog{needle: needle, ch: make(chan struct{}), t0: time.Now()}
-}
-
-func (l *signalLog) Write(p []byte) (int, error) {
+func (l *syncLog) Write(p []byte) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.buf.WriteString(time.Since(l.t0).String() + " ")
-	l.buf.Write(p)
-	if strings.Contains(l.buf.String(), l.needle) {
-		l.once.Do(func() { close(l.ch) })
-	}
-	return len(p), nil
+	return l.buf.Write(p)
 }
 
-func (l *signalLog) String() string {
+func (l *syncLog) String() string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.buf.String()
@@ -191,17 +174,4 @@ func referenceHashes(t *testing.T, spec SweepSpec) map[string]string {
 		out[r.Label] = runner.CountersHash(ms[i])
 	}
 	return out
-}
-
-// awaitJob waits for a daemon's job to turn terminal through
-// Client.Wait, failing the test if it takes longer than 60s.
-func awaitJob(t *testing.T, cl *serve.Client, id string) serve.JobResponse {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	jr, err := cl.Wait(ctx, id)
-	if err != nil {
-		t.Fatalf("waiting for job %s: %v", id, err)
-	}
-	return jr
 }

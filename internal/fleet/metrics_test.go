@@ -28,8 +28,8 @@ func histogramNames(name string) []string {
 // TestMetricsFormatStability pins the fleet section of the /metrics
 // page: it renders after the daemon's fixed prefix and before the
 // per-endpoint HTTP lines, in fixed order — the live-peer gauge, the
-// per-peer counters in configuration order, the preemption counter and
-// the dispatch-latency histogram on the shared bucket ladder.
+// per-peer counters in configuration order and the dispatch-latency
+// histogram on the shared bucket ladder.
 func TestMetricsFormatStability(t *testing.T) {
 	_, peerA := startPeer(t, testServeConfig(t))
 	_, peerB := startPeer(t, testServeConfig(t))
@@ -40,7 +40,6 @@ func TestMetricsFormatStability(t *testing.T) {
 		Window:        2,
 		ProbeInterval: 50 * time.Millisecond,
 		StealAfter:    -1,
-		Backoff:       time.Millisecond,
 	})
 	if _, err := NewClient(ts.URL).Sweep(smallGrid()); err != nil {
 		t.Fatal(err)
@@ -70,7 +69,6 @@ func TestMetricsFormatStability(t *testing.T) {
 	for _, m := range []string{"dispatched", "stolen", "retried", "dead"} {
 		want = append(want, "nocd_peer_"+m+"_total", "nocd_peer_"+m+"_total")
 	}
-	want = append(want, "nocd_fleet_preempted_total")
 	want = append(want, histogramNames("nocd_peer_dispatch_seconds")...)
 	if len(lines) < len(want) {
 		t.Fatalf("metrics page has %d lines, want at least %d", len(lines), len(want))

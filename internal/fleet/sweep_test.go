@@ -162,7 +162,6 @@ func TestSweepQueueCapOne(t *testing.T) {
 		Window:        1,
 		ProbeInterval: 50 * time.Millisecond,
 		StealAfter:    -1,
-		Backoff:       time.Millisecond,
 	})
 	spec := smallGrid()
 	want := referenceHashes(t, spec)

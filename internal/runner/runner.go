@@ -281,15 +281,21 @@ func (p *Plan) execOne(i int) sim.Metrics {
 // order. Nil before Execute.
 func (p *Plan) Stats() []Stat { return p.stats }
 
-// nodesOf mirrors sim.Config's default mesh dimensions.
+// meshOf mirrors sim.Config's default mesh dimensions.
+func meshOf(cfg sim.Config) (width, height int) {
+	width, height = cfg.Width, cfg.Height
+	if width == 0 {
+		width = 4
+	}
+	if height == 0 {
+		height = 4
+	}
+	return width, height
+}
+
+// nodesOf is the node count of cfg's mesh.
 func nodesOf(cfg sim.Config) int {
-	w, h := cfg.Width, cfg.Height
-	if w == 0 {
-		w = 4
-	}
-	if h == 0 {
-		h = 4
-	}
+	w, h := meshOf(cfg)
 	return w * h
 }
 

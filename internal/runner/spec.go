@@ -183,8 +183,8 @@ func (r RunSpec) Resolve(sc Scale) (sim.Config, int64, error) {
 	if height == 0 {
 		height = width
 	}
-	if width < 0 || height < 0 {
-		return fail("mesh dimensions %dx%d out of range", width, height)
+	if err := checkMesh(width, height); err != nil {
+		return fail("%v", err)
 	}
 	seed := r.Seed
 	if seed == 0 {
@@ -250,8 +250,8 @@ func (r RunSpec) Resolve(sc Scale) (sim.Config, int64, error) {
 // simulator's constructor, so a malformed submission becomes a 400
 // instead of a dead queue worker.
 func validateRawConfig(cfg *sim.Config) error {
-	if cfg.Width < 0 || cfg.Height < 0 {
-		return fmt.Errorf("mesh dimensions %dx%d out of range", cfg.Width, cfg.Height)
+	if err := checkMesh(meshOf(*cfg)); err != nil {
+		return err
 	}
 	n := nodesOf(*cfg)
 	if cfg.Apps != nil && len(cfg.Apps) != n {
@@ -271,6 +271,20 @@ func validateRawConfig(cfg *sim.Config) error {
 	}
 	if cfg.Mapping == sim.GroupMap && len(cfg.Groups) != n {
 		return fmt.Errorf("GroupMap needs %d group ids, got %d", n, len(cfg.Groups))
+	}
+	return nil
+}
+
+// maxMeshNodes caps a submitted mesh: the paper's largest system
+// (PaperScale's MaxNodes).
+const maxMeshNodes = 4096
+
+// checkMesh rejects a mesh outside 1..maxMeshNodes nodes. Each
+// dimension is bounded before the product is taken, so it cannot
+// overflow.
+func checkMesh(width, height int) error {
+	if width < 1 || height < 1 || width > maxMeshNodes || height > maxMeshNodes || width*height > maxMeshNodes {
+		return fmt.Errorf("mesh dimensions %dx%d out of range (1 to %d nodes)", width, height, maxMeshNodes)
 	}
 	return nil
 }

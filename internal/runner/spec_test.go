@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -90,6 +91,21 @@ func TestSpecValidation(t *testing.T) {
 			Config: json.RawMessage(`{"Width": 4, "Height": 4, "Apps": [null]}`),
 		}}},
 		"no cycles": {Scale: ScaleSpec{}, Runs: []RunSpec{{Workload: "H"}}},
+		"mesh over cap": {Runs: []RunSpec{{
+			Workload: "H", Width: 100_000, Height: 100_000,
+		}}},
+		"mesh product overflows": {Runs: []RunSpec{{
+			Workload: "H", Width: 1 << 32, Height: 1 << 32,
+		}}},
+		"config mesh over cap": {Runs: []RunSpec{{
+			Config: json.RawMessage(`{"Width": 100000, "Height": 100000}`),
+		}}},
+		"config mesh product overflows": {Runs: []RunSpec{{
+			Config: json.RawMessage(`{"Width": 4294967296, "Height": 4294967296}`),
+		}}},
+		"config default width over cap": {Runs: []RunSpec{{
+			Config: json.RawMessage(`{"Height": 2048}`),
+		}}},
 	} {
 		base := sc
 		if name == "no cycles" {
@@ -254,5 +270,50 @@ func TestRunHooks(t *testing.T) {
 	})
 	if m := fired.Execute()[0]; m.Cycles != 0 {
 		t.Errorf("immediately-cancelled run simulated %d cycles, want 0", m.Cycles)
+	}
+}
+
+// FuzzPlanSpec feeds arbitrary bytes through the daemon's decoding and
+// validation of POST /v1/runs and POST /v1/sweeps bodies: every input
+// is rejected with an error or resolves to runs within the node cap,
+// and none panics.
+func FuzzPlanSpec(f *testing.F) {
+	f.Add([]byte(`{"runs":[{"workload":"H","width":100000,"height":100000}]}`))
+	f.Add([]byte(`{"runs":[{"workload":"H","width":4294967296,"height":4294967296}]}`))
+	f.Add([]byte(`{"runs":[{"label":"raw","config":{"Width":8,"Height":8}}]}`))
+	f.Add([]byte(`{"scale":{"cycles":2000},"base":{"workload":"H"},"axes":[{"name":"size","values":[4,8]},{"name":"router","values":["bless","hierring"]}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ps PlanSpec
+		if decodeStrict(data, &ps) == nil {
+			checkResolved(t, ps)
+		}
+		var ss SweepSpec
+		if decodeStrict(data, &ss) == nil {
+			if points, err := ss.Points(MaxSweepPoints); err == nil {
+				checkResolved(t, PlanSpec{Scale: ss.Scale, Runs: points})
+			}
+		}
+	})
+}
+
+// decodeStrict decodes one JSON value the way the daemon's submit
+// handlers do.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// checkResolved resolves ps at the default scale and fails on any
+// accepted run whose mesh is outside 1..maxMeshNodes nodes.
+func checkResolved(t *testing.T, ps PlanSpec) {
+	_, runs, err := ps.Resolve(DefaultScale())
+	if err != nil {
+		return
+	}
+	for _, r := range runs {
+		if n := nodesOf(r.Config); n < 1 || n > maxMeshNodes {
+			t.Errorf("run %q resolved to %d nodes", r.Label, n)
+		}
 	}
 }

@@ -153,31 +153,6 @@ func (c *Client) CacheEntry(key string) (*Entry, error) {
 	return &e, nil
 }
 
-// PushSnapshot ships a checkpoint blob to the daemon's snapshot store
-// so it can warm-start a run from state computed elsewhere.
-func (c *Client) PushSnapshot(digest string, cycle int64, key string, blob []byte) error {
-	path := fmt.Sprintf("/v1/snapshots/%s/%d?key=%s", digest, cycle, key)
-	req, err := http.NewRequest(http.MethodPost, c.base+path, bytes.NewReader(blob))
-	if err != nil {
-		return fmt.Errorf("serve: building snapshot push: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("serve: pushing snapshot: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		var er ErrorResponse
-		if json.Unmarshal(raw, &er) == nil && er.Error != "" {
-			return fmt.Errorf("serve: pushing snapshot: %s (HTTP %d)", er.Error, resp.StatusCode)
-		}
-		return fmt.Errorf("serve: pushing snapshot: HTTP %d", resp.StatusCode)
-	}
-	return nil
-}
-
 // do runs one JSON round trip, mapping non-2xx answers to errors via
 // the daemon's ErrorResponse body. An optional header map is applied to
 // the request.

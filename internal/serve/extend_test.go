@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"nocsim/internal/serve"
-	"nocsim/internal/snap"
 )
 
 // TestExtendResumesFromCheckpoint covers the extend-run path end to
@@ -134,34 +133,5 @@ func TestSnapMetrics(t *testing.T) {
 	resp.Body.Close()
 	if strings.Contains(string(page), "nocd_snap_") {
 		t.Error("storeless daemon reports nocd_snap_ metrics")
-	}
-}
-
-// TestSnapPushRejectsBadHeader checks the snapshot-push boundary: a
-// body whose header is not a current-version snapshot is answered 400
-// and never reaches the store.
-func TestSnapPushRejectsBadHeader(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.SnapDir = t.TempDir()
-	s, ts := startServer(t, cfg)
-	push := func(body []byte) int {
-		resp, err := http.Post(ts.URL+"/v1/snapshots/abcdef0123456789/100?key=k", "application/octet-stream", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	stale := []byte{'N', 'O', 'C', 'S', 'N', 'A', 'P', '1', 0, 0, 0, 0}
-	for _, body := range [][]byte{[]byte("not a snapshot"), stale} {
-		if code := push(body); code != http.StatusBadRequest {
-			t.Errorf("push of %q: HTTP %d, want 400", body, code)
-		}
-	}
-	if st := s.Snapshots().Stats(); st.Writes != 0 {
-		t.Errorf("rejected pushes wrote %d store entries", st.Writes)
-	}
-	if code := push(snap.NewWriter().Bytes()); code != http.StatusNoContent {
-		t.Errorf("push of a current header: HTTP %d, want 204", code)
 	}
 }

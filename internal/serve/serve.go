@@ -31,7 +31,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -163,7 +162,6 @@ func New(cfg Config) (*Server, error) {
 	s.route("GET /v1/jobs/{id}/trace", s.handleTrace)
 	s.route("GET /v1/cache/stats", s.handleCacheStats)
 	s.route("GET /v1/cache/{key}", s.handleCacheEntry)
-	s.route("POST /v1/snapshots/{digest}/{cycle}", s.handleSnapPush)
 	s.route("GET /healthz", s.handleHealth)
 	s.route("GET /metrics", s.handleMetrics)
 	return s, nil
@@ -477,45 +475,6 @@ func (s *Server) handleCacheEntry(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, e)
-}
-
-// handleSnapPush accepts a checkpoint blob from a peer:
-// POST /v1/snapshots/{digest}/{cycle}?key=<state-key> with the raw
-// snapshot bytes as the body. A preempting coordinator pushes the
-// checkpointed state of a half-finished run here so the receiving peer
-// can warm-start the remainder; the store's own key verification (the
-// state key covers config and cycle) rejects mismatched blobs on read,
-// and a body without a current snapshot header is answered 400 before
-// it reaches the store.
-func (s *Server) handleSnapPush(w http.ResponseWriter, r *http.Request) {
-	if s.snaps == nil {
-		s.fail(w, http.StatusNotImplemented, "no checkpoint store configured")
-		return
-	}
-	cycle, err := strconv.ParseInt(r.PathValue("cycle"), 10, 64)
-	if err != nil || cycle <= 0 {
-		s.fail(w, http.StatusBadRequest, "bad cycle %q", r.PathValue("cycle"))
-		return
-	}
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		s.fail(w, http.StatusBadRequest, "missing state key")
-		return
-	}
-	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<30))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "reading snapshot body: %v", err)
-		return
-	}
-	if _, err := snap.NewReader(blob); err != nil {
-		s.fail(w, http.StatusBadRequest, "snapshot body: %v", err)
-		return
-	}
-	if err := s.snaps.Put(r.PathValue("digest"), cycle, key, blob); err != nil {
-		s.fail(w, http.StatusInternalServerError, "storing snapshot: %v", err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -218,14 +218,21 @@ func TestQueueBackpressure(t *testing.T) {
 }
 
 // TestInvalidPlan pins atomic validation: a plan with any bad run is
-// rejected as a 400 before it can occupy a queue slot.
+// rejected as a 400 before it can occupy a queue slot, and a mesh over
+// the node cap is rejected before its workload is generated.
 func TestInvalidPlan(t *testing.T) {
 	_, ts := startServer(t, testConfig(t))
-	bad := `{"scale": {"cycles": 1000}, "runs": [
-		{"label": "ok", "workload": "H"},
-		{"label": "bad", "workload": "nope"}
-	]}`
-	submit(t, ts, bad, http.StatusBadRequest)
+	for _, bad := range []string{
+		`{"scale": {"cycles": 1000}, "runs": [
+			{"label": "ok", "workload": "H"},
+			{"label": "bad", "workload": "nope"}
+		]}`,
+		`{"runs": [{"workload": "H", "width": 100000, "height": 100000}]}`,
+		`{"runs": [{"workload": "H", "width": 4294967296, "height": 4294967296}]}`,
+		`{"runs": [{"config": {"Width": 100000, "Height": 100000}}]}`,
+	} {
+		submit(t, ts, bad, http.StatusBadRequest)
+	}
 }
 
 // TestDrainRejectsSubmissions pins the shutdown contract: after Drain,
