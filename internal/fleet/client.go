@@ -156,8 +156,8 @@ func (c *Client) ExecuteSpecs(spec runner.PlanSpec) ([]runner.RemoteResult, erro
 
 // batchSweeps splits a plan's runs, in order, into explicit-point
 // sweeps whose JSON encodings each fit in limit bytes and whose point
-// counts fit runner.MaxSweepPoints. A run too large to ship alone is
-// an error.
+// counts and summed nodes fit runner.MaxSweepPoints and
+// runner.MaxPlanNodes. A run too large to ship alone is an error.
 func batchSweeps(spec runner.PlanSpec, limit int) ([]SweepSpec, error) {
 	empty, err := json.Marshal(SweepSpec{Scale: spec.Scale})
 	if err != nil {
@@ -167,8 +167,12 @@ func batchSweeps(spec runner.PlanSpec, limit int) ([]SweepSpec, error) {
 	// one comma between runs.
 	overhead := len(empty) + len(`,"runs":[]`)
 	var out []SweepSpec
-	size := 0
+	size, nodes := 0, 0
 	for _, r := range spec.Runs {
+		n, err := r.Nodes()
+		if err != nil {
+			return nil, fmt.Errorf("fleet: run %q: %w", r.Label, err)
+		}
 		b, err := json.Marshal(r)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: encoding run %q: %w", r.Label, err)
@@ -177,13 +181,15 @@ func batchSweeps(spec runner.PlanSpec, limit int) ([]SweepSpec, error) {
 			return nil, fmt.Errorf("fleet: run %q encodes to %d bytes, over the %d-byte request cap",
 				r.Label, len(b), limit)
 		}
-		if len(out) == 0 || size+1+len(b) > limit || len(out[len(out)-1].Runs) == runner.MaxSweepPoints {
+		if len(out) == 0 || size+1+len(b) > limit || nodes+n > runner.MaxPlanNodes ||
+			len(out[len(out)-1].Runs) == runner.MaxSweepPoints {
 			out = append(out, SweepSpec{Scale: spec.Scale})
-			size = overhead - 1 // the first run takes no comma
+			size, nodes = overhead-1, 0 // the first run takes no comma
 		}
 		last := &out[len(out)-1]
 		last.Runs = append(last.Runs, r)
 		size += 1 + len(b)
+		nodes += n
 	}
 	return out, nil
 }

@@ -111,6 +111,16 @@ func TestBatchSweeps(t *testing.T) {
 		t.Fatalf("point cap: %d batches, err %v; want %d runs then 1", len(batches), err, runner.MaxSweepPoints)
 	}
 
+	// So does the node budget: 17 64x64 runs are 16 and 1.
+	big := runner.PlanSpec{Runs: make([]runner.RunSpec, runner.MaxPlanNodes/4096+1)}
+	for i := range big.Runs {
+		big.Runs[i].Width = 64
+	}
+	batches, err = batchSweeps(big, 1<<30)
+	if err != nil || len(batches) != 2 || len(batches[1].Runs) != 1 {
+		t.Fatalf("node budget: %d batches, err %v; want %d runs then 1", len(batches), err, len(big.Runs)-1)
+	}
+
 	if _, err := batchSweeps(spec, 100); err == nil {
 		t.Fatal("a run larger than the limit was batched")
 	}
@@ -168,5 +178,37 @@ func TestExecuteSpecsOverBodyCap(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("over-cap plan arrived as one sweep (second sweep: HTTP %d)", resp.StatusCode)
+	}
+}
+
+// TestExecuteSpecsOverNodeBudget executes, through a peerless daemon, a
+// plan whose runs sum to more than runner.MaxPlanNodes: it must arrive
+// as two sweeps and complete. The runs are identical, so the daemon
+// simulates one of them.
+func TestExecuteSpecsOverNodeBudget(t *testing.T) {
+	ps := runner.PlanSpec{Scale: runner.ScaleSpec{Cycles: 50, Epoch: 10}}
+	for len(ps.Runs)*16*16 <= runner.MaxPlanNodes {
+		ps.Runs = append(ps.Runs, runner.RunSpec{Label: "budget", Preset: "controlled", Workload: "H", Width: 16})
+	}
+	_, _, ts := startDaemon(t, testServeConfig(t), Config{})
+	res, err := NewClient(ts.URL).ExecuteSpecs(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != len(ps.Runs) {
+		t.Fatalf("%d results for %d runs", len(res), len(ps.Runs))
+	}
+	for i := range res {
+		if !reflect.DeepEqual(res[i].Metrics, res[0].Metrics) {
+			t.Fatalf("run %d metrics differ from run 0's", i)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/sweeps/sweep-000002")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("over-budget plan arrived as one sweep (second sweep: HTTP %d)", resp.StatusCode)
 	}
 }

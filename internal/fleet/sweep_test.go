@@ -24,14 +24,16 @@ func rawVals(vals ...string) []json.RawMessage {
 // TestSweepExpansionErrors pins the sweep API's side of expansion:
 // every grid runner.SweepSpec.Points rejects — unknown axes (the label
 // and a raw config among them), empty axes, malformed values, grids
-// over runner.MaxSweepPoints and empty sweeps — is answered 400 with
-// the expansion error, before a single job is queued.
+// over runner.MaxSweepPoints and empty sweeps — and every sweep over
+// runner.MaxPlanNodes is answered 400 with the error, before a single
+// job is queued.
 func TestSweepExpansionErrors(t *testing.T) {
 	s, _, ts := startDaemon(t, testServeConfig(t), Config{})
-	wide := make([]string, 65)
+	wide := make([]string, runner.MaxSweepPoints)
 	for i := range wide {
 		wide[i] = strconv.Itoa(i + 1)
 	}
+	budget := runner.RunSpec{Workload: "H", Width: 64, Height: 64}
 	cases := []struct {
 		name string
 		spec SweepSpec
@@ -41,7 +43,8 @@ func TestSweepExpansionErrors(t *testing.T) {
 		{"unnamed axis", SweepSpec{Axes: []Axis{{Values: rawVals("1")}}}, "no name"},
 		{"empty axis", SweepSpec{Axes: []Axis{{Name: "seed"}}}, "no values"},
 		{"bad value", SweepSpec{Axes: []Axis{{Name: "seed", Values: rawVals(`"many"`)}}}, `axis \"seed\"`},
-		{"oversized", SweepSpec{Axes: []Axis{{Name: "seed", Values: rawVals(wide...)}, {Name: "width", Values: rawVals(wide...)}}}, "exceeds 4096 points"},
+		{"oversized", SweepSpec{Axes: []Axis{{Name: "seed", Values: rawVals(wide[:65]...)}, {Name: "width", Values: rawVals(wide[:65]...)}}}, "exceeds 4096 points"},
+		{"over node budget", SweepSpec{Base: budget, Axes: []Axis{{Name: "seed", Values: rawVals(wide...)}}}, "node budget"},
 		{"empty sweep", SweepSpec{}, "no points"},
 		{"label axis", SweepSpec{Axes: []Axis{{Name: "label", Values: rawVals(`"x"`)}}}, `unknown axis \"label\"`},
 		{"config axis", SweepSpec{Axes: []Axis{{Name: "config", Values: rawVals(`{"Width":4}`)}}}, `unknown axis \"config\"`},

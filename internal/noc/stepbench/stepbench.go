@@ -1,13 +1,14 @@
 // Package stepbench defines the fabric-stepping benchmark matrix and
-// its measurement loop, shared by the `go test -bench` entry points
-// and cmd/benchjson. Every fabric is driven open-loop by the uniform
-// random injector at a fixed sub-saturation rate, so a benchmark
-// measures the per-cycle hot path (arbitration, routing, link commit)
-// under realistic occupancy rather than an idle network.
+// its measurement loop, run by `go test -bench`. It is the only place
+// the 32x32 and 64x64 fabrics are timed; the closed-loop simulator and
+// the checkpoint codec are timed by perfbench (BENCHMARK.json). Every
+// fabric is driven open-loop by the uniform random injector at a fixed
+// sub-saturation rate, so a benchmark measures the per-cycle hot path
+// (arbitration, routing, link commit) under realistic occupancy rather
+// than an idle network.
 package stepbench
 
 import (
-	"fmt"
 	"testing"
 
 	"nocsim/internal/noc"
@@ -126,14 +127,4 @@ func StepOnce(net noc.Network, inj *traffic.Injector) {
 // newInjector builds the standard open-loop workload for n nodes.
 func newInjector(n int, rate float64) *traffic.Injector {
 	return traffic.NewInjector(n, rate, traffic.Uniform{Nodes: n}, seed)
-}
-
-// FindCase returns the named case.
-func FindCase(name string) (Case, error) {
-	for _, c := range Cases() {
-		if c.Name == name {
-			return c, nil
-		}
-	}
-	return Case{}, fmt.Errorf("stepbench: unknown case %q", name)
 }

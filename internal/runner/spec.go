@@ -118,11 +118,22 @@ func (ps PlanSpec) ScaleAt(base Scale) Scale {
 // Resolve validates the whole spec against a base scale and returns the
 // effective scale plus one assembled run per spec entry. Any invalid
 // entry fails the whole spec, so a submission is accepted or rejected
-// atomically before it can occupy a queue slot.
+// atomically before it can occupy a queue slot. The node budget is
+// checked before any run is resolved.
 func (ps PlanSpec) Resolve(base Scale) (Scale, []ResolvedRun, error) {
 	sc := ps.ScaleAt(base)
 	if len(ps.Runs) == 0 {
 		return sc, nil, fmt.Errorf("runner: plan declares no runs")
+	}
+	total := 0
+	for _, r := range ps.Runs {
+		n, err := r.Nodes()
+		if err != nil {
+			return sc, nil, fmt.Errorf("runner: run %q: %v", r.Label, err)
+		}
+		if total += n; total > MaxPlanNodes {
+			return sc, nil, fmt.Errorf("runner: plan exceeds the %d-node budget", MaxPlanNodes)
+		}
 	}
 	out := make([]ResolvedRun, len(ps.Runs))
 	for i, r := range ps.Runs {
@@ -176,14 +187,8 @@ func (r RunSpec) Resolve(sc Scale) (sim.Config, int64, error) {
 	if !ok {
 		return fail("unknown workload category %q", r.Workload)
 	}
-	width, height := r.Width, r.Height
-	if width == 0 {
-		width = 4
-	}
-	if height == 0 {
-		height = width
-	}
-	if err := checkMesh(width, height); err != nil {
+	width, height, err := r.mesh()
+	if err != nil {
 		return fail("%v", err)
 	}
 	seed := r.Seed
@@ -278,6 +283,40 @@ func validateRawConfig(cfg *sim.Config) error {
 // maxMeshNodes caps a submitted mesh: the paper's largest system
 // (PaperScale's MaxNodes).
 const maxMeshNodes = 4096
+
+// MaxPlanNodes caps the summed nodes of one submission, plan or sweep,
+// so a small body cannot make the handler generate millions of app
+// profiles: a full MaxSweepPoints grid of 4x4 meshes, or 16 meshes of
+// the paper's largest system.
+const MaxPlanNodes = 16 * maxMeshNodes
+
+// Nodes returns the node count of the run's mesh, with the defaults
+// Resolve applies, or an error when the mesh is out of range.
+func (r RunSpec) Nodes() (int, error) {
+	width, height, err := r.mesh()
+	return width * height, err
+}
+
+// mesh returns the run's mesh dimensions, checked by checkMesh. A raw
+// config is read for its dimensions alone.
+func (r RunSpec) mesh() (width, height int, err error) {
+	if len(r.Config) > 0 {
+		var dims struct{ Width, Height int }
+		if err := json.Unmarshal(r.Config, &dims); err != nil {
+			return 0, 0, fmt.Errorf("decoding config: %v", err)
+		}
+		width, height = meshOf(sim.Config{Width: dims.Width, Height: dims.Height})
+	} else {
+		width, height = r.Width, r.Height
+		if width == 0 {
+			width = 4
+		}
+		if height == 0 {
+			height = width
+		}
+	}
+	return width, height, checkMesh(width, height)
+}
 
 // checkMesh rejects a mesh outside 1..maxMeshNodes nodes. Each
 // dimension is bounded before the product is taken, so it cannot

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -116,6 +117,28 @@ func TestSpecValidation(t *testing.T) {
 		} else if !strings.HasPrefix(err.Error(), "runner: ") {
 			t.Errorf("%s: error %q lacks the runner: prefix", name, err)
 		}
+	}
+}
+
+// TestPlanNodeBudget pins the per-submission node budget: it is
+// checked before any run is resolved, so a 4096-point sweep of 64x64
+// meshes of an unknown workload fails on the budget, not the workload,
+// and a plan at the budget gets through to the workload check.
+func TestPlanNodeBudget(t *testing.T) {
+	over := SweepSpec{Base: RunSpec{Workload: "nope", Width: 64}, Axes: []Axis{{Name: "seed"}}}
+	for i := 1; i <= MaxSweepPoints; i++ {
+		over.Axes[0].Values = append(over.Axes[0].Values, json.RawMessage(strconv.Itoa(i)))
+	}
+	points, err := over.Points(MaxSweepPoints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := (PlanSpec{Runs: points}).Resolve(specScale()); err == nil || !strings.Contains(err.Error(), "node budget") {
+		t.Errorf("4096 64x64 points: err %v, want the node budget", err)
+	}
+	at := PlanSpec{Runs: points[:MaxPlanNodes/(64*64)]}
+	if _, _, err := at.Resolve(specScale()); err == nil || !strings.Contains(err.Error(), "unknown workload") {
+		t.Errorf("plan at the budget: err %v, want the unknown workload", err)
 	}
 }
 
@@ -275,8 +298,8 @@ func TestRunHooks(t *testing.T) {
 
 // FuzzPlanSpec feeds arbitrary bytes through the daemon's decoding and
 // validation of POST /v1/runs and POST /v1/sweeps bodies: every input
-// is rejected with an error or resolves to runs within the node cap,
-// and none panics.
+// is rejected with an error or resolves to runs within the node cap
+// and the node budget, and none panics.
 func FuzzPlanSpec(f *testing.F) {
 	f.Add([]byte(`{"runs":[{"workload":"H","width":100000,"height":100000}]}`))
 	f.Add([]byte(`{"runs":[{"workload":"H","width":4294967296,"height":4294967296}]}`))
@@ -305,15 +328,22 @@ func decodeStrict(data []byte, v any) error {
 }
 
 // checkResolved resolves ps at the default scale and fails on any
-// accepted run whose mesh is outside 1..maxMeshNodes nodes.
+// accepted run whose mesh is outside 1..maxMeshNodes nodes, or on
+// accepted runs over MaxPlanNodes in total.
 func checkResolved(t *testing.T, ps PlanSpec) {
 	_, runs, err := ps.Resolve(DefaultScale())
 	if err != nil {
 		return
 	}
+	total := 0
 	for _, r := range runs {
-		if n := nodesOf(r.Config); n < 1 || n > maxMeshNodes {
+		n := nodesOf(r.Config)
+		if n < 1 || n > maxMeshNodes {
 			t.Errorf("run %q resolved to %d nodes", r.Label, n)
 		}
+		total += n
+	}
+	if total > MaxPlanNodes {
+		t.Errorf("plan resolved to %d nodes, over the %d budget", total, MaxPlanNodes)
 	}
 }

@@ -1,6 +1,8 @@
 package snap
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -238,6 +240,38 @@ func TestStoreDetectsCorruption(t *testing.T) {
 	if st := s.Stats(); st.Corrupt != 1 {
 		t.Errorf("corrupt count = %d, want 1", st.Corrupt)
 	}
+}
+
+// FuzzStoreEntry feeds parseEntry arbitrary entry bodies, each sealed
+// with its correct sha256 trailer so the fuzzer reaches the key and
+// blob length fields. Any input must give an error or a blob that lies
+// inside the entry — never a panic.
+func FuzzStoreEntry(f *testing.F) {
+	s, err := NewStore(f.TempDir(), 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Put("abcdef0123456789", 7, "key", []byte("blob")); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(s.path("abcdef0123456789", 7))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw[:len(raw)-sha256.Size])
+	// Key lengths that wrap negative or overflow off+klen as an int.
+	for _, klen := range []uint64{^uint64(9), 1<<63 - 4} {
+		body := binary.LittleEndian.AppendUint64(storeMagic[:], klen)
+		f.Add(append(body, make([]byte, 16)...))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sum := sha256.Sum256(body)
+		entry := append(body[:len(body):len(body)], sum[:]...)
+		blob, err := parseEntry(entry, "")
+		if err == nil && len(blob) > len(body) {
+			t.Fatalf("blob of %d bytes from a %d-byte body", len(blob), len(body))
+		}
+	})
 }
 
 func TestStoreEviction(t *testing.T) {

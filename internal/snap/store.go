@@ -191,20 +191,22 @@ func parseEntry(raw []byte, key string) ([]byte, error) {
 	if string(sum[:]) != string(trailer) {
 		return nil, fmt.Errorf("snap: corrupt store entry (checksum mismatch)")
 	}
+	// Each length is compared as a uint64 against the bytes left before
+	// it becomes an int, so no length can wrap negative or overflow.
 	off := len(storeMagic)
-	klen := int(binary.LittleEndian.Uint64(body[off:]))
+	klen := binary.LittleEndian.Uint64(body[off:])
 	off += 8
-	if off+klen+8 > len(body) {
+	if klen > uint64(len(body)-off-8) {
 		return nil, fmt.Errorf("snap: corrupt store entry (bad key length)")
 	}
-	gotKey := string(body[off : off+klen])
-	off += klen
+	gotKey := string(body[off : off+int(klen)])
+	off += int(klen)
 	if key != "" && gotKey != key {
 		return nil, fmt.Errorf("snap: store entry key mismatch")
 	}
-	blen := int(binary.LittleEndian.Uint64(body[off:]))
+	blen := binary.LittleEndian.Uint64(body[off:])
 	off += 8
-	if off+blen != len(body) {
+	if blen != uint64(len(body)-off) {
 		return nil, fmt.Errorf("snap: corrupt store entry (bad blob length)")
 	}
 	return body[off:], nil

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // This file implements a compact on-disk instruction-trace format, the
@@ -152,6 +153,9 @@ func ReadTrace(r io.Reader) (*Replay, error) {
 		run, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("trace: run length: %w", err)
+		}
+		if run > math.MaxUint32 {
+			return nil, fmt.Errorf("trace: run length %d over 2^32-1", run)
 		}
 		flag, err := br.ReadByte()
 		if err != nil {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -88,12 +89,36 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 		"empty":     {},
 		"bad magic": []byte("XXXX rest"),
 		"truncated": append([]byte(traceMagic), 3, 'm', 'c', 'f'),
+		// A tail run of 2^32+5 that would truncate to the header's 5.
+		"long run": append(binary.AppendUvarint(append([]byte(traceMagic), 1, 'm', 5), 1<<32+5), 0),
 	}
 	for name, data := range cases {
 		if _, err := ReadTrace(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: ReadTrace accepted corrupt input", name)
 		}
 	}
+}
+
+// FuzzReadTrace feeds ReadTrace arbitrary bytes, seeded from Record
+// output: any input must give an error or a Replay that steps 10k
+// instructions without panicking.
+func FuzzReadTrace(f *testing.F) {
+	for _, n := range []int64{1, 1000} {
+		var buf bytes.Buffer
+		if _, err := Record(&buf, "mcf", New(Config{Profile: app.MustByName("mcf"), Seed: 5}), n); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rp, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i := 0; i < 10_000; i++ {
+			rp.Next()
+		}
+	})
 }
 
 func TestReadTraceRejectsCountMismatch(t *testing.T) {
