@@ -69,21 +69,23 @@ func (m *Monitor) Window() int { return m.window }
 func (m *Monitor) Nodes() int { return len(m.sums) }
 
 // Tick records whether node was starved this cycle (wanted to inject
-// but could not), aging out the bit from W cycles ago.
+// but could not), aging out the bit from W cycles ago. It is
+// branch-free in the starvation bits: the old bit is taken out, the new
+// one put in, and the sum moves by their difference, so the
+// unpredictable starved pattern costs no mispredictions.
 func (m *Monitor) Tick(node int, starved bool) {
-	p := int(m.pos[node])
-	word := node*m.words + p/64
-	mask := uint64(1) << uint(p%64)
-	if m.bits[word]&mask != 0 {
-		m.bits[word] &^= mask
-		m.sums[node]--
-	}
+	p := uint(m.pos[node])
+	w := &m.bits[uint(node)*uint(m.words)+p/64]
+	off := p % 64
+	old := *w >> off & 1
+	var nw uint64
 	if starved {
-		m.bits[word] |= mask
-		m.sums[node]++
+		nw = 1
 	}
+	*w ^= (old ^ nw) << off
+	m.sums[node] += int32(nw) - int32(old)
 	p++
-	if p == m.window {
+	if p == uint(m.window) {
 		p = 0
 	}
 	m.pos[node] = int32(p)

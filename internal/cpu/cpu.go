@@ -18,6 +18,14 @@ import (
 
 // MemBackend services the core's memory references. The system simulator
 // implements it with the L1 model, the address mapper, and the NoC.
+//
+// Token contract: a backend numbers one core's misses consecutively in
+// the token's low 32 bits (the system simulator's tokens are
+// core<<32 | counter). A core has at most Window misses outstanding,
+// all issued within its last Window instructions, so the outstanding
+// tokens differ in their low log2(pow2(Window)) bits and the core's
+// direct-mapped token table never collides. A token that collides, or
+// that Complete does not find, panics.
 type MemBackend interface {
 	// Access issues a memory reference by core; store marks a write.
 	// It returns hit=true when the reference hits in the private cache
@@ -74,7 +82,7 @@ type Core struct {
 	count   int
 
 	// tokens maps outstanding miss tokens to ring slots.
-	tokens map[uint64]int
+	tokens tokenTable
 
 	// One-instruction lookahead so a memory instruction that cannot
 	// issue this cycle (mem slot used) is not lost.
@@ -94,7 +102,73 @@ func New(id int, cfg Config, gen trace.Source, backend MemBackend) *Core {
 		gen:     gen,
 		backend: backend,
 		readyAt: make([]int64, cfg.Window),
-		tokens:  make(map[uint64]int),
+		tokens:  newTokenTable(cfg.Window),
+	}
+}
+
+// tokenTable maps outstanding miss tokens to window slots. It is
+// direct-mapped: token t lives in entry t&mask, and the table has
+// pow2(Window) entries, which the MemBackend token contract makes
+// collision-free, so a miss costs one indexed store and a completion
+// one indexed load, with no hashing. An entry's low bits are implied by
+// its index, so they hold the window slot instead (slot < Window <=
+// mask+1): an entry is token&^mask | slot, and a bitmap marks the
+// entries in use, 8 bytes and a bit per entry.
+type tokenTable struct {
+	ent  []uint64
+	used []uint64
+	mask uint64
+	n    int
+}
+
+func newTokenTable(window int) tokenTable {
+	size := 1
+	for size < window {
+		size <<= 1
+	}
+	return tokenTable{
+		ent:  make([]uint64, size),
+		used: make([]uint64, (size+63)/64),
+		mask: uint64(size - 1),
+	}
+}
+
+// put records token as awaited by window slot, which must be at most
+// mask. It reports false, and records nothing, if token's entry is
+// taken.
+func (t *tokenTable) put(token uint64, slot int) bool {
+	i := token & t.mask
+	w, bit := &t.used[i/64], uint64(1)<<(i%64)
+	if *w&bit != 0 {
+		return false
+	}
+	*w |= bit
+	t.ent[i] = token&^t.mask | uint64(slot)
+	t.n++
+	return true
+}
+
+// take removes token and returns its window slot, or -1 if token is
+// not awaited.
+func (t *tokenTable) take(token uint64) int {
+	i := token & t.mask
+	w, bit := &t.used[i/64], uint64(1)<<(i%64)
+	e := t.ent[i]
+	if *w&bit == 0 || e&^t.mask != token&^t.mask {
+		return -1
+	}
+	*w &^= bit
+	t.n--
+	return int(e & t.mask)
+}
+
+// each calls fn with every awaited token and its window slot, in
+// entry order.
+func (t *tokenTable) each(fn func(token uint64, slot int)) {
+	for i, e := range t.ent {
+		if t.used[i/64]&(1<<(i%64)) != 0 {
+			fn(e&^t.mask|uint64(i), int(e&t.mask))
+		}
 	}
 }
 
@@ -108,7 +182,7 @@ func (c *Core) Retired() int64 { return c.retired }
 func (c *Core) StalledCycles() int64 { return c.stalled }
 
 // Outstanding returns the number of in-flight misses.
-func (c *Core) Outstanding() int { return len(c.tokens) }
+func (c *Core) Outstanding() int { return c.tokens.n }
 
 // WindowOccupancy returns the number of window entries in use.
 func (c *Core) WindowOccupancy() int { return c.count }
@@ -116,11 +190,10 @@ func (c *Core) WindowOccupancy() int { return c.count }
 // Complete delivers the data for an outstanding miss token; the entry
 // becomes retirable next cycle.
 func (c *Core) Complete(token uint64, cycle int64) {
-	slot, ok := c.tokens[token]
-	if !ok {
+	slot := c.tokens.take(token)
+	if slot < 0 {
 		panic(fmt.Sprintf("cpu: core %d completing unknown token %d", c.id, token))
 	}
-	delete(c.tokens, token)
 	c.readyAt[slot] = cycle + 1
 }
 
@@ -133,7 +206,10 @@ func (c *Core) Step(cycle int64) {
 		if ra == waiting || ra > cycle {
 			break
 		}
-		c.head = (c.head + 1) % c.cfg.Window
+		c.head++
+		if c.head == c.cfg.Window {
+			c.head = 0
+		}
 		c.count--
 		c.retired++
 	}
@@ -154,7 +230,10 @@ func (c *Core) Step(cycle int64) {
 		}
 		in := c.pending
 		c.hasPending = false
-		slot := (c.head + c.count) % c.cfg.Window
+		slot := c.head + c.count
+		if slot >= c.cfg.Window {
+			slot -= c.cfg.Window
+		}
 		c.count++
 		if !in.IsMem {
 			c.readyAt[slot] = cycle + 1
@@ -166,7 +245,9 @@ func (c *Core) Step(cycle int64) {
 			c.readyAt[slot] = cycle + c.cfg.HitLatency
 		} else {
 			c.readyAt[slot] = waiting
-			c.tokens[token] = slot
+			if !c.tokens.put(token, slot) {
+				panic(fmt.Sprintf("cpu: core %d miss token %d collides with an outstanding token", c.id, token))
+			}
 		}
 	}
 }

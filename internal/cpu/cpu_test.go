@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nocsim/internal/app"
+	"nocsim/internal/rng"
 	"nocsim/internal/trace"
 )
 
@@ -226,5 +227,116 @@ func TestCoreRunsFromRecordedTrace(t *testing.T) {
 	}
 	if rp.Loops() == 0 {
 		t.Error("trace should have looped during the run")
+	}
+}
+
+// TestTokenTableMatchesMap drives the direct-mapped token table the way
+// a core does — misses issue in program order into a window of 96 (not
+// a power of two), complete out of order, and retire in order — and
+// checks every answer against a map. Tokens carry a core id in the high
+// bits and start just below the 32-bit counter wrap, as the system
+// simulator's do after 2^32 misses.
+func TestTokenTableMatchesMap(t *testing.T) {
+	const window = 96
+	tab := newTokenTable(window)
+	if len(tab.ent) != 128 {
+		t.Fatalf("table of %d entries for window %d, want 128", len(tab.ent), window)
+	}
+	ref := map[uint64]int{}
+	var fifo []uint64 // issued tokens in program order; 0 once completed
+	head := 0         // window slot of fifo[0]
+	counter := uint64(1<<32 - 500)
+	src := rng.New(5)
+	for step := 0; step < 200_000; step++ {
+		switch {
+		case len(fifo) < window && (len(ref) == 0 || src.Bool(0.5)):
+			counter++
+			tok := 7<<32 | counter&0xffffffff
+			slot := (head + len(fifo)) % window
+			if !tab.put(tok, slot) {
+				t.Fatalf("step %d: token %#x collided with %d outstanding", step, tok, len(ref))
+			}
+			ref[tok] = slot
+			fifo = append(fifo, tok)
+		default:
+			// Complete a random outstanding token, out of order.
+			var tok uint64
+			for tok == 0 {
+				tok = fifo[src.Intn(len(fifo))]
+			}
+			if got := tab.take(tok); got != ref[tok] {
+				t.Fatalf("step %d: token %#x slot %d, want %d", step, tok, got, ref[tok])
+			}
+			if got := tab.take(tok); got != -1 {
+				t.Fatalf("step %d: token %#x found again after completion (slot %d)", step, tok, got)
+			}
+			delete(ref, tok)
+			for i := range fifo {
+				if fifo[i] == tok {
+					fifo[i] = 0
+				}
+			}
+			for len(fifo) > 0 && fifo[0] == 0 {
+				fifo = fifo[1:]
+				head = (head + 1) % window
+			}
+		}
+		if tab.n != len(ref) {
+			t.Fatalf("step %d: %d outstanding, want %d", step, tab.n, len(ref))
+		}
+		// A token never issued, one table size past the newest.
+		if got := tab.take(7<<32 | (counter+128)&0xffffffff); got != -1 {
+			t.Fatalf("step %d: unissued token found at slot %d", step, got)
+		}
+	}
+}
+
+// randomReplyBackend misses on every access and leaves completion to
+// the test, which answers outstanding misses in random order.
+type randomReplyBackend struct {
+	next uint64
+	out  []uint64
+}
+
+func (b *randomReplyBackend) Access(int, uint64, bool) (bool, uint64) {
+	b.next++
+	tok := 3<<32 | b.next&0xffffffff
+	b.out = append(b.out, tok)
+	return false, tok
+}
+
+// TestCoreTokensOutOfOrder runs a core with a 96-entry window against
+// out-of-order completions: the core must never report a token
+// collision, and Awaiting must list exactly the misses still
+// unanswered.
+func TestCoreTokensOutOfOrder(t *testing.T) {
+	b := &randomReplyBackend{}
+	c := New(0, Config{Window: 96}, heavyGen(9), b)
+	src := rng.New(6)
+	for cyc := int64(0); cyc < 50_000; cyc++ {
+		c.Step(cyc)
+		for k := src.Intn(3); k > 0 && len(b.out) > 0; k-- {
+			i := src.Intn(len(b.out))
+			c.Complete(b.out[i], cyc)
+			b.out[i] = b.out[len(b.out)-1]
+			b.out = b.out[:len(b.out)-1]
+		}
+		want := map[uint64]bool{}
+		for _, tok := range b.out {
+			want[tok] = true
+		}
+		n := 0
+		c.Awaiting(func(tok uint64) {
+			if !want[tok] {
+				t.Fatalf("cycle %d: core awaits token %#x that was answered or never issued", cyc, tok)
+			}
+			n++
+		})
+		if n != len(want) || c.Outstanding() != len(want) {
+			t.Fatalf("cycle %d: core awaits %d (outstanding %d), want %d", cyc, n, c.Outstanding(), len(want))
+		}
+	}
+	if c.Retired() == 0 {
+		t.Fatal("core retired nothing")
 	}
 }

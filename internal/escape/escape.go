@@ -116,8 +116,8 @@ func DefaultWatches() Watch {
 			"Queued", "EjectHandle",
 		},
 		"internal/noc/bless/bless.go": {
-			"Step", "stepRouter", "assignPort", "reinjectSide",
-			"inject", "desiredPort", "freePortToward",
+			"Step", "stepRouter", "divert", "reinjectSide", "inject",
+			"productive", "leastLoaded", "toward", "collect", "sortAge",
 		},
 		"internal/noc/buffered/buffered.go": {
 			"Step", "stepRouter", "routeLocal", "localFront",
@@ -136,9 +136,9 @@ func DefaultWatches() Watch {
 func DefaultAllow() []Allow {
 	return []Allow{
 		{"internal/noc/nic.go", "Send", `"noc: packet length out of range`},
-		{"internal/noc/bless/bless.go", "assignPort", `fmt.Sprintf("bless: no free port at node`},
-		{"internal/noc/bless/bless.go", "assignPort", "node escapes to heap"},
-		{"internal/noc/bless/bless.go", "assignPort", "dst escapes to heap"},
+		{"internal/noc/bless/bless.go", "divert", `fmt.Sprintf("bless: no free port at node`},
+		{"internal/noc/bless/bless.go", "divert", "node escapes to heap"},
+		{"internal/noc/bless/bless.go", "divert", "dst escapes to heap"},
 		{"internal/noc/buffered/buffered.go", "stepRouter", `fmt.Sprintf("buffered: input buffer overflow`},
 		{"internal/noc/buffered/buffered.go", "stepRouter", "node escapes to heap"},
 		{"internal/noc/buffered/buffered.go", "stepRouter", "d escapes to heap"},

@@ -25,6 +25,7 @@ package bless
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"nocsim/internal/noc"
@@ -105,37 +106,95 @@ type Config struct {
 
 const maxDirs = int(topology.NumDirs)
 
-// arrKey is one collected arrival's arbitration state, copied out of
-// the flit pool's hot plane so the sort and routing loops run on
-// L1-resident scratch instead of re-chasing scattered pool entries.
-// inject/seq/index replicate noc.Older's field order.
+// arrKey is one collected arrival's Oldest-First key, copied out of
+// the flit pool's hot plane so the sorting network runs on L1-resident
+// scratch: the injection cycle, then tie = Seq<<8 | Index. The packing
+// keeps noc.OlderHot's order because Seq < 2^56 (noc.NewNIC bounds the
+// node below 2^16 and Send the per-node counter below 2^40) and Index
+// fits its byte. An empty slot holds the pad key, inject = MaxInt64,
+// which sorts after every flit.
 type arrKey struct {
 	inject int64
-	seq    uint64
-	dst    int32
-	index  uint8
+	tie    uint64
 }
 
-// olderKey is noc.OlderHot on copied keys: the same Oldest-First total
-// order (injection cycle, packet sequence, flit index).
-func olderKey(a, b *arrKey) bool {
-	if a.inject != b.inject {
-		return a.inject < b.inject
+// older is 1 if a precedes b in the Oldest-First order and 0 otherwise:
+// the borrow out of the 128-bit difference a - b, with inject's sign
+// bit flipped so that signed order becomes unsigned. Two subtractions
+// and no branch.
+func older(a, b *arrKey) uint {
+	_, br := bits.Sub64(a.tie, b.tie, 0)
+	_, br = bits.Sub64(uint64(a.inject)^1<<63, uint64(b.inject)^1<<63, br)
+	return uint(br)
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	if a.seq != b.seq {
-		return a.seq < b.seq
-	}
-	return a.index < b.index
+	return 0
 }
 
 // stepScratch is the arbitration workspace: the collected arrival
-// handles and their arbitration keys, the age order, and the departing
-// flit per output port.
+// handles, destinations and age keys, the age order (indices into
+// them), and the departing flit per output port.
 type stepScratch struct {
 	hs   [maxDirs]noc.Handle
+	dst  [maxDirs]int32
 	keys [maxDirs]arrKey
-	ord  [maxDirs]int32
+	ord  [maxDirs]uint8
 	out  [maxDirs]noc.Handle
+}
+
+// padKeys is an empty collection: every key sorts last.
+var padKeys = [maxDirs]arrKey{{inject: math.MaxInt64}, {inject: math.MaxInt64}, {inject: math.MaxInt64}, {inject: math.MaxInt64}}
+
+// cx is one compare-exchange of the sorting network over the key
+// indices a and b: it returns them older first. The swap is an XOR
+// under a mask built from older's borrow, so no branch depends on the
+// flits' ages.
+func cx(keys *[maxDirs]arrKey, a, b uint8) (uint8, uint8) {
+	x := (a ^ b) & -uint8(older(&keys[b&3], &keys[a&3]))
+	return a ^ x, b ^ x
+}
+
+// collect copies the arrivals in head (handle 0 is an empty link)
+// into the scratch and returns their count na. It runs at a fixed
+// width: every slot writes position na, which only a flit advances, so
+// the arrivals land compacted in link order and an empty slot leaves
+// (or overwrites) a pad key. keys is reset to pads first, so every key
+// past na sorts last whatever the previous node left there.
+func (sc *stepScratch) collect(head *[maxDirs]noc.Handle, hot []noc.FlitHot) int {
+	sc.keys = padKeys
+	na := 0
+	for d := 0; d < maxDirs; d++ {
+		h := head[d]
+		fh := &hot[h] // slot 0, the nil handle, is a readable zero entry
+		inj := fh.Inject
+		if h == 0 {
+			inj = math.MaxInt64
+		}
+		i := na & (maxDirs - 1) // na < maxDirs here; the mask drops the bounds checks
+		sc.hs[i] = h
+		sc.dst[i] = fh.Dst
+		sc.keys[i] = arrKey{inject: inj, tie: fh.Seq<<8 | uint64(fh.Index)}
+		na += b2i(h != 0)
+	}
+	return na
+}
+
+// sortAge orders all four keys by age with the optimal 5-comparator
+// network for four inputs. Pad keys sort last, so the first na entries
+// of ord are the arrivals, oldest first.
+func (sc *stepScratch) sortAge() {
+	k := &sc.keys
+	o0, o1 := cx(k, 0, 1)
+	o2, o3 := cx(k, 2, 3)
+	o0, o2 = cx(k, o0, o2)
+	o1, o3 = cx(k, o1, o3)
+	o1, o2 = cx(k, o1, o2)
+	sc.ord = [maxDirs]uint8{o0, o1, o2, o3}
 }
 
 // Fabric is the bufferless network. It implements noc.Network; the
@@ -166,16 +225,17 @@ type Fabric struct {
 	// port, the local congestion estimate adaptive routing consults.
 	load []uint32
 
-	// fastRT caches Topology.RouteTableInUse so the arbitration loops
-	// can take the inlinable packed-table lookup without an interface
-	// query per flit.
-	fastRT bool
+	// fastXY is set when routing is strict XY off the packed table
+	// (Topology.RouteTableInUse and not Adaptive), so the arbitration
+	// loops can take the inlinable table lookup without a query per
+	// flit.
+	fastXY bool
 
 	// scr is the arbitration scratch. The per-flit arrays live here
 	// rather than on stepRouter's frame so stepping a node does not
 	// re-zero ~100 bytes of locals: every slot is written before it is
-	// read (hs/hot/ord up to na, out only for ports whose free bit was
-	// claimed).
+	// read (keys in full, hs/dst/ord up to na, out only for ports whose
+	// free bit was claimed).
 	scr stepScratch
 
 	randSrc []*rng.Source // per node, Random arbiter only
@@ -202,7 +262,7 @@ func New(cfg Config) *Fabric {
 		injectW: cfg.InjectWidth,
 		sideCap: int32(cfg.SideBuffer),
 		arb:     cfg.Arb,
-		fastRT:  cfg.Topology.RouteTableInUse(),
+		fastXY:  cfg.Topology.RouteTableInUse() && !cfg.Adaptive,
 	}
 	// Adaptive routing's per-cycle load decay is cheap only in the
 	// dense loop, so it keeps every router stepping.
@@ -248,46 +308,25 @@ func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 	f.Replay(node)
 	base := node * maxDirs
 
-	// Collect arrivals at the head stage and clear the slots. The
-	// scratch arrays are reused across nodes; only the first na slots
-	// are ever read back.
+	// Collect arrivals at the head stage and clear the slots.
 	sc := &f.scr
-	hs := &sc.hs
-	keys := &sc.keys
-	ord := &sc.ord
-	na := 0
 	rb := f.ReadBase(node)
-	head := f.in[rb : rb+maxDirs]
-	for d, h := range head {
-		if h != 0 {
-			hs[na] = h
-			fh := &f.Hot[h]
-			keys[na] = arrKey{inject: fh.Inject, seq: fh.Seq, dst: fh.Dst, index: fh.Index}
-			na++
-			head[d] = 0
-		}
-	}
+	head := (*[maxDirs]noc.Handle)(f.in[rb : rb+maxDirs])
+	na := sc.collect(head, f.Hot)
+	*head = [maxDirs]noc.Handle{}
 	st.Arbitrations += int64(na)
 	f.Depart(node, na)
 
-	// Order contenders. Oldest-First sorts by the age total order;
-	// Random shuffles.
-	for i := 0; i < na; i++ {
-		ord[i] = int32(i)
-	}
+	// Order contenders. Oldest-First runs the sorting network over all
+	// four keys; Random shuffles the arrivals.
 	if f.arb == OldestFirst {
-		for i := 1; i < na; i++ { // insertion sort, na <= 4
-			j := i
-			for j > 0 && olderKey(&keys[ord[j]], &keys[ord[j-1]]) {
-				ord[j], ord[j-1] = ord[j-1], ord[j]
-				j--
-			}
-		}
-	} else if na > 1 {
+		sc.sortAge()
+	} else {
+		sc.ord = [maxDirs]uint8{0, 1, 2, 3}
 		src := f.randSrc[node]
 		for i := na - 1; i > 0; i-- {
 			j := src.Intn(i + 1)
-			ord[i], ord[j] = ord[j], ord[i]
+			sc.ord[i], sc.ord[j] = sc.ord[j], sc.ord[i]
 		}
 	}
 
@@ -296,14 +335,12 @@ func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 	// rest are routed onward, deflected past their destination as
 	// FLIT-BLESS does under ejection contention). Ejection never
 	// consumes an output port, so a merged pass assigns exactly the
-	// ports the separate eject-then-assign passes did. The common
-	// transit case — the XY port or a productive alternative is free
-	// under the default routing — is inlined; ejection overflow,
-	// side-buffering, deflection and adaptive routing take the
-	// assignPort slow path. With MinBD side buffering, one
+	// ports the separate eject-then-assign passes did. Each transit
+	// flit is routed once; when no productive port is free, divert
+	// side-buffers or deflects it. With MinBD side buffering, one
 	// would-be-deflected flit per cycle is absorbed into the side
 	// buffer instead of misrouting.
-	out := sc.out[:]
+	out := &sc.out
 	nic := f.NIC(node)
 	ejected := 0
 	// free tracks the node's unassigned valid output ports as a
@@ -313,44 +350,44 @@ func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 	sideSlot := f.side != nil && f.sideCount[node] < f.sideCap
 	cross := int64(0) // batched st.CrossbarTraversals
 	for k := 0; k < na; k++ {
-		i := ord[k]
-		dst := int(keys[i].dst)
-		if dst == node && ejected < f.ejectW {
-			ejected++
-			cross++
-			f.EjectHandle(node, hs[i])
-			continue
-		}
-		if dst != node && f.load == nil && f.fastRT {
-			xy, prod := f.Topology().RouteEntryFast(node, dst)
-			if free&(1<<uint(xy)) != 0 { // xy != Local: dst differs
-				free &^= 1 << uint(xy)
-				out[xy] = hs[i]
+		i := sc.ord[k] & 3
+		h, dst := sc.hs[i], int(sc.dst[i])
+		if dst == node {
+			if ejected < f.ejectW {
+				ejected++
+				cross++
+				f.EjectHandle(node, h)
+				continue
+			}
+		} else {
+			var p uint8
+			if f.fastXY {
+				xy, prod := f.Topology().RouteEntryFast(node, dst)
+				p = pick(xy, prod, free)
+			} else {
+				p = f.productive(node, dst, free)
+			}
+			if p != 0 {
+				free &^= p
+				out[bits.TrailingZeros8(p)&3] = h
 				cross++
 				continue
 			}
-			if m := prod & free; m != 0 {
-				d := bits.TrailingZeros8(m)
-				free &^= 1 << uint(d)
-				out[d] = hs[i]
-				cross++
-				continue
-			}
 		}
-		f.assignPort(node, hs[i], dst, &free, out, st, &sideSlot)
+		free &^= f.divert(node, h, dst, free, out, st, &sideSlot)
 	}
 	st.CrossbarTraversals += cross
 
 	// Side-buffer re-injection: one buffered flit per cycle re-enters
 	// when a port is free, with priority over NI injection (MinBD).
 	if f.side != nil {
-		f.reinjectSide(node, &free, out, st)
+		free &^= f.reinjectSide(node, free, out, st)
 	}
 
 	// Injection: the node may inject while an output link is free. An
 	// empty NIC wants nothing; the policy still observes the cycle.
 	if nic.HasTraffic() {
-		f.inject(node, nic, &free, out)
+		free &^= f.inject(node, nic, free, out)
 	} else {
 		f.Idle(node)
 	}
@@ -392,19 +429,12 @@ func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 	return nic.HasTraffic() || (f.side != nil && f.sideCount[node] > 0) || f.Queued(node)
 }
 
-// assignPort gives flit h an output direction: its XY choice if free,
-// else a free productive direction, else — if a side-buffer slot is
-// available this cycle — the side buffer, else the least-harmful free
-// direction (a deflection).
-func (f *Fabric) assignPort(node int, h noc.Handle, dst int, free *uint8, out []noc.Handle, st *noc.Stats, sideSlot *bool) {
-	if dst != node {
-		if d := f.desiredPort(node, dst, *free); d != topology.Invalid {
-			*free &^= 1 << uint(d)
-			out[d] = h
-			st.CrossbarTraversals++
-			return
-		}
-	}
+// divert places flit h when no productive port is free for it (or it
+// is bound here and ejection is full): into the side buffer if a slot
+// is available this cycle, else onto the least-harmful free direction
+// (a deflection). It returns the port it claimed as a one-bit mask, 0
+// for the side buffer.
+func (f *Fabric) divert(node int, h noc.Handle, dst int, free uint8, out *[maxDirs]noc.Handle, st *noc.Stats, sideSlot *bool) uint8 {
 	// Absorb into the side buffer instead of deflecting, when enabled
 	// and not already used this cycle.
 	if *sideSlot {
@@ -419,7 +449,7 @@ func (f *Fabric) assignPort(node int, h noc.Handle, dst int, free *uint8, out []
 			f.Pool.Get(h, &fl)
 			f.Tracer.Buffer(f.Cycle(), node, &fl)
 		}
-		return
+		return 0
 	}
 
 	// Deflect to the free valid port that hurts least (smallest
@@ -427,7 +457,7 @@ func (f *Fabric) assignPort(node int, h noc.Handle, dst int, free *uint8, out []
 	// number of flits needing ports never exceeds the node's degree.
 	best := topology.Invalid
 	bestDist := int(^uint(0) >> 1)
-	for m := *free; m != 0; m &= m - 1 {
+	for m := free; m != 0; m &= m - 1 {
 		d := topology.Port(bits.TrailingZeros8(m))
 		dist := 0
 		if dst != node {
@@ -441,7 +471,6 @@ func (f *Fabric) assignPort(node int, h noc.Handle, dst int, free *uint8, out []
 	if best == topology.Invalid {
 		panic(fmt.Sprintf("bless: no free port at node %d for flit ->%d", node, dst))
 	}
-	*free &^= 1 << uint(best)
 	out[best] = h
 	st.CrossbarTraversals++
 	st.Deflections++
@@ -453,33 +482,35 @@ func (f *Fabric) assignPort(node int, h noc.Handle, dst int, free *uint8, out []
 		f.Pool.Get(h, &fl)
 		f.Tracer.Deflect(f.Cycle(), node, &fl)
 	}
+	return 1 << uint(best)
 }
 
 // reinjectSide moves the side buffer's head flit back into the router
-// when an output port is free (one per cycle, before NI injection).
-func (f *Fabric) reinjectSide(node int, free *uint8, out []noc.Handle, st *noc.Stats) {
+// when an output port is free (one per cycle, before NI injection). It
+// returns the port it claimed as a one-bit mask, or 0.
+func (f *Fabric) reinjectSide(node int, free uint8, out *[maxDirs]noc.Handle, st *noc.Stats) uint8 {
 	if f.sideCount[node] == 0 {
-		return
+		return 0
 	}
 	d := f.cfg.SideBuffer
 	//nocvet:allow handleleak peek: the handle stays owned by the side ring until the reinjection below succeeds and advances sideHead
 	h := f.side[node*d+int(f.sideHead[node])]
-	dir := f.freePortToward(node, int(f.Pool.Hot(h).Dst), *free)
-	if dir == topology.Invalid {
-		return
+	p := f.toward(node, int(f.Pool.Hot(h).Dst), free)
+	if p == 0 {
+		return 0
 	}
-	*free &^= 1 << uint(dir)
-	out[dir] = h
+	out[bits.TrailingZeros8(p)&3] = h
 	f.sideHead[node] = (f.sideHead[node] + 1) % int32(d)
 	f.sideCount[node]--
 	st.BufferReads++
 	st.CrossbarTraversals++
+	return p
 }
 
 // inject moves up to InjectWidth flits from the NIC into free output
 // ports, consulting the policy for request flits, and reports the
-// starvation outcome.
-func (f *Fabric) inject(node int, nic *noc.NIC, free *uint8, out []noc.Handle) {
+// starvation outcome. It returns the ports it claimed as a mask.
+func (f *Fabric) inject(node int, nic *noc.NIC, free uint8, out *[maxDirs]noc.Handle) (taken uint8) {
 	wanted := false
 	injected := false
 	throttled := false
@@ -489,8 +520,8 @@ func (f *Fabric) inject(node int, nic *noc.NIC, free *uint8, out []noc.Handle) {
 			break
 		}
 		wanted = true
-		dir := f.freePortToward(node, int(head.Dst), *free)
-		if dir == topology.Invalid {
+		p := f.toward(node, int(head.Dst), free&^taken)
+		if p == 0 {
 			break // no free output link: starved
 		}
 		if noc.ThrottledKind(head.Kind) && !f.Admit(node) {
@@ -499,63 +530,72 @@ func (f *Fabric) inject(node int, nic *noc.NIC, free *uint8, out []noc.Handle) {
 		}
 		fl := nic.Pop()
 		f.Injected(node, &fl)
-		*free &^= 1 << uint(dir)
-		out[dir] = f.Pool.Alloc(&fl)
+		taken |= p
+		out[bits.TrailingZeros8(p)&3] = f.Pool.Alloc(&fl)
 		injected = true
 	}
 	f.Outcome(node, wanted, injected, throttled)
+	return taken
 }
 
-// desiredPort returns the flit's preferred free productive output
-// direction: strict XY first under the default routing, or the
-// least-recently-busy productive port under adaptive routing. Invalid
-// means no productive port is free. Both the XY choice and the
-// productive set are precomputed table lookups; the mask is scanned
-// low-bit-first, which matches the direction order the old slice-based
-// loop produced.
-func (f *Fabric) desiredPort(node, dst int, free uint8) topology.Port {
-	if f.load == nil {
-		// Strict XY, falling back to any free productive direction.
-		// One fused table load answers both queries; the XY port is
-		// always valid when it exists, so free alone gates it.
-		var xy topology.Port
-		var prod uint8
-		if f.fastRT {
-			xy, prod = f.Topology().RouteEntryFast(node, dst)
-		} else {
-			xy, prod = f.Topology().RouteEntry(node, dst)
-		}
-		if xy != topology.Local && free&(1<<uint(xy)) != 0 {
-			return xy
-		}
-		if m := prod & free; m != 0 {
-			return topology.Port(bits.TrailingZeros8(m))
-		}
-		return topology.Invalid
+// productive returns, as a one-bit mask, the free productive port a
+// flit at node bound for dst != node takes, or 0 if none is free:
+// under the default routing the pick from one routing lookup, under
+// adaptive routing the least recently busy free productive direction.
+// Callers inline the common case — default routing off the packed
+// table (fastXY) — and call productive otherwise.
+func (f *Fabric) productive(node, dst int, free uint8) uint8 {
+	if f.load != nil {
+		return f.leastLoaded(node, dst, free)
 	}
-	// Adaptive: least-loaded free productive direction.
-	best := topology.Invalid
+	xy, prod := f.Topology().RouteEntry(node, dst)
+	return pick(xy, prod, free)
+}
+
+// pick chooses among the free ports from one routing lookup: the XY
+// port xy if free, else the lowest free productive direction (the
+// order the old slice-based loop produced), as a one-bit mask, or 0.
+// The XY port is always valid, so free alone gates it.
+func pick(xy topology.Port, prod, free uint8) uint8 {
+	p := uint8(1) << uint(xy) & free
+	if p == 0 {
+		m := prod & free
+		p = m & -m
+	}
+	return p
+}
+
+// leastLoaded is adaptive routing's choice: the free productive
+// direction whose output port has been least busy recently, as a
+// one-bit mask, or 0.
+func (f *Fabric) leastLoaded(node, dst int, free uint8) uint8 {
+	best := uint8(0)
 	bestLoad := ^uint32(0)
 	for m := f.Topology().ProductiveMask(node, dst) & free; m != 0; m &= m - 1 {
-		d := topology.Port(bits.TrailingZeros8(m))
-		if l := f.load[node*maxDirs+int(d)]; l < bestLoad {
-			best = d
+		d := bits.TrailingZeros8(m)
+		if l := f.load[node*maxDirs+d]; l < bestLoad {
+			best = 1 << uint(d)
 			bestLoad = l
 		}
 	}
 	return best
 }
 
-// freePortToward returns a free output direction, preferring productive
-// directions toward dst, or Invalid if every valid port is taken.
-func (f *Fabric) freePortToward(node, dst int, free uint8) topology.Port {
+// toward returns, as a one-bit mask, the free output port a flit at
+// node bound for dst leaves by: a productive one if any is free (see
+// productive), else the lowest free port; 0 when every port is taken.
+func (f *Fabric) toward(node, dst int, free uint8) uint8 {
 	if dst != node {
-		if d := f.desiredPort(node, dst, free); d != topology.Invalid {
-			return d
+		var p uint8
+		if f.fastXY {
+			xy, prod := f.Topology().RouteEntryFast(node, dst)
+			p = pick(xy, prod, free)
+		} else {
+			p = f.productive(node, dst, free)
+		}
+		if p != 0 {
+			return p
 		}
 	}
-	if free != 0 {
-		return topology.Port(bits.TrailingZeros8(free))
-	}
-	return topology.Invalid
+	return free & -free
 }

@@ -22,7 +22,7 @@ func init() {
 			"sideCap":   "construction: hoisted Config mirror",
 			"arb":       "construction: hoisted Config mirror",
 			"sideHead":  "canonical: side rings are encoded in FIFO order and restored head-normalized",
-			"fastRT":    "construction: derived from the topology",
+			"fastXY":    "construction: derived from the topology and Config.Adaptive",
 			"scr":       "scratch: every slot is written before it is read within one router step",
 		},
 	})
@@ -30,14 +30,13 @@ func init() {
 	snap.Cover(arrKey{}, snap.Coverage{
 		Waived: map[string]string{
 			"inject": "scratch: per-step copy of pool state",
-			"seq":    "scratch: per-step copy of pool state",
-			"dst":    "scratch: per-step copy of pool state",
-			"index":  "scratch: per-step copy of pool state",
+			"tie":    "scratch: per-step copy of pool state",
 		},
 	})
 	snap.Cover(stepScratch{}, snap.Coverage{
 		Waived: map[string]string{
 			"hs":   "scratch: written before read within one router step",
+			"dst":  "scratch: written before read within one router step",
 			"keys": "scratch: written before read within one router step",
 			"ord":  "scratch: written before read within one router step",
 			"out":  "scratch: written before read within one router step",

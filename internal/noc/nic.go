@@ -1,5 +1,10 @@
 package noc
 
+import (
+	"errors"
+	"fmt"
+)
+
 // NIC is a node's network interface. It holds the processor-side
 // injection queues (bufferless routers have no in-network buffers, so
 // flits wait here until an output link is free — §2.2), reassembles
@@ -177,10 +182,30 @@ func (q *flitQueue) pop() Flit {
 	return f
 }
 
-// NewNIC returns a NIC for the given node ID. The delivered list gets
-// capacity for one cycle's worth of completions up front (EjectWidth
-// bounds it) so the first busy cycle does not allocate mid-run.
+// Packet sequence numbers are node<<SeqCounterBits | counter, with a
+// per-node counter starting at 1. The layout is what makes Seq
+// network-unique, which the Oldest-First total order rests on, so both
+// parts are bounded: nodes below MaxSeqNode (the bufferless fabric also
+// packs Seq<<8 | Index into one word, which needs Seq < 2^56), and the
+// counter below 2^SeqCounterBits, where Send panics rather than let it
+// carry into the node bits and duplicate a Seq.
+const (
+	SeqCounterBits = 40
+	MaxSeqNode     = 1 << 16
+)
+
+// errSeqExhausted is Send's panic once a NIC's packet counter is
+// spent, prebuilt so the hot path formats nothing.
+var errSeqExhausted = errors.New("noc: NIC packet counter exhausted (2^40 packets)")
+
+// NewNIC returns a NIC for the given node ID, which must be below
+// MaxSeqNode. The delivered list gets capacity for one cycle's worth of
+// completions up front (EjectWidth bounds it) so the first busy cycle
+// does not allocate mid-run.
 func NewNIC(node int) *NIC {
+	if node < 0 || node >= MaxSeqNode {
+		panic(fmt.Sprintf("noc: node %d outside the packet sequence layout (limit %d)", node, MaxSeqNode))
+	}
 	return &NIC{
 		node:      int32(node),
 		pending:   pendTable{slots: make([]pendingPacket, 16)},
@@ -202,9 +227,12 @@ func (n *NIC) Send(dst int, kind Kind, token uint64, nflits int, cycle int64) ui
 	if nflits < 1 || nflits > 255 {
 		panic("noc: packet length out of range")
 	}
+	if n.seq >= 1<<SeqCounterBits-1 {
+		panic(errSeqExhausted)
+	}
 	wasEmpty := n.reqQ.empty() && n.repQ.empty()
 	n.seq++
-	seq := uint64(n.node)<<40 | n.seq
+	seq := uint64(n.node)<<SeqCounterBits | n.seq
 	f := Flit{
 		Enq:   cycle,
 		Seq:   seq,
@@ -281,19 +309,23 @@ func (n *NIC) PopReply() Flit { return n.repQ.pop() }
 
 // Receive accepts an ejected flit, reassembling it into its packet. When
 // the final flit arrives the completed packet is queued for Delivered and
-// returned with done=true.
+// returned with done=true. A single-flit packet is complete on arrival,
+// so it never touches the reassembly table.
 func (n *NIC) Receive(f *Flit, cycle int64) (pkt Packet, done bool) {
-	p := n.pending.lookup(f.Seq)
-	if p == nil {
-		p = n.pending.insert(pendingPacket{
-			seq:    f.Seq,
-			len:    f.Len,
-			kind:   f.Kind,
-			src:    f.Src,
-			token:  f.Token,
-			enq:    f.Enq,
-			inject: f.Inject,
-		})
+	one := pendingPacket{
+		seq:    f.Seq,
+		len:    f.Len,
+		kind:   f.Kind,
+		src:    f.Src,
+		token:  f.Token,
+		enq:    f.Enq,
+		inject: f.Inject,
+	}
+	p := &one
+	if f.Len != 1 {
+		if p = n.pending.lookup(f.Seq); p == nil {
+			p = n.pending.insert(one)
+		}
 	}
 	p.got++
 	if f.Inject < p.inject {
@@ -302,25 +334,27 @@ func (n *NIC) Receive(f *Flit, cycle int64) (pkt Packet, done bool) {
 	if f.CongBit {
 		p.congBit = true
 	}
-	if p.got == p.len {
-		pkt = Packet{
-			Seq:     f.Seq,
-			Token:   p.token,
-			Src:     p.src,
-			Dst:     n.node,
-			Len:     p.len,
-			Kind:    p.kind,
-			Enq:     p.enq,
-			Inject:  p.inject,
-			Eject:   cycle,
-			CongBit: p.congBit,
-		}
-		n.pending.remove(f.Seq)
-		//nocvet:allow hotalloc delivered grows to the drained high-water mark; the harness drains it every cycle in steady state
-		n.delivered = append(n.delivered, pkt)
-		return pkt, true
+	if p.got != p.len {
+		return Packet{}, false
 	}
-	return Packet{}, false
+	pkt = Packet{
+		Seq:     f.Seq,
+		Token:   p.token,
+		Src:     p.src,
+		Dst:     n.node,
+		Len:     p.len,
+		Kind:    p.kind,
+		Enq:     p.enq,
+		Inject:  p.inject,
+		Eject:   cycle,
+		CongBit: p.congBit,
+	}
+	if f.Len != 1 {
+		n.pending.remove(f.Seq)
+	}
+	//nocvet:allow hotalloc delivered grows to the drained high-water mark; the harness drains it every cycle in steady state
+	n.delivered = append(n.delivered, pkt)
+	return pkt, true
 }
 
 // Delivered returns the packets completed since the last call and resets

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"nocsim/internal/rng"
+	"nocsim/internal/snap"
 )
 
 func TestOlderTotalOrder(t *testing.T) {
@@ -331,5 +332,69 @@ func TestPacketString(t *testing.T) {
 	}
 	if Kind(99).String() != "unknown" {
 		t.Error("unknown kind must say so")
+	}
+}
+
+// TestSeqLayoutChecked pins the Seq layout node<<SeqCounterBits |
+// counter as an invariant: NewNIC refuses a node that does not fit
+// below MaxSeqNode, and Send spends the counter up to
+// 2^SeqCounterBits-1, then panics with the prebuilt error rather than
+// carry into the node bits.
+func TestSeqLayoutChecked(t *testing.T) {
+	mustPanic := func(what string, fn func()) any {
+		t.Helper()
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			fn()
+		}()
+		if got == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+		return got
+	}
+	mustPanic("NewNIC(MaxSeqNode)", func() { NewNIC(MaxSeqNode) })
+	mustPanic("NewNIC(-1)", func() { NewNIC(-1) })
+
+	n := NewNIC(MaxSeqNode - 1)
+	n.seq = 1<<SeqCounterBits - 2
+	want := uint64(MaxSeqNode-1)<<SeqCounterBits | (1<<SeqCounterBits - 1)
+	if seq := n.Send(0, Request, 0, 1, 0); seq != want {
+		t.Fatalf("last Seq %#x, want %#x", seq, want)
+	}
+	if got := mustPanic("Send past the counter", func() { n.Send(0, Request, 0, 1, 0) }); got != errSeqExhausted {
+		t.Fatalf("Send panicked with %v, want errSeqExhausted", got)
+	}
+	if n.QueueLen() != 1 {
+		t.Fatalf("refused Send queued flits: %d queued, want 1", n.QueueLen())
+	}
+}
+
+// TestNICDecodeBoundsCounter: a restored packet counter must sit below
+// maxRestoredSeq, far from Send's exhaustion panic.
+func TestNICDecodeBoundsCounter(t *testing.T) {
+	for _, c := range []struct {
+		seq uint64
+		ok  bool
+	}{
+		{maxRestoredSeq - 1, true},
+		{maxRestoredSeq, false},
+		{1<<SeqCounterBits - 1, false},
+		{^uint64(0), false},
+	} {
+		src := NewNIC(3)
+		src.Send(1, Request, 0, 2, 0)
+		src.seq = c.seq
+		w := snap.NewWriter()
+		snap.Encode(w, src)
+		r, err := snap.NewReader(w.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := NewNIC(3)
+		snap.Decode(r, dst)
+		if ok := r.Err() == nil; ok != c.ok {
+			t.Errorf("counter %#x: restored %v, want %v (err %v)", c.seq, ok, c.ok, r.Err())
+		}
 	}
 }

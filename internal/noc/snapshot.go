@@ -93,6 +93,18 @@ func init() {
 	})
 }
 
+// maxRestoredSeq bounds a restored NIC's packet counter: half of
+// Send's 2^SeqCounterBits limit, so no run resumed from a checkpoint
+// comes anywhere near Send's exhaustion panic.
+const maxRestoredSeq = 1 << (SeqCounterBits - 1)
+
+// DecodeSnap rejects a packet counter at or past maxRestoredSeq.
+func (n *NIC) DecodeSnap(r *snap.Reader) {
+	if n.seq >= maxRestoredSeq {
+		r.Failf("NIC %d packet counter %#x at or past %#x", n.node, n.seq, uint64(maxRestoredSeq))
+	}
+}
+
 // EncodeSnap writes the queued flits in FIFO order.
 func (q *flitQueue) EncodeSnap(w *snap.Writer) {
 	w.U32(uint32(q.count))

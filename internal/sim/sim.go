@@ -253,6 +253,7 @@ type Sim struct {
 	cfg    Config
 	top    *topology.Topology
 	net    noc.Network
+	nics   []*noc.NIC // net.NIC(i), cached so per-cycle loops make no interface call
 	cores  []*cpu.Core
 	l1s    []*cache.L1
 	mapper cache.Mapper
@@ -416,6 +417,11 @@ func New(cfg Config) *Sim {
 		})
 	}
 
+	s.nics = make([]*noc.NIC, n)
+	for i := range s.nics {
+		s.nics[i] = s.net.NIC(i)
+	}
+
 	// Address mapping.
 	blockBytes := cfg.L1.BlockBytes
 	if blockBytes == 0 {
@@ -499,7 +505,7 @@ func (b *backend) Access(coreID int, addr uint64, store bool) (bool, uint64) {
 		s.scheduleReply(home, coreID, token)
 		return false, token
 	}
-	s.net.NIC(coreID).Send(home, noc.Request, token, s.cfg.ReqFlits, s.cycle)
+	s.nics[coreID].Send(home, noc.Request, token, s.cfg.ReqFlits, s.cycle)
 	return false, token
 }
 
@@ -544,12 +550,8 @@ func (s *Sim) Step() {
 	s.net.Step()
 
 	// 4. Drain deliveries.
-	for node := 0; node < n; node++ {
-		delivered := s.net.NIC(node).Delivered()
-		if len(delivered) == 0 {
-			continue
-		}
-		for _, p := range delivered {
+	for node, nic := range s.nics {
+		for _, p := range nic.Delivered() {
 			switch p.Kind {
 			case noc.Request:
 				s.scheduleReply(node, int(p.Token>>32), p.Token)
@@ -613,7 +615,7 @@ func (s *Sim) stepNode(node int) {
 				s.cores[r.dst].Complete(r.token, s.cycle)
 				continue
 			}
-			s.net.NIC(int(r.home)).Send(int(r.dst), noc.Reply, r.token, s.cfg.RepFlits, s.cycle)
+			s.nics[r.home].Send(int(r.dst), noc.Reply, r.token, s.cfg.RepFlits, s.cycle)
 		}
 		s.replyWheel[slot] = pending[:0]
 	}
@@ -758,8 +760,8 @@ func (s *Sim) Origin() (digest string, cycle int64) {
 func (s *Sim) injectControlTraffic() {
 	n := s.top.Nodes()
 	for i := 1; i < n; i++ {
-		s.net.NIC(i).Send(0, noc.Control, 0, 1, s.cycle)
-		s.net.NIC(0).Send(i, noc.Control, 0, 1, s.cycle)
+		s.nics[i].Send(0, noc.Control, 0, 1, s.cycle)
+		s.nics[0].Send(i, noc.Control, 0, 1, s.cycle)
 	}
 }
 

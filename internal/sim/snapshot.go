@@ -52,6 +52,7 @@ func init() {
 			"obs":          "hook: a warm-start fork into an observed run primes the collectors instead",
 			"cfg":          "config: construction input",
 			"top":          "construction: topology is config-derived",
+			"nics":         "construction: the fabric's NICs, which restore in place",
 			"policy":       "construction: interface view; the state lives in the concrete controller fields",
 			"unaware":      "construction: stateless beyond its Policy, which is serialized",
 			"latencyCtl":   "construction: stateless beyond its Policy, which is serialized",

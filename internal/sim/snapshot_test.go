@@ -382,6 +382,24 @@ func rankCorrupted(t testing.TB, cfg Config) []byte {
 	return out
 }
 
+// seqCorrupted returns a mid-run blob of cfg whose node-0 NIC packet
+// counter reads 2^39: a decodable blob whose counter sits past the
+// restore bound, where the Seq layout's headroom ends.
+func seqCorrupted(t testing.TB, cfg Config) []byte {
+	s := New(cfg)
+	s.Run(200)
+	blob := s.Snapshot()
+	w := &snap.Writer{}
+	snap.Encode(w, s.Network().NIC(0)) // a NIC's encoding starts with its packet counter
+	off := bytes.Index(blob, w.Bytes())
+	if off < 0 {
+		t.Fatal("NIC 0 not found in its blob")
+	}
+	out := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint64(out[off:], 1<<(noc.SeqCounterBits-1))
+	return out
+}
+
 // FuzzSimRestore feeds arbitrary bytes to Restore. The bar: an error,
 // or a Sim that runs 64 cycles without panicking, and no allocation
 // beyond O(blob) on top of New(cfg).
@@ -406,6 +424,11 @@ func FuzzSimRestore(f *testing.F) {
 		f.Fatal("an L1 set without an LRU way restored without error")
 	}
 	f.Add(uint8(1), bad)
+	bad = seqCorrupted(f, cases[0])
+	if _, err := Restore(cases[0], bad); err == nil {
+		f.Fatal("a NIC packet counter at 2^39 restored without error")
+	}
+	f.Add(uint8(0), bad)
 	base := make([]uint64, len(cases))
 	for i, cfg := range cases {
 		var before, after runtime.MemStats
