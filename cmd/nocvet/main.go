@@ -10,7 +10,7 @@
 //	go run ./cmd/nocvet ./...                    # whole module, human-readable
 //	go run ./cmd/nocvet -json ./...              # machine-readable findings
 //	go run ./cmd/nocvet -list                    # list the rule set
-//	go run ./cmd/nocvet -rules hotalloc ./...    # run a rule subset
+//	go run ./cmd/nocvet -rules handleleak ./...  # run a rule subset
 //	go run ./cmd/nocvet -explain handleleak      # long-form rule documentation
 //
 // Exit status: 0 clean, 1 findings, 2 tool error (bad pattern, unknown

@@ -24,7 +24,7 @@ func TestListNamesEveryRule(t *testing.T) {
 	}
 	for _, name := range []string{
 		"wallclock", "globalrand", "maprange", "rawconfig", "goroutine",
-		"panicmsg", "hotalloc", "handleleak", "staleallow",
+		"panicmsg", "handleleak", "staleallow",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output is missing rule %s", name)

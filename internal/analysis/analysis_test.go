@@ -37,8 +37,6 @@ var fixtureCases = []struct {
 	{"goroutine_exempt_fleet", "nocsim/internal/fleet"},
 	{"panicmsg", "nocsim/internal/cache"},
 	{"panicmsg_main", "nocsim/cmd/probe"},
-	{"hotalloc", "nocsim/internal/noc/fixt"},
-	{"hotalloc_clean", "nocsim/internal/noc/fixt"},
 	{"handleleak", "nocsim/internal/noc/leakfix"},
 	{"handleleak_clean", "nocsim/internal/noc/leakfix"},
 }

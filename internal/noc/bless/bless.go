@@ -225,12 +225,6 @@ type Fabric struct {
 	// port, the local congestion estimate adaptive routing consults.
 	load []uint32
 
-	// fastXY is set when routing is strict XY off the packed table
-	// (Topology.RouteTableInUse and not Adaptive), so the arbitration
-	// loops can take the inlinable table lookup without a query per
-	// flit.
-	fastXY bool
-
 	// scr is the arbitration scratch. The per-flit arrays live here
 	// rather than on stepRouter's frame so stepping a node does not
 	// re-zero ~100 bytes of locals: every slot is written before it is
@@ -262,7 +256,6 @@ func New(cfg Config) *Fabric {
 		injectW: cfg.InjectWidth,
 		sideCap: int32(cfg.SideBuffer),
 		arb:     cfg.Arb,
-		fastXY:  cfg.Topology.RouteTableInUse() && !cfg.Adaptive,
 	}
 	// Adaptive routing's per-cycle load decay is cheap only in the
 	// dense loop, so it keeps every router stepping.
@@ -361,11 +354,11 @@ func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 			}
 		} else {
 			var p uint8
-			if f.fastXY {
-				xy, prod := f.Topology().RouteEntryFast(node, dst)
+			if f.load == nil {
+				xy, prod := f.Topology().RouteEntry(node, dst)
 				p = pick(xy, prod, free)
 			} else {
-				p = f.productive(node, dst, free)
+				p = f.leastLoaded(node, dst, free)
 			}
 			if p != 0 {
 				free &^= p
@@ -538,20 +531,6 @@ func (f *Fabric) inject(node int, nic *noc.NIC, free uint8, out *[maxDirs]noc.Ha
 	return taken
 }
 
-// productive returns, as a one-bit mask, the free productive port a
-// flit at node bound for dst != node takes, or 0 if none is free:
-// under the default routing the pick from one routing lookup, under
-// adaptive routing the least recently busy free productive direction.
-// Callers inline the common case — default routing off the packed
-// table (fastXY) — and call productive otherwise.
-func (f *Fabric) productive(node, dst int, free uint8) uint8 {
-	if f.load != nil {
-		return f.leastLoaded(node, dst, free)
-	}
-	xy, prod := f.Topology().RouteEntry(node, dst)
-	return pick(xy, prod, free)
-}
-
 // pick chooses among the free ports from one routing lookup: the XY
 // port xy if free, else the lowest free productive direction (the
 // order the old slice-based loop produced), as a one-bit mask, or 0.
@@ -582,16 +561,19 @@ func (f *Fabric) leastLoaded(node, dst int, free uint8) uint8 {
 }
 
 // toward returns, as a one-bit mask, the free output port a flit at
-// node bound for dst leaves by: a productive one if any is free (see
-// productive), else the lowest free port; 0 when every port is taken.
+// node bound for dst leaves by: a productive one if any is free, else
+// the lowest free port; 0 when every port is taken. A productive port
+// is the pick from one routing lookup under the default routing, the
+// least recently busy free productive direction under adaptive routing
+// (f.load != nil).
 func (f *Fabric) toward(node, dst int, free uint8) uint8 {
 	if dst != node {
 		var p uint8
-		if f.fastXY {
-			xy, prod := f.Topology().RouteEntryFast(node, dst)
+		if f.load == nil {
+			xy, prod := f.Topology().RouteEntry(node, dst)
 			p = pick(xy, prod, free)
 		} else {
-			p = f.productive(node, dst, free)
+			p = f.leastLoaded(node, dst, free)
 		}
 		if p != 0 {
 			return p

@@ -22,7 +22,6 @@ func init() {
 			"sideCap":   "construction: hoisted Config mirror",
 			"arb":       "construction: hoisted Config mirror",
 			"sideHead":  "canonical: side rings are encoded in FIFO order and restored head-normalized",
-			"fastXY":    "construction: derived from the topology and Config.Adaptive",
 			"scr":       "scratch: every slot is written before it is read within one router step",
 		},
 	})

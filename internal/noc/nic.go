@@ -95,7 +95,6 @@ func (t *pendTable) insert(pp pendingPacket) *pendingPacket {
 
 func (t *pendTable) grow() {
 	old := t.slots
-	//nocvet:allow hotalloc amortized grow-to-peak: doubles only until the table fits the workload's high-water mark, then never again
 	t.slots = make([]pendingPacket, len(old)*2)
 	t.count = 0
 	for i := range old {
@@ -163,7 +162,6 @@ func (q *flitQueue) grow() {
 	if n == 0 {
 		n = 16
 	}
-	//nocvet:allow hotalloc amortized grow-to-peak: doubles only until the queue fits the workload's high-water mark, then never again
 	nb := make([]Flit, n)
 	for i := 0; i < q.count; i++ {
 		nb[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
@@ -352,7 +350,6 @@ func (n *NIC) Receive(f *Flit, cycle int64) (pkt Packet, done bool) {
 	if f.Len != 1 {
 		n.pending.remove(f.Seq)
 	}
-	//nocvet:allow hotalloc delivered grows to the drained high-water mark; the harness drains it every cycle in steady state
 	n.delivered = append(n.delivered, pkt)
 	return pkt, true
 }

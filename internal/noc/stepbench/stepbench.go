@@ -3,9 +3,10 @@
 // the 32x32 and 64x64 fabrics are timed; the closed-loop simulator and
 // the checkpoint codec are timed by perfbench (BENCHMARK.json). Every
 // fabric is driven open-loop by the uniform random injector at a fixed
-// sub-saturation rate, so a benchmark measures the per-cycle hot path
-// (arbitration, routing, link commit) under realistic occupancy rather
-// than an idle network.
+// rate per case — sub-saturation for the timed sizes, contended for the
+// cases that reach the bufferless router's optional branches — so a
+// benchmark measures the per-cycle hot path (arbitration, routing, link
+// commit) under realistic occupancy rather than an idle network.
 package stepbench
 
 import (
@@ -24,6 +25,10 @@ const (
 	// busy enough that arbitration contends, below every fabric's
 	// saturation at the standard sizes.
 	defaultRate = 0.08
+	// contended is the rate of the 8x8 cases that exercise the bufferless
+	// router's optional branches: past the point where most flits find
+	// their productive port free.
+	contended = 0.3
 	// warmup cycles fill the pipelines — and grow the flit pools and
 	// queue rings to their steady-state high-water marks — before
 	// timing starts.
@@ -68,6 +73,22 @@ func Cases() []Case {
 		// regime; 0.02 keeps the network busy but stable.
 		{Name: "bless/64x64", Rate: 0.02, New: func() noc.Network {
 			return bless.New(bless.Config{Topology: mesh(64)})
+		}},
+		// The gated branches of the bufferless router — side buffers,
+		// adaptive routing, the Random arbiter and torus wrap links — at
+		// a contended rate, so the zero-allocation test steps each one
+		// under deflection pressure.
+		{Name: "bless/8x8-side4", Rate: contended, New: func() noc.Network {
+			return bless.New(bless.Config{Topology: mesh(8), SideBuffer: 4})
+		}},
+		{Name: "bless/8x8-adaptive", Rate: contended, New: func() noc.Network {
+			return bless.New(bless.Config{Topology: mesh(8), Adaptive: true})
+		}},
+		{Name: "bless/8x8-random", Rate: contended, New: func() noc.Network {
+			return bless.New(bless.Config{Topology: mesh(8), Arb: bless.Random, Seed: seed})
+		}},
+		{Name: "bless/8x8-torus", Rate: contended, New: func() noc.Network {
+			return bless.New(bless.Config{Topology: topology.NewSquare(topology.Torus, 8)})
 		}},
 		{Name: "buffered/8x8", New: func() noc.Network {
 			return buffered.New(buffered.Config{Topology: mesh(8)})

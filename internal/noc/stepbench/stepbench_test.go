@@ -3,6 +3,8 @@ package stepbench
 import (
 	"strings"
 	"testing"
+
+	"nocsim/internal/allocs"
 )
 
 // benchFamily runs every case of one fabric family.
@@ -36,7 +38,8 @@ func TestCasesUnique(t *testing.T) {
 
 // TestZeroSteadyStateAllocs pins the flit-pool contract: once the pool
 // and every queue ring have grown to their high-water marks, stepping
-// allocates nothing. The workload is fully deterministic (seeded
+// allocates nothing. Every allocation in the measured cycles fails the
+// case with its file:line. The workload is fully deterministic (seeded
 // injector), so a failure here is a real hot-path allocation, not a
 // flake.
 func TestZeroSteadyStateAllocs(t *testing.T) {
@@ -51,8 +54,13 @@ func TestZeroSteadyStateAllocs(t *testing.T) {
 			for i := 0; i < 3*warmup; i++ {
 				StepOnce(net, inj)
 			}
-			if avg := testing.AllocsPerRun(100, func() { StepOnce(net, inj) }); avg != 0 {
-				t.Errorf("%s: %.2f allocs per steady-state cycle, want 0", c.Name, avg)
+			sites := allocs.Measure(func() {
+				for i := 0; i < 100; i++ {
+					StepOnce(net, inj)
+				}
+			})
+			for _, s := range sites {
+				t.Errorf("steady-state cycle allocates: %s", s)
 			}
 		})
 	}

@@ -3,7 +3,10 @@ package sim
 import (
 	"testing"
 
+	"nocsim/internal/allocs"
 	"nocsim/internal/core"
+	"nocsim/internal/obs"
+	"nocsim/internal/topology"
 	"nocsim/internal/workload"
 )
 
@@ -23,32 +26,66 @@ func headline8x8(ctl ControllerKind) Config {
 	}
 }
 
+// growToPeak names the closed loop's sanctioned allocations: structures
+// that grow until they fit the run's high-water mark and then never
+// again, plus the decision record each controller epoch keeps. Every
+// other allocating line fails TestClosedLoopSteadyStateAllocs.
+var growToPeak = []allocs.Grow{
+	{Func: "noc.(*flitQueue).grow", Code: "nb := make([]Flit, n)"},
+	{Func: "noc.(*pendTable).grow", Code: "t.slots = make([]pendingPacket, len(old)*2)"},
+	{Func: "noc.(*NIC).Receive", Code: "n.delivered = append(n.delivered, pkt)"},
+	{Func: "noc.(*FlitPool).Reserve"},
+	{Func: "noc.(*FlitPool).Free", Code: "p.free = append(p.free, h)"},
+	{Func: "sim.(*Sim).scheduleReply", Code: "s.replyWheel[slot] = append(s.replyWheel[slot], pendingReply{"},
+	{Func: "sim.(*Sim).runEpoch", Code: "cp.Rates = append([]float64(nil), d.Rates...)"},
+	{Func: "sim.(*Sim).runEpoch", Code: "s.decisions = append(s.decisions, cp)"},
+}
+
 // TestClosedLoopSteadyStateAllocs is the closed-loop counterpart of
 // stepbench's TestZeroSteadyStateAllocs: after a 20k-cycle warm-up the
-// whole system — cores, L1s, reply wheel, fabric, NICs and controller —
-// allocates nothing in a cycle that does not end an epoch, and at most
-// two objects per epoch crossed: the copy of the controller's rates the
-// decision record keeps, plus the rare grow-to-peak of a NIC queue,
-// reply-wheel slot or reassembly table reaching a new high-water mark
-// (the uncontrolled run measures 2 from those alone). The seeds are
+// whole system — cores, L1s, reply wheel, fabric, NICs, controller and,
+// in the obs case, the tracer and spatial grids — allocates only at the
+// growToPeak sites over 40 epochs. Any other allocating line fails the
+// case with its file:line. The cases cover every fabric, controller
+// and optional router branch the closed loop can reach; the seeds are
 // fixed, so a failure is a real new allocation, not a flake.
 func TestClosedLoopSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state warmup is too slow for -short")
 	}
-	for _, ctl := range []ControllerKind{Central, NoControl} {
-		t.Run(ctl.String(), func(t *testing.T) {
-			cfg := headline8x8(ctl)
+	cases := []struct {
+		name string
+		cfg  func() Config
+	}{
+		{Central.String(), func() Config { return headline8x8(Central) }},
+		{NoControl.String(), func() Config { return headline8x8(NoControl) }},
+		{"buffered", func() Config { c := headline8x8(Central); c.Router = Buffered; return c }},
+		{"hierring", func() Config { c := headline8x8(Central); c.Router = HierRing; return c }},
+		{Distributed.String(), func() Config { return headline8x8(Distributed) }},
+		{"side-adaptive-writebacks", func() Config {
+			c := headline8x8(Central)
+			c.SideBuffer, c.Adaptive, c.Writebacks = 4, true, true
+			return c
+		}},
+		{"random-torus", func() Config {
+			c := headline8x8(Central)
+			c.RandomArb, c.Topo = true, topology.Torus
+			return c
+		}},
+		{"obs", func() Config {
+			c := headline8x8(Central)
+			c.Obs = obs.Options{TraceSample: 1, Spatial: true}
+			return c
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg()
 			s := New(cfg)
 			s.Run(20_000)
-			// 20,000 is an epoch boundary, so the next 501 cycles (one
-			// warm-up call plus 500 runs) cross none.
-			if avg := testing.AllocsPerRun(500, s.Step); avg != 0 {
-				t.Errorf("%.2f allocs per non-epoch cycle, want 0", avg)
-			}
-			s.Run(cfg.Params.Epoch - s.Cycle()%cfg.Params.Epoch)
-			if avg := testing.AllocsPerRun(20, func() { s.Run(cfg.Params.Epoch) }); avg > 2 {
-				t.Errorf("%.2f allocs per epoch, want at most 2", avg)
+			sites := allocs.Measure(func() { s.Run(40 * cfg.Params.Epoch) })
+			for _, site := range allocs.Unsanctioned(sites, growToPeak) {
+				t.Errorf("steady-state cycle allocates: %s", site)
 			}
 		})
 	}

@@ -10,31 +10,24 @@
 //
 // Routing queries sit on the fabrics' per-flit hot path, so New
 // precomputes a route table — the XY output port and the
-// productive-direction bitmask packed into one byte — and XYRoute,
-// ProductiveDirs and ProductiveMask become array loads. Both route
-// properties are translation-invariant: on a mesh they depend only on
-// the signs of the coordinate displacement from at to dst, on a torus
-// only on the displacement modulo each dimension. The table is
-// therefore indexed by displacement, costing (2W-1)(2H-1) bytes rather
-// than N² — 4 KiB for a 32x32 mesh instead of the 1 MiB a per-pair
-// table needs — so queries stay in the first cache levels even on
-// grids where a per-pair table would thrash. It is built only for true
-// 2-D grids within the byte budget (see tableWorthwhile); degenerate
-// 1-D lines (the hierarchical ring harness placeholder) and gigantic
-// grids fall back to the closed-form computation, which stays the
-// source of truth: the table is filled from it, so both paths are
-// identical by construction. Distance is always closed-form — the
-// coordinate arithmetic is a handful of subtractions off the O(N)
-// per-node coordinate caches, too cheap to spend table bytes on (and a
-// hop count does not fit the one-byte entry). RouteTableInUse reports
-// which path a topology ended up on.
+// productive-direction bitmask packed into one byte — and RouteEntry,
+// XYRoute and ProductiveMask are array loads. Both route properties are
+// translation-invariant: on a mesh they depend only on the signs of the
+// coordinate displacement from at to dst, on a torus only on the
+// displacement modulo each dimension. The table is therefore indexed by
+// displacement, costing (2W-1)(2H-1) bytes rather than N² — 4 KiB for a
+// 32x32 mesh instead of the 1 MiB a per-pair table needs — so queries
+// stay in the first cache levels. Every topology has the table; New
+// panics on a grid whose table would exceed routeTableCap. The table is
+// filled from closed-form routines (computeXYRoute,
+// computeProductive), which the tests keep as the reference. Distance
+// is closed-form — the coordinate arithmetic is a handful of
+// subtractions off the O(N) per-node coordinate caches, too cheap to
+// spend table bytes on (and a hop count does not fit the one-byte
+// entry).
 package topology
 
-import (
-	"fmt"
-	"math/bits"
-	"unsafe"
-)
+import "fmt"
 
 // Port identifies one of a router's five ports.
 type Port int8
@@ -105,17 +98,14 @@ func (k Kind) String() string {
 	return "mesh"
 }
 
-// tableBudgetBytes gates table building by measured benefit, not just
-// memory safety: a route-table query is a random access, so once the
-// table outgrows the low cache levels it evicts the fabric's own
-// working set and loses to the closed-form computation. The original
-// per-(node, dst) layout with 4-byte entries priced even a 32x32 mesh
-// out at 4 MiB; packing the entry into one byte brought that to
-// exactly the budget, and the displacement indexing collapses it to
-// (2W-1)(2H-1) bytes — 4 KiB — so every grid up to 512x512 now takes
-// the table path and the budget only excludes sizes far beyond the
-// paper's configurations.
-const tableBudgetBytes = 1 << 20
+// routeTableCap bounds the route table at 16 MiB: every grid up to
+// 2048x2048 ((2·2048-1)² bytes) and every line the coordinate cache
+// admits fits, far beyond the 4096-node meshes the service accepts.
+const routeTableCap = 1 << 24
+
+// routeTableBytes is the size of a width×height topology's route table,
+// one byte per displacement.
+func routeTableBytes(width, height int) int { return (2*width - 1) * (2*height - 1) }
 
 // Topology is a W×H grid of nodes, mesh or torus.
 type Topology struct {
@@ -129,20 +119,17 @@ type Topology struct {
 	// in direction d exists), so fabrics can track free output ports as
 	// single-register bit operations instead of [NumDirs]bool scans.
 	pm []uint8
-	// cx/cy cache each node's coordinates. Coord sits under every
-	// closed-form routing query, and the div/mod pair it replaces is the
-	// single hottest arithmetic in the fallback path; the arrays are
-	// O(N), so every size gets them.
+	// cx/cy cache each node's coordinates, so Coord and Distance need
+	// no div/mod.
 	cx, cy []int16
 	// rt is the displacement-indexed route table: the entry for a query
 	// (at, dst) lives at rtIndex(at, dst), which keys on the coordinate
 	// displacement (x(dst)-x(at), y(dst)-y(at)) — both route properties
 	// are translation-invariant (see the package comment), so one entry
-	// serves every pair with the same displacement. Nil when the
-	// topology is a 1-D line or exceeds the table budget. Both
-	// properties are packed into one byte so a hot-path query — which
-	// typically needs the XY port and the productive mask together —
-	// touches a single byte of a table small enough to live in L1.
+	// serves every pair with the same displacement. Both properties are
+	// packed into one byte so a hot-path query — which typically needs
+	// the XY port and the productive mask together — touches a single
+	// byte of a table small enough to live in L1.
 	rt []routeEntry
 	// rtStride is the rt row length, 2*height-1.
 	rtStride int
@@ -174,6 +161,9 @@ func New(kind Kind, width, height int) *Topology {
 	if width > 1<<15 || height > 1<<15 {
 		panic(fmt.Sprintf("topology: size %dx%d overflows the int16 coordinate cache", width, height))
 	}
+	if b := routeTableBytes(width, height); b > routeTableCap {
+		panic(fmt.Sprintf("topology: size %dx%d needs a %d-byte route table, over the %d-byte cap", width, height, b, routeTableCap))
+	}
 	t := &Topology{kind: kind, width: width, height: height, nodes: width * height}
 	t.cx = make([]int16, t.nodes)
 	t.cy = make([]int16, t.nodes)
@@ -193,23 +183,8 @@ func New(kind Kind, width, height int) *Topology {
 			}
 		}
 	}
-	// 1-D lines only exist as the hierarchical ring harness placeholder,
-	// where XY routing is never consulted; skip the quadratic tables.
-	if t.tableWorthwhile() {
-		t.buildTables()
-	}
+	t.buildTables()
 	return t
-}
-
-// tableWorthwhile reports whether New should build the
-// displacement-indexed route table: true 2-D grids within the byte
-// budget.
-func (t *Topology) tableWorthwhile() bool {
-	if t.width <= 1 || t.height <= 1 {
-		return false
-	}
-	var e routeEntry
-	return uintptr(2*t.width-1)*uintptr(2*t.height-1)*unsafe.Sizeof(e) <= tableBudgetBytes
 }
 
 // rtIndex maps a (at, dst) query to its displacement-table entry.
@@ -218,8 +193,7 @@ func (t *Topology) rtIndex(at, dst int) int {
 }
 
 // buildTables fills the displacement-indexed route table from the
-// closed-form routines, making the table path identical to the
-// computed path by construction. Each displacement is computed on a
+// closed-form routines. Each displacement is computed on a
 // representative pair whose source sits in the corner farthest along
 // the displacement, so both endpoints are always in range; on a mesh
 // every direction productive for the displacement exists at that
@@ -240,17 +214,7 @@ func (t *Topology) buildTables() {
 			ax, ay := max(0, -ddx), max(0, -ddy)
 			at := t.Node(ax, ay)
 			dst := t.Node(ax+ddx, ay+ddy)
-			var prod uint8
-			if at != dst {
-				d := t.computeDistance(at, dst)
-				for dir := Port(0); dir < NumDirs; dir++ {
-					nb := t.Neighbor(at, dir)
-					if nb >= 0 && t.computeDistance(nb, dst) < d {
-						prod |= 1 << uint(dir)
-					}
-				}
-			}
-			t.rt[t.rtIndex(at, dst)] = routeEntry(uint8(t.computeXYRoute(at, dst))<<rtPortShift | prod)
+			t.rt[t.rtIndex(at, dst)] = routeEntry(uint8(t.computeXYRoute(at, dst))<<rtPortShift | t.computeProductive(at, dst))
 		}
 	}
 }
@@ -325,53 +289,24 @@ func (t *Topology) Neighbor(n int, d Port) int {
 	return int(t.neighbors[n*NumDirs+int(d)])
 }
 
-// HasPort reports whether node n has a link in direction d.
-func (t *Topology) HasPort(n int, d Port) bool { return t.Neighbor(n, d) >= 0 }
-
 // PortMask returns node n's valid inter-router ports as a bitmask (bit
-// d set iff HasPort(n, Port(d))).
+// d set iff Neighbor(n, Port(d)) >= 0).
 func (t *Topology) PortMask(n int) uint8 { return t.pm[n] }
 
 // RouteEntry answers the two per-flit routing queries together: the XY
-// output port and the productive-direction mask from at toward dst. On
-// the table path this is one byte load off the L1-resident
-// displacement table — the fabrics' arbitration needs both properties
-// for every flit every cycle, so fusing the queries halves the
-// hot-path lookup traffic.
+// output port and the productive-direction mask from at toward dst. It
+// is one byte load off the L1-resident displacement table, small
+// enough to inline into the fabrics' arbitration loops, which need both
+// properties for every flit every cycle.
 func (t *Topology) RouteEntry(at, dst int) (xy Port, productive uint8) {
-	if t.rt != nil {
-		e := t.rt[t.rtIndex(at, dst)]
-		return Port(e >> rtPortShift), uint8(e) & rtProdMask
-	}
-	return t.computeXYRoute(at, dst), t.ProductiveMask(at, dst)
-}
-
-// RouteEntryFast is RouteEntry without the closed-form fallback: one
-// packed-table load, small enough to inline into fabric arbitration
-// loops. Callers must have checked RouteTableInUse once up front.
-func (t *Topology) RouteEntryFast(at, dst int) (xy Port, productive uint8) {
-	e := t.rt[int(t.rtDot[dst]-t.rtDot[at]+t.rtBase)]
+	e := t.rt[t.rtIndex(at, dst)]
 	return Port(e >> rtPortShift), uint8(e) & rtProdMask
 }
 
-// RouteTableInUse reports whether routing queries are served by the
-// precomputed packed table (true) or by the closed-form fallback
-// (false): 1-D lines and topologies whose table would exceed the
-// budget gates. Both paths answer identically by construction; the
-// accessor exists so tests and capacity planning can see which side of
-// the budget a configuration landed on.
-func (t *Topology) RouteTableInUse() bool { return t.rt != nil }
-
-// RouteTableBytes returns the memory the packed route table occupies,
-// or 0 when the closed-form fallback is in use.
-func (t *Topology) RouteTableBytes() int {
-	return len(t.rt) * int(unsafe.Sizeof(routeEntry(0)))
-}
-
 // Distance returns the minimal hop count between nodes a and b. It is
-// always computed from the coordinate caches: a hop count does not fit
-// the packed one-byte table entry, and the arithmetic is cheap enough
-// that the table never beat it.
+// computed from the coordinate caches: a hop count does not fit the
+// packed one-byte table entry, and the arithmetic is cheap enough that
+// the table never beat it.
 func (t *Topology) Distance(a, b int) int {
 	return t.computeDistance(a, b)
 }
@@ -397,10 +332,7 @@ func (t *Topology) computeDistance(a, b int) int {
 // returns Local when at == dst. On a torus the shorter wrap direction is
 // taken.
 func (t *Topology) XYRoute(at, dst int) Port {
-	if t.rt != nil {
-		return Port(t.rt[t.rtIndex(at, dst)] >> rtPortShift)
-	}
-	return t.computeXYRoute(at, dst)
+	return Port(t.rt[t.rtIndex(at, dst)] >> rtPortShift)
 }
 
 func (t *Topology) computeXYRoute(at, dst int) Port {
@@ -443,24 +375,16 @@ func (t *Topology) yDir(ay, dy int) Port {
 	return North
 }
 
-// ProductiveDirs appends to buf every direction from at that reduces the
-// distance to dst, and returns the extended slice. It is used by
-// deflection arbitration to rank alternatives.
-func (t *Topology) ProductiveDirs(buf []Port, at, dst int) []Port {
-	for m := t.ProductiveMask(at, dst); m != 0; m &= m - 1 {
-		buf = append(buf, Port(bits.TrailingZeros8(m)))
-	}
-	return buf
-}
-
 // ProductiveMask returns the productive directions from at toward dst
 // as a bitmask (bit d set means direction Port(d) reduces the
-// distance). The deflection fabrics' inner arbitration loops iterate
-// this mask instead of materialising a slice.
+// distance).
 func (t *Topology) ProductiveMask(at, dst int) uint8 {
-	if t.rt != nil {
-		return uint8(t.rt[t.rtIndex(at, dst)]) & rtProdMask
-	}
+	return uint8(t.rt[t.rtIndex(at, dst)]) & rtProdMask
+}
+
+// computeProductive is ProductiveMask in closed form: the directions
+// whose neighbour is nearer to dst.
+func (t *Topology) computeProductive(at, dst int) uint8 {
 	if at == dst {
 		return 0
 	}

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -186,7 +187,7 @@ func TestXYRouteTorusTakesShortWrap(t *testing.T) {
 	}
 }
 
-// Property: every direction returned by ProductiveDirs strictly reduces
+// Property: every direction in ProductiveMask strictly reduces
 // distance, and XYRoute's choice is always among them.
 func TestProductiveDirs(t *testing.T) {
 	for _, kind := range []Kind{Mesh, Torus} {
@@ -198,24 +199,22 @@ func TestProductiveDirs(t *testing.T) {
 			if a == b {
 				continue
 			}
-			dirs := top.ProductiveDirs(nil, a, b)
-			if len(dirs) == 0 {
+			m := top.ProductiveMask(a, b)
+			if m == 0 {
 				t.Fatalf("%v: no productive dirs from %d to %d", kind, a, b)
 			}
-			found := false
-			xy := top.XYRoute(a, b)
-			for _, d := range dirs {
+			for d := Port(0); d < NumDirs; d++ {
+				if m&(1<<uint(d)) == 0 {
+					continue
+				}
 				nb := top.Neighbor(a, d)
 				if top.Distance(nb, b) != top.Distance(a, b)-1 {
 					t.Fatalf("%v: dir %v from %d to %d not productive", kind, d, a, b)
 				}
-				if d == xy {
-					found = true
-				}
 			}
-			if !found {
-				t.Fatalf("%v: XY choice %v not in productive set %v (from %d to %d)",
-					kind, xy, dirs, a, b)
+			if xy := top.XYRoute(a, b); m&(1<<uint(xy)) == 0 {
+				t.Fatalf("%v: XY choice %v not in productive set %04b (from %d to %d)",
+					kind, xy, m, a, b)
 			}
 		}
 	}
@@ -239,37 +238,22 @@ func TestNewPanicsOnBadSize(t *testing.T) {
 	New(Mesh, 0, 5)
 }
 
-// TestRouteTablesMatchComputation cross-checks the precomputed table
-// path against the closed-form path for every (at, dst) pair: the
-// tables are an optimisation, never a behaviour change.
+// TestRouteTablesMatchComputation cross-checks every route-table
+// query against the closed-form routines for every (at, dst) pair, on
+// grids and on the 1-D lines the ring fabric builds.
 func TestRouteTablesMatchComputation(t *testing.T) {
 	for _, kind := range []Kind{Mesh, Torus} {
-		for _, dims := range [][2]int{{4, 4}, {5, 3}, {8, 8}} {
+		for _, dims := range [][2]int{{4, 4}, {5, 3}, {8, 8}, {16, 1}, {1, 7}} {
 			top := New(kind, dims[0], dims[1])
-			if top.rt == nil {
-				t.Fatalf("%v %dx%d: tables not built", kind, dims[0], dims[1])
-			}
-			plain := New(kind, dims[0], dims[1])
-			plain.rt = nil // force the computed path
 			n := top.Nodes()
-			var tb, cb [NumDirs]Port
 			for a := 0; a < n; a++ {
 				for b := 0; b < n; b++ {
-					if got, want := top.XYRoute(a, b), plain.XYRoute(a, b); got != want {
-						t.Fatalf("%v %dx%d XYRoute(%d,%d) = %v, computed %v", kind, dims[0], dims[1], a, b, got, want)
+					xy, prod := top.RouteEntry(a, b)
+					if want := top.computeXYRoute(a, b); xy != want || top.XYRoute(a, b) != want {
+						t.Fatalf("%v %dx%d XYRoute(%d,%d) = %v, computed %v", kind, dims[0], dims[1], a, b, xy, want)
 					}
-					if got, want := top.Distance(a, b), plain.Distance(a, b); got != want {
-						t.Fatalf("%v %dx%d Distance(%d,%d) = %d, computed %d", kind, dims[0], dims[1], a, b, got, want)
-					}
-					tabl := top.ProductiveDirs(tb[:0], a, b)
-					comp := plain.ProductiveDirs(cb[:0], a, b)
-					if len(tabl) != len(comp) {
-						t.Fatalf("%v %dx%d ProductiveDirs(%d,%d): table %v, computed %v", kind, dims[0], dims[1], a, b, tabl, comp)
-					}
-					for i := range tabl {
-						if tabl[i] != comp[i] {
-							t.Fatalf("%v %dx%d ProductiveDirs(%d,%d): table %v, computed %v", kind, dims[0], dims[1], a, b, tabl, comp)
-						}
+					if want := top.computeProductive(a, b); prod != want || top.ProductiveMask(a, b) != want {
+						t.Fatalf("%v %dx%d ProductiveMask(%d,%d) = %04b, computed %04b", kind, dims[0], dims[1], a, b, prod, want)
 					}
 				}
 			}
@@ -277,68 +261,47 @@ func TestRouteTablesMatchComputation(t *testing.T) {
 	}
 }
 
-// TestTableGating pins the table-building policy: true 2-D grids whose
-// displacement table fits the byte budget get tables; 1-D lines and
-// grids beyond the budget do not — and the fallback still answers
-// queries.
+// TestTableGating pins the route table's size cap: every grid up to
+// 2048x2048 and every line fits, a larger grid panics in New before it
+// allocates, and the paper's sizes cost a few KiB.
 func TestTableGating(t *testing.T) {
-	// The paper's headline configurations are all comfortably inside
-	// the budget under displacement indexing: 32x32 costs 63·63 bytes
-	// (a per-pair table needed 1 MiB), 64x64 costs 127·127.
-	top32 := New(Mesh, 32, 32)
-	if !top32.RouteTableInUse() {
-		t.Error("32x32 should have tables")
+	if got := len(New(Mesh, 32, 32).rt); got != 63*63 {
+		t.Errorf("32x32 route table = %d bytes, want %d", got, 63*63)
 	}
-	if got := top32.RouteTableBytes(); got != 63*63 {
-		t.Errorf("32x32 RouteTableBytes = %d, want %d", got, 63*63)
+	if b := routeTableBytes(2048, 2048); b > routeTableCap {
+		t.Errorf("2048x2048 route table (%d bytes) exceeds the cap", b)
 	}
-	if top := New(Mesh, 64, 64); !top.RouteTableInUse() {
-		t.Error("64x64 (16 KiB displacement table) should have tables")
+	line := New(Mesh, 1<<15, 1)
+	if got := len(line.rt); got != 2*(1<<15)-1 {
+		t.Errorf("widest line route table = %d bytes, want %d", got, 2*(1<<15)-1)
 	}
-	line := New(Mesh, 256, 1)
-	if line.RouteTableInUse() {
-		t.Error("1-D line should not build tables")
+	if d, p := line.Distance(0, 255), line.XYRoute(0, 7); d != 255 || p != East {
+		t.Errorf("line Distance = %d, XYRoute = %v; want 255, East", d, p)
 	}
-	if got := line.RouteTableBytes(); got != 0 {
-		t.Errorf("fallback RouteTableBytes = %d, want 0", got)
-	}
-	if d := line.Distance(0, 255); d != 255 {
-		t.Errorf("line fallback Distance = %d, want 255", d)
-	}
-	if p := line.XYRoute(0, 7); p != East {
-		t.Errorf("line fallback XYRoute = %v, want East", p)
-	}
-	if m := line.ProductiveMask(3, 9); m != 1<<uint(East) {
-		t.Errorf("line fallback ProductiveMask = %b, want East only", m)
-	}
-	// The budget boundary: (2·512-1)² = 1,046,529 B fits the 1 MiB
-	// budget, (2·513-1)² does not.
-	if top := New(Mesh, 512, 512); !top.RouteTableInUse() {
-		t.Error("512x512 (just under the budget) should have tables")
-	}
-	big := New(Mesh, 513, 513)
-	if big.RouteTableInUse() {
-		t.Error("513x513 (over the budget) should not build tables")
-	}
-	if d := big.Distance(0, big.Nodes()-1); d != 512+512 {
-		t.Errorf("big fallback Distance = %d, want %d", d, 512+512)
-	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.HasPrefix(msg, "topology: ") {
+			t.Fatalf("New(2049x2049) panicked with %q, want a topology: size-cap panic", msg)
+		}
+	}()
+	New(Mesh, 2049, 2049)
 }
 
-// TestProductiveMaskMatchesDirs checks the mask and slice forms agree
-// on both the table and computed paths.
+// TestProductiveMaskMatchesDirs checks the mask against its definition,
+// the set of directions whose neighbour is nearer to dst, on grids and
+// a line.
 func TestProductiveMaskMatchesDirs(t *testing.T) {
 	for _, top := range []*Topology{New(Mesh, 6, 6), New(Torus, 6, 6), New(Mesh, 300, 1)} {
 		n := top.Nodes()
-		var buf [NumDirs]Port
 		for a := 0; a < n; a += 7 {
 			for b := 0; b < n; b += 5 {
-				var fromMask uint8
-				for _, d := range top.ProductiveDirs(buf[:0], a, b) {
-					fromMask |= 1 << uint(d)
+				var dirs uint8
+				for d := Port(0); d < NumDirs; d++ {
+					if nb := top.Neighbor(a, d); nb >= 0 && top.Distance(nb, b) < top.Distance(a, b) {
+						dirs |= 1 << uint(d)
+					}
 				}
-				if m := top.ProductiveMask(a, b); m != fromMask {
-					t.Fatalf("ProductiveMask(%d,%d) = %b, dirs give %b", a, b, m, fromMask)
+				if m := top.ProductiveMask(a, b); m != dirs {
+					t.Fatalf("ProductiveMask(%d,%d) = %b, dirs give %b", a, b, m, dirs)
 				}
 			}
 		}
