@@ -1,7 +1,8 @@
 // Package allocs attributes heap allocations to the source lines that
 // make them. The zero-allocation tests of the stepping loops run a
 // steady-state stretch under Measure and fail on every site that no
-// sanctioned grow-to-peak Grow covers, naming its file:line.
+// sanctioned grow-to-peak Grow covers, or that outgrows its Grow's
+// budget, naming its file:line.
 package allocs
 
 import (
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -56,37 +58,57 @@ func Measure(fn func()) []Site {
 		}
 		out = append(out, Site{Func: k.fn, File: k.file, Line: k.line, Code: sourceLine(src, k.file, k.line), Count: n})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Line < out[j].Line
-	})
+	sortSites(out)
 	return out
 }
 
 // A Grow sanctions one grow-to-peak allocation: a line of the function
 // Func (package-qualified without its import path, e.g.
 // "noc.(*NIC).Receive") whose source contains Code. An empty Code
-// covers every line of Func.
+// covers every line of Func. Max bounds the objects the covered lines
+// may allocate together over the measured stretch, so a structure that
+// stops reaching its high-water mark and allocates every cycle fails.
 type Grow struct {
 	Func, Code string
+	Max        int64
 }
 
-// Unsanctioned returns the sites no grow covers.
+// Unsanctioned returns, in file:line order, the sites no grow covers
+// and the sites of each grow whose covered lines together allocated
+// more than its Max. A site is charged to the first grow that covers
+// it.
 func Unsanctioned(sites []Site, grows []Grow) []Site {
 	var out []Site
+	used := make([]int64, len(grows))
+	covered := make([][]Site, len(grows))
 	for _, s := range sites {
 		fn := s.Func[strings.LastIndexByte(s.Func, '/')+1:]
-		ok := false
-		for _, g := range grows {
-			ok = ok || (g.Func == fn && strings.Contains(s.Code, g.Code))
-		}
-		if !ok {
+		i := slices.IndexFunc(grows, func(g Grow) bool {
+			return g.Func == fn && strings.Contains(s.Code, g.Code)
+		})
+		if i < 0 {
 			out = append(out, s)
+			continue
+		}
+		used[i] += s.Count
+		covered[i] = append(covered[i], s)
+	}
+	for i, g := range grows {
+		if used[i] > g.Max {
+			out = append(out, covered[i]...)
 		}
 	}
+	sortSites(out)
 	return out
+}
+
+func sortSites(sites []Site) {
+	sort.Slice(sites, func(i, j int) bool {
+		if sites[i].File != sites[j].File {
+			return sites[i].File < sites[j].File
+		}
+		return sites[i].Line < sites[j].Line
+	})
 }
 
 type siteKey struct {

@@ -18,7 +18,7 @@ type ring struct{ buf []int }
 //go:noinline
 func (r *ring) grow() { r.buf = make([]int, 2*len(r.buf)+1) }
 
-var ringGrow = []Grow{{Func: "allocs.(*ring).grow", Code: "r.buf = make("}}
+var ringGrow = []Grow{{Func: "allocs.(*ring).grow", Code: "r.buf = make(", Max: 3}}
 
 // TestReportsUnsanctionedLine: an allocation outside every sanctioned
 // grow site is reported with its file:line and source, also when the
@@ -46,7 +46,8 @@ func TestReportsUnsanctionedLine(t *testing.T) {
 }
 
 // TestPassesSanctionedGrow: a closure that allocates only at a
-// sanctioned grow site passes, and the site is still measured.
+// sanctioned grow site, within its budget, passes, and the site is
+// still measured.
 func TestPassesSanctionedGrow(t *testing.T) {
 	var r ring
 	sites := Measure(func() {
@@ -65,5 +66,21 @@ func TestPassesSanctionedGrow(t *testing.T) {
 	}
 	if n != 3 {
 		t.Errorf("measured %d allocs at the grow site, want 3 (sites %v)", n, sites)
+	}
+}
+
+// TestReportsGrowOverBudget: a sanctioned grow site that allocates more
+// than its Max is reported, as a structure that regrows every cycle
+// would be.
+func TestReportsGrowOverBudget(t *testing.T) {
+	var r ring
+	sites := Measure(func() {
+		for i := 0; i < 4; i++ {
+			r.grow()
+		}
+	})
+	bad := Unsanctioned(sites, ringGrow)
+	if len(bad) != 1 || !strings.HasSuffix(bad[0].Func, ".(*ring).grow") || bad[0].Count != 4 {
+		t.Errorf("over-budget grow reported as %v, want the ring's grow line with 4 allocs", bad)
 	}
 }

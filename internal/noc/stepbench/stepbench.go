@@ -74,22 +74,6 @@ func Cases() []Case {
 		{Name: "bless/64x64", Rate: 0.02, New: func() noc.Network {
 			return bless.New(bless.Config{Topology: mesh(64)})
 		}},
-		// The gated branches of the bufferless router — side buffers,
-		// adaptive routing, the Random arbiter and torus wrap links — at
-		// a contended rate, so the zero-allocation test steps each one
-		// under deflection pressure.
-		{Name: "bless/8x8-side4", Rate: contended, New: func() noc.Network {
-			return bless.New(bless.Config{Topology: mesh(8), SideBuffer: 4})
-		}},
-		{Name: "bless/8x8-adaptive", Rate: contended, New: func() noc.Network {
-			return bless.New(bless.Config{Topology: mesh(8), Adaptive: true})
-		}},
-		{Name: "bless/8x8-random", Rate: contended, New: func() noc.Network {
-			return bless.New(bless.Config{Topology: mesh(8), Arb: bless.Random, Seed: seed})
-		}},
-		{Name: "bless/8x8-torus", Rate: contended, New: func() noc.Network {
-			return bless.New(bless.Config{Topology: topology.NewSquare(topology.Torus, 8)})
-		}},
 		{Name: "buffered/8x8", New: func() noc.Network {
 			return buffered.New(buffered.Config{Topology: mesh(8)})
 		}},
@@ -101,6 +85,28 @@ func Cases() []Case {
 		}},
 		{Name: "hierring/1024", New: func() noc.Network {
 			return hierring.New(hierring.Config{Nodes: 1024, GroupSize: 8})
+		}},
+	}
+}
+
+// contendedCases are the gated branches of the bufferless router — side
+// buffers, adaptive routing, the Random arbiter and torus wrap links —
+// at a contended rate, so TestZeroSteadyStateAllocs steps each one
+// under deflection pressure. They are not benchmark cells.
+func contendedCases() []Case {
+	mesh8 := func() *topology.Topology { return topology.NewSquare(topology.Mesh, 8) }
+	return []Case{
+		{Name: "bless/8x8-side4", Rate: contended, New: func() noc.Network {
+			return bless.New(bless.Config{Topology: mesh8(), SideBuffer: 4})
+		}},
+		{Name: "bless/8x8-adaptive", Rate: contended, New: func() noc.Network {
+			return bless.New(bless.Config{Topology: mesh8(), Adaptive: true})
+		}},
+		{Name: "bless/8x8-random", Rate: contended, New: func() noc.Network {
+			return bless.New(bless.Config{Topology: mesh8(), Arb: bless.Random, Seed: seed})
+		}},
+		{Name: "bless/8x8-torus", Rate: contended, New: func() noc.Network {
+			return bless.New(bless.Config{Topology: topology.NewSquare(topology.Torus, 8)})
 		}},
 	}
 }

@@ -24,11 +24,11 @@ func BenchmarkStepBless(b *testing.B)    { benchFamily(b, "bless") }
 func BenchmarkStepBuffered(b *testing.B) { benchFamily(b, "buffered") }
 func BenchmarkStepHierRing(b *testing.B) { benchFamily(b, "hierring") }
 
-// TestCasesUnique guards the benchmark matrix: sub-benchmark names
-// must be unique.
+// TestCasesUnique guards the benchmark matrix and the contended cases:
+// sub-benchmark and subtest names must be unique.
 func TestCasesUnique(t *testing.T) {
 	seen := map[string]bool{}
-	for _, c := range Cases() {
+	for _, c := range append(Cases(), contendedCases()...) {
 		if seen[c.Name] {
 			t.Errorf("duplicate case %q", c.Name)
 		}
@@ -38,15 +38,15 @@ func TestCasesUnique(t *testing.T) {
 
 // TestZeroSteadyStateAllocs pins the flit-pool contract: once the pool
 // and every queue ring have grown to their high-water marks, stepping
-// allocates nothing. Every allocation in the measured cycles fails the
-// case with its file:line. The workload is fully deterministic (seeded
-// injector), so a failure here is a real hot-path allocation, not a
-// flake.
+// allocates nothing, in every benchmark case and every contended case.
+// Every allocation in the measured cycles fails the case with its
+// file:line. The workload is fully deterministic (seeded injector), so
+// a failure here is a real hot-path allocation, not a flake.
 func TestZeroSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state warmup is too slow for -short")
 	}
-	for _, c := range Cases() {
+	for _, c := range append(Cases(), contendedCases()...) {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
 			net := c.New()

@@ -26,27 +26,37 @@ func headline8x8(ctl ControllerKind) Config {
 	}
 }
 
+// measuredEpochs is the steady-state stretch TestClosedLoopSteadyStateAllocs
+// measures after its warm-up.
+const measuredEpochs = 40
+
 // growToPeak names the closed loop's sanctioned allocations: structures
 // that grow until they fit the run's high-water mark and then never
 // again, plus the decision record each controller epoch keeps. Every
-// other allocating line fails TestClosedLoopSteadyStateAllocs.
+// other allocating line fails TestClosedLoopSteadyStateAllocs, and so
+// does a site that allocates more than its Max over the measured
+// epochs. The grow budgets are about 1.5x the most any case measures
+// (flitQueue 82, scheduleReply 42, pendTable 17, the rest 0 or 1), so
+// a structure that allocates every cycle, not only at a new high-water
+// mark, fails; the decision record copies the rates once per epoch.
 var growToPeak = []allocs.Grow{
-	{Func: "noc.(*flitQueue).grow", Code: "nb := make([]Flit, n)"},
-	{Func: "noc.(*pendTable).grow", Code: "t.slots = make([]pendingPacket, len(old)*2)"},
-	{Func: "noc.(*NIC).Receive", Code: "n.delivered = append(n.delivered, pkt)"},
-	{Func: "noc.(*FlitPool).Reserve"},
-	{Func: "noc.(*FlitPool).Free", Code: "p.free = append(p.free, h)"},
-	{Func: "sim.(*Sim).scheduleReply", Code: "s.replyWheel[slot] = append(s.replyWheel[slot], pendingReply{"},
-	{Func: "sim.(*Sim).runEpoch", Code: "cp.Rates = append([]float64(nil), d.Rates...)"},
-	{Func: "sim.(*Sim).runEpoch", Code: "s.decisions = append(s.decisions, cp)"},
+	{Func: "noc.(*flitQueue).grow", Code: "nb := make([]Flit, n)", Max: 128},
+	{Func: "noc.(*pendTable).grow", Code: "t.slots = make([]pendingPacket, len(old)*2)", Max: 32},
+	{Func: "noc.(*NIC).Receive", Code: "n.delivered = append(n.delivered, pkt)", Max: 8},
+	{Func: "noc.(*FlitPool).Reserve", Max: 8},
+	{Func: "noc.(*FlitPool).Free", Code: "p.free = append(p.free, h)", Max: 8},
+	{Func: "sim.(*Sim).scheduleReply", Code: "s.replyWheel[slot] = append(s.replyWheel[slot], pendingReply{", Max: 64},
+	{Func: "sim.(*Sim).runEpoch", Code: "cp.Rates = append([]float64(nil), d.Rates...)", Max: measuredEpochs},
+	{Func: "sim.(*Sim).runEpoch", Code: "s.decisions = append(s.decisions, cp)", Max: 4},
 }
 
 // TestClosedLoopSteadyStateAllocs is the closed-loop counterpart of
 // stepbench's TestZeroSteadyStateAllocs: after a 20k-cycle warm-up the
 // whole system — cores, L1s, reply wheel, fabric, NICs, controller and,
 // in the obs case, the tracer and spatial grids — allocates only at the
-// growToPeak sites over 40 epochs. Any other allocating line fails the
-// case with its file:line. The cases cover every fabric, controller
+// growToPeak sites, within their budgets, over 40 epochs. Any other
+// allocating line, or a sanctioned one over budget, fails the case with
+// its file:line. The cases cover every fabric, controller
 // and optional router branch the closed loop can reach; the seeds are
 // fixed, so a failure is a real new allocation, not a flake.
 func TestClosedLoopSteadyStateAllocs(t *testing.T) {
@@ -83,9 +93,9 @@ func TestClosedLoopSteadyStateAllocs(t *testing.T) {
 			cfg := tc.cfg()
 			s := New(cfg)
 			s.Run(20_000)
-			sites := allocs.Measure(func() { s.Run(40 * cfg.Params.Epoch) })
+			sites := allocs.Measure(func() { s.Run(measuredEpochs * cfg.Params.Epoch) })
 			for _, site := range allocs.Unsanctioned(sites, growToPeak) {
-				t.Errorf("steady-state cycle allocates: %s", site)
+				t.Errorf("steady-state cycle allocates outside growToPeak or over its budget: %s", site)
 			}
 		})
 	}
