@@ -307,8 +307,9 @@ func (b *randomReplyBackend) Access(int, uint64, bool) (bool, uint64) {
 
 // TestCoreTokensOutOfOrder runs a core with a 96-entry window against
 // out-of-order completions: the core must never report a token
-// collision, and Awaiting must list exactly the misses still
-// unanswered.
+// collision, Awaiting must list exactly the misses still unanswered,
+// and the backend's miss counter must never run further ahead of an
+// awaited token than the instructions younger than it.
 func TestCoreTokensOutOfOrder(t *testing.T) {
 	b := &randomReplyBackend{}
 	c := New(0, Config{Window: 96}, heavyGen(9), b)
@@ -326,9 +327,12 @@ func TestCoreTokensOutOfOrder(t *testing.T) {
 			want[tok] = true
 		}
 		n := 0
-		c.Awaiting(func(tok uint64) {
+		c.Awaiting(func(tok uint64, younger int) {
 			if !want[tok] {
 				t.Fatalf("cycle %d: core awaits token %#x that was answered or never issued", cyc, tok)
+			}
+			if ahead := b.next - tok&0xffffffff; younger < 0 || ahead > uint64(younger) {
+				t.Fatalf("cycle %d: counter %d ahead of token %#x with %d younger instructions", cyc, ahead, tok, younger)
 			}
 			n++
 		})

@@ -80,21 +80,45 @@ func (t *tokenTable) DecodeSnap(r *snap.Reader) {
 
 // DecodeSnap checks the window indices the walker cannot see: the ring
 // head and occupancy, and the window slot every outstanding miss token
-// completes.
+// completes, which must be an occupied entry waiting on that token
+// alone.
 func (c *Core) DecodeSnap(r *snap.Reader) {
 	w := len(c.readyAt)
 	if c.head < 0 || c.head >= w || c.count < 0 || c.count > w {
 		r.Failf("core window head %d count %d, window %d", c.head, c.count, w)
 	}
+	seen := make([]bool, w)
 	c.tokens.each(func(_ uint64, slot int) {
-		if slot >= w {
-			r.Failf("core miss slot %d outside window %d", slot, w)
+		switch {
+		case c.younger(slot) < 0:
+			r.Failf("core miss slot %d outside the %d window entries from %d", slot, c.count, c.head)
+		case c.readyAt[slot] != waiting || seen[slot]:
+			r.Failf("core miss slot %d is not one waiting window entry", slot)
+		default:
+			seen[slot] = true
 		}
 	})
 }
 
-// Awaiting calls fn with each outstanding miss token, in no particular
-// order, so the system can check a restored state as a whole.
-func (c *Core) Awaiting(fn func(token uint64)) {
-	c.tokens.each(func(token uint64, _ int) { fn(token) })
+// Awaiting calls fn with each outstanding miss token and the number of
+// window instructions younger than the token's own, in no particular
+// order, so the system can check a restored state as a whole: every
+// miss the core issued after a token came from one of those younger
+// instructions, as an instruction waiting on a miss never retires.
+func (c *Core) Awaiting(fn func(token uint64, younger int)) {
+	c.tokens.each(func(token uint64, slot int) { fn(token, c.younger(slot)) })
+}
+
+// younger returns the number of occupied window entries younger than
+// slot, or -1 if slot is not occupied.
+func (c *Core) younger(slot int) int {
+	w := len(c.readyAt)
+	pos := slot - c.head
+	if pos < 0 {
+		pos += w
+	}
+	if slot >= w || pos >= c.count {
+		return -1
+	}
+	return c.count - 1 - pos
 }

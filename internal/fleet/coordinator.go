@@ -37,31 +37,29 @@ type peer struct {
 	dead       int64 // times this peer was marked dead
 }
 
-// task is one delegated job's uncached remainder moving through the
-// fleet. The immutable fields are set at creation; everything mutable
-// is guarded by the coordinator's mutex. settled is cancelled exactly
-// once, by settle, when the task turns terminal (done or failed): the
+// task is one delegated job's cache misses moving through the fleet.
+// The immutable fields are set at creation; everything mutable is
+// guarded by the coordinator's mutex. settled is cancelled exactly
+// once, by settle under that mutex, when the task turns terminal: the
 // submitting goroutine waits on it, and every worker's completion
 // stream runs under it, so a worker whose duplicate lost stops waiting
 // the moment another settles the task.
 type task struct {
 	dj   serve.DelegatedJob
-	miss []int           // indices into dj.Runs still to execute
-	spec runner.PlanSpec // raw-config spec of exactly the missed runs
+	spec runner.PlanSpec // raw-config spec of dj.Runs
 
 	attempts  int
-	notBefore time.Time // retry backoff gate; zero means eligible
-	running   int       // workers currently executing it (dup steals)
-	done      bool
-	failed    bool
-	results   []serve.RunResult // per missed run, in miss order
-	errMsg    string
+	notBefore time.Time         // retry backoff gate; zero means eligible
+	running   int               // workers currently executing it (dup steals)
+	results   []serve.RunResult // per run of dj.Runs, once settled
+	errMsg    string            // the job's failure, once settled
 	settled   context.Context
 	settle    context.CancelFunc
 }
 
-// terminal reports done-or-failed; callers hold the coordinator mutex.
-func (t *task) terminal() bool { return t.done || t.failed }
+// terminal reports whether the task has settled; callers hold the
+// coordinator mutex.
+func (t *task) terminal() bool { return t.settled.Err() != nil }
 
 // coordinator owns the fleet's dispatch state: one pull queue, per-peer
 // in-flight windows, the worker pool (Window workers per peer) and the
@@ -70,7 +68,6 @@ func (t *task) terminal() bool { return t.done || t.failed }
 // expiry, and peerDown wakes submitting goroutines waiting to claim
 // their task for local execution.
 type coordinator struct {
-	srv *serve.Server
 	cfg Config
 
 	dispatch *serve.Histogram // dispatch round-trip latency
@@ -88,9 +85,8 @@ type coordinator struct {
 	stopProbe chan struct{}
 }
 
-func newCoordinator(s *serve.Server, cfg Config) *coordinator {
+func newCoordinator(cfg Config) *coordinator {
 	c := &coordinator{
-		srv:       s,
 		cfg:       cfg,
 		dispatch:  serve.NewHistogram("nocd_peer_dispatch_seconds"),
 		peerDown:  make(chan struct{}),
@@ -143,44 +139,12 @@ func (c *coordinator) close() {
 	c.wg.Wait()
 }
 
-// Execute is the daemon's delegation hook: it resolves the job's runs
-// against the local cache, then peers' caches, and fans the remainder
-// out to the fleet, blocking until every run has a result. It always
-// handles the job (handled=true); local execution happens here too,
-// via the claim-for-local fallback, so the serve layer never bypasses
-// the coordinator's accounting.
+// Execute is the daemon's delegation hook: it fans the job's cache
+// misses out to the fleet and blocks until a peer has answered them or
+// the job has failed. When every peer is dead it claims the task back
+// and returns handled=false, so the daemon simulates the runs itself.
 func (c *coordinator) Execute(dj serve.DelegatedJob) ([]serve.RunResult, string, bool) {
-	results := make([]serve.RunResult, len(dj.Runs))
-	var miss []int
-	for i, r := range dj.Runs {
-		start := time.Now()
-		e, err := c.srv.Cache().Get(r.Key)
-		dj.Span("cache_lookup", r.Label, start, time.Since(start))
-		if err != nil {
-			c.logf("job %s: %v (consulting peers)", dj.ID, err)
-		}
-		if e == nil {
-			pl := time.Now()
-			e = c.Lookup(r.Key)
-			dj.Span("peer_lookup", r.Label, pl, time.Since(pl))
-		}
-		if e == nil {
-			miss = append(miss, i)
-			continue
-		}
-		dj.CountRun("cached")
-		results[i] = serve.RunResult{
-			Label: r.Label, Key: r.Key, Cached: true,
-			CountersHash: e.Manifest.CountersHash,
-			Metrics:      e.Metrics,
-		}
-		dj.EmitRunDone(r.Label, r.Key, true, e.Manifest.CountersHash)
-	}
-	if len(miss) == 0 {
-		return results, "", true
-	}
-
-	t, err := c.newTask(dj, miss)
+	t, err := c.newTask(dj)
 	if err != nil {
 		return nil, err.Error(), true
 	}
@@ -196,71 +160,28 @@ func (c *coordinator) Execute(dj serve.DelegatedJob) ([]serve.RunResult, string,
 		down := c.peerDown
 		c.mu.Unlock()
 		if c.claimForLocal(t) {
-			res, errMsg := c.runLocal(t)
-			c.completeLocal(t, res, errMsg)
+			c.logf("job %s: no live peers; executing %d runs locally", dj.ID, len(dj.Runs))
+			return nil, "", false
 		}
 		select {
 		case <-t.settled.Done():
 			c.mu.Lock()
-			failed, errMsg, res := t.failed, t.errMsg, t.results
-			c.mu.Unlock()
-			if failed {
-				return nil, errMsg, true
-			}
-			for k, i := range miss {
-				results[i] = res[k]
-			}
-			return results, "", true
+			defer c.mu.Unlock()
+			return t.results, t.errMsg, true
 		case <-down:
 		}
 	}
-}
-
-// Lookup consults peers' caches for key (HEAD probe, then GET), and
-// replicates the first verified hit into the local cache — exactly the
-// crash-safe temp+rename write and counters-hash verification a
-// locally computed entry gets. A peer that errors is simply skipped;
-// the prober owns liveness, not the cache path.
-func (c *coordinator) Lookup(key string) *serve.Entry {
-	c.mu.Lock()
-	peers := make([]*peer, 0, len(c.peers))
-	for _, p := range c.peers {
-		if p.alive {
-			peers = append(peers, p)
-		}
-	}
-	c.mu.Unlock()
-	for _, p := range peers {
-		ok, err := p.client.CacheContains(key)
-		if err != nil || !ok {
-			continue
-		}
-		e, err := p.client.CacheEntry(key)
-		if err != nil {
-			continue
-		}
-		if err := e.Verify(key); err != nil {
-			c.logf("peer %s served a corrupt cache entry: %v", p.name, err)
-			continue
-		}
-		if err := c.srv.Cache().Put(e); err != nil {
-			c.logf("replicating %s from %s: %v", short(key), p.name, err)
-		}
-		return e
-	}
-	return nil
 }
 
 // newTask builds the fleet task covering the job's missed runs: the
 // shipped spec carries each run as label, cycles and raw config, the
 // exact shape runner.Scale.Remote ships, so the receiving daemon
 // re-derives the same cache keys.
-func (c *coordinator) newTask(dj serve.DelegatedJob, miss []int) (*task, error) {
+func (c *coordinator) newTask(dj serve.DelegatedJob) (*task, error) {
 	spec := runner.PlanSpec{
 		Scale: runner.ScaleSpec{Epoch: dj.Scale.Epoch, Seed: dj.Scale.Seed},
 	}
-	for _, i := range miss {
-		r := dj.Runs[i]
+	for _, r := range dj.Runs {
 		raw, err := json.Marshal(&r.Config)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: encoding config of run %q: %v", r.Label, err)
@@ -269,15 +190,16 @@ func (c *coordinator) newTask(dj serve.DelegatedJob, miss []int) (*task, error) 
 			Label: r.Label, Cycles: r.Cycles, Config: raw,
 		})
 	}
-	t := &task{dj: dj, miss: miss, spec: spec}
+	t := &task{dj: dj, spec: spec}
 	t.settled, t.settle = context.WithCancel(context.Background())
 	return t, nil
 }
 
-// claimForLocal atomically claims the task for local execution. The
-// claim succeeds only when no peer is alive, no worker is running the
-// task and it is not already terminal — graceful degradation, never a
-// race with a dispatch.
+// claimForLocal atomically takes the task out of the fleet for local
+// execution. The claim succeeds only when no peer is alive, no worker
+// is running the task and it is not already terminal — graceful
+// degradation, never a race with a dispatch. A claimed task is settled
+// with no results: no worker can reach it any more.
 func (c *coordinator) claimForLocal(t *task) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -290,7 +212,7 @@ func (c *coordinator) claimForLocal(t *task) bool {
 		}
 	}
 	c.queue = slices.DeleteFunc(c.queue, func(x *task) bool { return x == t })
-	t.running++
+	t.settle()
 	return true
 }
 
@@ -381,10 +303,9 @@ func (c *coordinator) stealInflight(p *peer) *task {
 
 // runOn dispatches the task to p and follows the remote job's event
 // stream to a terminal state, recording the dispatch latency and trace
-// spans and replicating fresh results into the local cache. The stream
-// runs under the task's settled context: when another worker settles
-// the task first, the request is cancelled and this execution is
-// released as a duplicate.
+// spans. The stream runs under the task's settled context: when
+// another worker settles the task first, the request is cancelled and
+// this execution is released as a duplicate.
 func (c *coordinator) runOn(p *peer, t *task) {
 	start := time.Now()
 	sub, err := p.client.SubmitDispatch(t.spec)
@@ -399,121 +320,33 @@ func (c *coordinator) runOn(p *peer, t *task) {
 	c.mu.Unlock()
 
 	jr, err := p.client.Wait(t.settled, sub.ID)
-	if err != nil {
-		if t.settled.Err() != nil {
-			c.releaseFrom(p, t)
-		} else {
-			c.peerFailed(p, t, err)
-		}
-		return
+	switch {
+	case err != nil && t.settled.Err() == nil:
+		c.peerFailed(p, t, err)
+	case err != nil: // another worker settled the task first
+		c.finish(p, t, nil, "")
+	case jr.Status == "failed":
+		c.finish(p, t, nil, fmt.Sprintf("fleet: peer %s: %s", p.name, jr.Error))
+	default:
+		t.dj.Span("peer_run", "", start, time.Since(start))
+		c.finish(p, t, jr.Results, "")
 	}
-	if jr.Status == "failed" {
-		c.failTask(p, t, fmt.Sprintf("fleet: peer %s: %s", p.name, jr.Error))
-		return
-	}
-	t.dj.Span("peer_run", "", start, time.Since(start))
-	if len(jr.Results) != len(t.miss) {
-		c.failTask(p, t, fmt.Sprintf("fleet: peer %s returned %d results for %d runs",
-			p.name, len(jr.Results), len(t.miss)))
-		return
-	}
-	c.replicate(t, jr.Results)
-	c.completeRemote(p, t, jr.Results)
 }
 
-// replicate copies each fresh result the peer computed into the local
-// cache, re-verified, so subsequent sweeps hit locally. Failures
-// degrade to log lines — the results themselves are already in hand.
-func (c *coordinator) replicate(t *task, results []serve.RunResult) {
-	start := time.Now()
-	for _, r := range results {
-		if c.srv.Cache().Contains(r.Key) {
-			continue
-		}
-		if e := c.Lookup(r.Key); e == nil {
-			c.logf("result %s of run %q not replicable (no peer serves it)", short(r.Key), r.Label)
-		}
-	}
-	t.dj.Span("replicate", "", start, time.Since(start))
-}
-
-// completeRemote records a successful remote execution; the first
-// completion of a task wins (duplicate steals make seconds possible).
-func (c *coordinator) completeRemote(p *peer, t *task, results []serve.RunResult) {
+// finish releases t from p's window and records the peer's terminal
+// answer: its results, or the job's own failure (bad spec, timeout),
+// which is not a peer-death signal and is not retried. The first
+// answer settles the task; a duplicate's later one is dropped.
+func (c *coordinator) finish(p *peer, t *task, results []serve.RunResult, errMsg string) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	delete(p.inflight, t)
 	t.running--
-	first := !t.terminal()
-	if first {
-		t.done = true
-		t.results = results
-	}
-	c.mu.Unlock()
-	if first {
-		for _, r := range results {
-			outcome := "fresh"
-			if r.Cached {
-				outcome = "cached"
-			}
-			t.dj.CountRun(outcome)
-			t.dj.EmitRunDone(r.Label, r.Key, r.Cached, r.CountersHash)
-		}
+	if !t.terminal() {
+		t.results, t.errMsg = results, errMsg
 		t.settle()
 	}
-}
-
-// releaseFrom drops a duplicate execution whose task was settled by
-// another worker while this one was waiting on its peer.
-func (c *coordinator) releaseFrom(p *peer, t *task) {
-	c.mu.Lock()
-	delete(p.inflight, t)
-	t.running--
 	c.cond.Broadcast()
-	c.mu.Unlock()
-}
-
-// completeLocal records a local-fallback execution's outcome.
-func (c *coordinator) completeLocal(t *task, results []serve.RunResult, errMsg string) {
-	c.mu.Lock()
-	t.running--
-	first := !t.terminal()
-	if first {
-		if errMsg != "" {
-			t.failed = true
-			t.errMsg = errMsg
-		} else {
-			t.done = true
-			t.results = results
-		}
-	}
-	c.mu.Unlock()
-	if first {
-		if errMsg == "" {
-			for _, r := range results {
-				t.dj.CountRun("fresh")
-				t.dj.EmitRunDone(r.Label, r.Key, r.Cached, r.CountersHash)
-			}
-		}
-		t.settle()
-	}
-}
-
-// failTask records a terminal job failure reported by a peer. This is
-// the job's own verdict (bad spec, timeout), not a peer-death signal,
-// so the task is not retried.
-func (c *coordinator) failTask(p *peer, t *task, msg string) {
-	c.mu.Lock()
-	delete(p.inflight, t)
-	t.running--
-	first := !t.terminal()
-	if first {
-		t.failed = true
-		t.errMsg = msg
-	}
-	c.mu.Unlock()
-	if first {
-		t.settle()
-	}
 }
 
 // peerFailed handles a transport failure against p while running t:

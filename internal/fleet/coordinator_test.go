@@ -7,12 +7,18 @@ package fleet
 // steals, and every peer down.
 
 import (
+	"context"
+	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"nocsim/internal/runner"
+	"nocsim/internal/serve"
 )
 
 // fleetCounters is a consistent snapshot of the coordinator's per-peer
@@ -97,6 +103,35 @@ func metricValue(t *testing.T, page, name string) int64 {
 	return 0
 }
 
+// spanCount counts the spans named name of run label in the trace of a
+// daemon's job.
+func spanCount(t *testing.T, base, job, name, label string) int {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + job + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Args struct {
+				Label string `json:"label"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatalf("trace of %s: %v", job, err)
+	}
+	n := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == name && ev.Args.Label == label {
+			n++
+		}
+	}
+	return n
+}
+
 // wideGrid is the 6-point byte-identity grid: 2 presets x 3 seeds.
 func wideGrid() SweepSpec {
 	spec := smallGrid()
@@ -121,8 +156,9 @@ func assertHashes(t *testing.T, res *SweepResult, want map[string]string) {
 // TestFleetByteIdentity is the tentpole pin: a 3-peer fleet sweep
 // produces exactly the counters hashes of the same grid run locally at
 // -parallel 1, every point simulates exactly once across the fleet,
-// and a repeated sweep is answered 100% from the replicated local
-// cache with zero new simulations — verified through the metrics.
+// and a repeated sweep is answered 100% from the coordinator's cache,
+// filed from the dispatch replies, with zero new simulations —
+// verified through the metrics.
 func TestFleetByteIdentity(t *testing.T) {
 	var peerURLs []string
 	var peerTS []string
@@ -314,7 +350,7 @@ func TestFleetDuplicateSteal(t *testing.T) {
 
 // TestFleetDuplicateLoserCancelled duplicates a task off a slow peer
 // listed after a fast one, so the fast peer both wins the task and
-// serves its replication: the winner settles the task while the slow
+// returns its result: the winner settles the task while the slow
 // peer's worker is still waiting on it. That wait must be cancelled
 // and the task released from the slow peer's window without marking
 // the peer dead.
@@ -395,6 +431,120 @@ func TestFleetAllPeersDownFallback(t *testing.T) {
 	}
 	if !strings.Contains(log.String(), "executing") {
 		t.Error("coordinator never logged the local fallback")
+	}
+	// The fallback is the daemon's own executor: it times and traces
+	// each run like any local one.
+	if n := metricValue(t, scrapeMetrics(t, ts.URL), "nocd_run_seconds_count"); n != 2 {
+		t.Errorf("coordinator timed %d local runs, want 2", n)
+	}
+	for _, pt := range res.Points {
+		if n := spanCount(t, ts.URL, pt.Job, "simulate", pt.Label); n != 1 {
+			t.Errorf("job %s traced %d simulate spans for run %q, want 1", pt.Job, n, pt.Label)
+		}
+	}
+}
+
+// TestFleetTamperingPeer puts the only peer behind a proxy that adds
+// one L1 miss to every result it returns. The coordinator's daemon
+// must reject the result: the job fails naming the run, and no entry
+// is filed under the run's key.
+func TestFleetTamperingPeer(t *testing.T) {
+	_, backend := startPeer(t, testServeConfig(t))
+	proxy, proxyTS := newFlakyProxy(t, backend.URL)
+	proxy.setTamper(true)
+	cfg := testServeConfig(t)
+	_, _, ts := startDaemon(t, cfg, Config{
+		Peers:         []string{proxyTS.URL},
+		Window:        1,
+		ProbeInterval: 50 * time.Millisecond,
+		StealAfter:    -1,
+	})
+
+	points, err := smallGrid().Points(runner.MaxSweepPoints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := runner.PlanSpec{Scale: smallGrid().Scale, Runs: points[:1]}
+	_, runs, err := plan.Resolve(testScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := serve.NewClient(ts.URL)
+	sub, err := c.Submit(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr, err := c.Wait(context.Background(), sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jr.Status != "failed" || !strings.Contains(jr.Error, runs[0].Label) || len(jr.Results) != 0 {
+		t.Fatalf("job over a tampering peer = %s %q with %d results, want failed naming run %q",
+			jr.Status, jr.Error, len(jr.Results), runs[0].Label)
+	}
+	cache, err := serve.OpenCache(cfg.CacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cache.Contains(runs[0].Key) {
+		t.Errorf("the coordinator filed the tampered result of run %q", runs[0].Label)
+	}
+}
+
+// TestFleetColdCoordinator puts a coordinator with an empty cache in
+// front of a peer that already holds the grid: the peer answers every
+// point from its own cache, simulating nothing, and the coordinator
+// files each result with the peer's manifest.
+func TestFleetColdCoordinator(t *testing.T) {
+	peerCfg := testServeConfig(t)
+	_, peer := startPeer(t, peerCfg)
+	spec := smallGrid()
+	spec.Axes = spec.Axes[:1] // 2 points
+	want := referenceHashes(t, spec)
+	if _, err := NewClient(peer.URL).Sweep(spec); err != nil {
+		t.Fatal(err)
+	}
+	peerRuns := metricValue(t, scrapeMetrics(t, peer.URL), "nocd_run_seconds_count")
+
+	cfg := testServeConfig(t)
+	_, _, ts := startDaemon(t, cfg, Config{
+		Peers:         []string{peer.URL},
+		Window:        1,
+		ProbeInterval: 50 * time.Millisecond,
+		StealAfter:    -1,
+	})
+	res, err := NewClient(ts.URL).Sweep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Done != 2 || res.Cached != 2 {
+		t.Fatalf("sweep done %d cached %d, want 2/2 cached", res.Done, res.Cached)
+	}
+	assertHashes(t, res, want)
+	if n := metricValue(t, scrapeMetrics(t, peer.URL), "nocd_run_seconds_count"); n != peerRuns {
+		t.Errorf("the peer simulated %d new runs for points it held, want 0", n-peerRuns)
+	}
+
+	peerCache, err := serve.OpenCache(peerCfg.CacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordCache, err := serve.OpenCache(cfg.CacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range res.Points {
+		pe, err := peerCache.Get(pt.Key)
+		if err != nil || pe == nil {
+			t.Fatalf("peer entry of %q: %v", pt.Label, err)
+		}
+		ce, err := coordCache.Get(pt.Key)
+		if err != nil || ce == nil {
+			t.Fatalf("coordinator entry of %q = %v, %v; want the peer's result filed", pt.Label, ce, err)
+		}
+		if !reflect.DeepEqual(ce.Manifest, pe.Manifest) {
+			t.Errorf("coordinator filed %q with manifest %+v, want the peer's %+v", pt.Label, ce.Manifest, pe.Manifest)
+		}
 	}
 }
 

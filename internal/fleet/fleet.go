@@ -1,22 +1,21 @@
 // Package fleet turns a nocd daemon into a horizontally scalable
 // service: a batch sweep API that expands parameter grids into
-// individually cached jobs, a coordinator whose peers pull jobs from
-// one queue into bounded in-flight windows, with duplicate steals of
-// stalled jobs, retry-on-peer-death and a local fallback when every
-// peer is down, and peer-aware caching that replicates remote results
-// into the local content-addressed store.
+// individually cached jobs, and a coordinator whose peers pull the
+// daemon's cache misses from one queue into bounded in-flight windows,
+// with duplicate steals of stalled jobs, retry-on-peer-death, and a
+// hand-back to the daemon's own executor when every peer is down.
 //
 // The layer adds no new correctness machinery — it leans entirely on
 // the determinism contract underneath. runner.CacheKey is
 // location-independent (it covers the canonicalized configuration and
 // cycle budget, never the executing process), so a result computed on
-// any peer is byte-identical to one computed locally, and a cache
-// entry can replicate freely: every entry is re-verified against its
-// counters hash on read, locally and again after crossing the wire.
-// That is what makes the fleet's hard guarantee cheap to state: a
-// sweep executed by N peers — under peer death, duplicate steals and
-// retries — produces exactly the counters hashes of the same plan run
-// locally at -parallel 1.
+// any peer is byte-identical to one computed locally. The coordinator
+// only moves runs and results: the daemon under it reads and writes
+// the result cache, and verifies every result a peer returns against
+// its counters hash before filing it. That is what makes the fleet's
+// hard guarantee cheap to state: a sweep executed by N peers — under
+// peer death, duplicate steals and retries — produces exactly the
+// counters hashes of the same plan run locally at -parallel 1.
 //
 // Like the serve layer it extends, fleet is sanctioned ground for
 // wall-clock reads (dispatch latency, backoff, probes) and goroutines
@@ -60,9 +59,9 @@ type Fleet struct {
 }
 
 // Enable installs the fleet layer on a daemon: the sweep routes always,
-// and with peers configured also the coordinator (job delegation, peer
-// cache lookup, fleet metrics). Call after serve.New and before the
-// daemon starts serving traffic.
+// and with peers configured also the coordinator (job delegation and
+// fleet metrics). Call after serve.New and before the daemon starts
+// serving traffic.
 func Enable(s *serve.Server, cfg Config) (*Fleet, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = 2
@@ -83,9 +82,8 @@ func Enable(s *serve.Server, cfg Config) (*Fleet, error) {
 	s.Route("POST /v1/sweeps", f.sw.handleSubmit)
 	s.Route("GET /v1/sweeps/{id}", f.sw.handleGet)
 	if len(cfg.Peers) > 0 {
-		f.co = newCoordinator(s, cfg)
+		f.co = newCoordinator(cfg)
 		s.SetDelegate(f.co.Execute)
-		s.SetLookup(f.co.Lookup)
 		s.SetExtraMetrics(f.co.WriteMetrics)
 		f.co.start()
 	}

@@ -8,10 +8,14 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
+	"path"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -69,8 +73,9 @@ func startPeer(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server)
 // flakyProxy fronts a real peer daemon and injects the failure modes
 // the coordinator must survive: dead (every request answers 502),
 // die-after-dispatch (the next dispatch forwards, then the peer goes
-// dark — death mid-job), and a per-request delay (a slow peer for
-// duplicate-steal tests).
+// dark — death mid-job), a per-request delay (a slow peer for
+// duplicate-steal tests), and tampering (a peer whose job results
+// carry corrupt metrics).
 type flakyProxy struct {
 	rp *httputil.ReverseProxy
 
@@ -78,6 +83,7 @@ type flakyProxy struct {
 	dead             bool
 	dieAfterDispatch bool
 	delay            time.Duration
+	tamper           bool
 }
 
 func newFlakyProxy(t *testing.T, target string) (*flakyProxy, *httptest.Server) {
@@ -87,6 +93,7 @@ func newFlakyProxy(t *testing.T, target string) (*flakyProxy, *httptest.Server) 
 		t.Fatal(err)
 	}
 	f := &flakyProxy{rp: httputil.NewSingleHostReverseProxy(u)}
+	f.rp.ModifyResponse = f.rewrite
 	ts := httptest.NewServer(f)
 	t.Cleanup(ts.Close)
 	return f, ts
@@ -102,6 +109,43 @@ func (f *flakyProxy) setDelay(d time.Duration) {
 	f.mu.Lock()
 	f.delay = d
 	f.mu.Unlock()
+}
+
+// setTamper makes every GET /v1/runs/{id} reply count one more L1 miss
+// in each run's metrics, leaving the reported counters hash and the
+// manifest as the peer computed them.
+func (f *flakyProxy) setTamper(on bool) {
+	f.mu.Lock()
+	f.tamper = on
+	f.mu.Unlock()
+}
+
+// rewrite applies the tampering mode to a peer's reply.
+func (f *flakyProxy) rewrite(resp *http.Response) error {
+	f.mu.Lock()
+	tamper := f.tamper
+	f.mu.Unlock()
+	req := resp.Request
+	if !tamper || req.Method != http.MethodGet || path.Dir(req.URL.Path) != "/v1/runs" {
+		return nil
+	}
+	var jr serve.JobResponse
+	err := json.NewDecoder(resp.Body).Decode(&jr)
+	resp.Body.Close()
+	if err != nil {
+		return err
+	}
+	for i := range jr.Results {
+		jr.Results[i].Metrics.Misses++
+	}
+	b, err := json.Marshal(jr)
+	if err != nil {
+		return err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(b))
+	resp.ContentLength = int64(len(b))
+	resp.Header.Set("Content-Length", strconv.Itoa(len(b)))
+	return nil
 }
 
 // armDeathAfterDispatch lets exactly one more dispatch through, then

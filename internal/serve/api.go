@@ -24,6 +24,10 @@ type RunResult struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// Metrics is the full run summary.
 	Metrics sim.Metrics `json:"metrics"`
+	// Manifest is the reproducibility manifest of the daemon that
+	// simulated the run: the one it filed with a fresh result, or the
+	// cache entry's own. A coordinator files it with the result.
+	Manifest obs.Manifest `json:"manifest"`
 }
 
 // SubmitResponse answers POST /v1/runs.

@@ -29,9 +29,9 @@ type Entry struct {
 
 // Verify recomputes the counters hash over the stored metrics and
 // checks it — and the embedded key — against what the entry claims.
-// Every cache read runs it before serving; the fleet layer runs it
-// again on entries fetched from peers, so a replicated result obeys
-// exactly the invariants a locally computed one does.
+// Every cache read runs it before serving, and the daemon runs it on
+// every result a delegate returns before filing it, so a result
+// computed on a peer obeys exactly the invariants a local one does.
 func (e *Entry) Verify(key string) error {
 	if e.Key != key {
 		return fmt.Errorf("serve: cache entry %s claims key %s", short(key), short(e.Key))

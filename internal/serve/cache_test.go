@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -161,4 +162,51 @@ func TestCacheOverwrite(t *testing.T) {
 	if cs := c.Stats(); cs.Entries != 1 || cs.Writes != 2 {
 		t.Fatalf("stats after overwrite = %+v, want 1 entry, 2 writes", cs)
 	}
+}
+
+// FuzzCacheEntry writes arbitrary bytes where a key's entry lives: Get
+// must never panic, and any entry it returns must pass Verify(key).
+func FuzzCacheEntry(f *testing.F) {
+	dir := f.TempDir()
+	c, err := serve.OpenCache(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := strings.Repeat("cd", 32)
+	if err := c.Put(fakeEntry(key)); err != nil {
+		f.Fatal(err)
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "*", key+".json"))
+	if err != nil || len(paths) != 1 {
+		f.Fatalf("entry file of %s: %v %v", key, paths, err)
+	}
+	path := paths[0]
+	good, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	tampered := bytes.Replace(good, []byte(`"Misses": 7`), []byte(`"Misses": 8`), 1)
+	if bytes.Equal(tampered, good) {
+		f.Fatal("the entry file has no Misses counter to tamper with")
+	}
+	f.Add(good)
+	f.Add(tampered)
+	f.Add(good[:len(good)/2])
+	f.Add([]byte(`{"key":"` + key + `","metrics":{"Retired":null}}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e, err := c.Get(key)
+		if e == nil {
+			return
+		}
+		if err != nil {
+			t.Fatalf("Get returned an entry and the error %v", err)
+		}
+		if err := e.Verify(key); err != nil {
+			t.Fatalf("Get returned an entry that fails verification: %v", err)
+		}
+	})
 }

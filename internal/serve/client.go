@@ -15,10 +15,9 @@ import (
 )
 
 // Client is the daemon's HTTP client side for the job API: it submits
-// plans, follows a job's event stream to completion, probes health and
-// the cache, and pushes checkpoints. The fleet coordinator dispatches
-// to peers through it; commands execute plans remotely through
-// fleet.Client, the one runner.Remote.
+// plans, follows a job's event stream to completion and probes health.
+// The fleet coordinator dispatches to peers through it; commands
+// execute plans remotely through fleet.Client, the one runner.Remote.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -119,38 +118,6 @@ func (c *Client) Health() (HealthResponse, error) {
 	var h HealthResponse
 	err := c.do("GET", "/healthz", nil, &h)
 	return h, err
-}
-
-// CacheContains probes the daemon's cache for key via HEAD, without
-// transferring the entry.
-func (c *Client) CacheContains(key string) (bool, error) {
-	req, err := http.NewRequest(http.MethodHead, c.base+"/v1/cache/"+key, nil)
-	if err != nil {
-		return false, fmt.Errorf("serve: building HEAD /v1/cache: %w", err)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return false, fmt.Errorf("serve: HEAD /v1/cache/%s: %w", short(key), err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return true, nil
-	case http.StatusNotFound:
-		return false, nil
-	}
-	return false, fmt.Errorf("serve: HEAD /v1/cache/%s: HTTP %d", short(key), resp.StatusCode)
-}
-
-// CacheEntry fetches the full cache entry for key. The caller must
-// Verify it before trusting or replicating it.
-func (c *Client) CacheEntry(key string) (*Entry, error) {
-	var e Entry
-	if err := c.do("GET", "/v1/cache/"+key, nil, &e); err != nil {
-		return nil, err
-	}
-	return &e, nil
 }
 
 // do runs one JSON round trip, mapping non-2xx answers to errors via

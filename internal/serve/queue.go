@@ -184,15 +184,7 @@ func (s *Server) runJob(j *job) {
 	}()
 	j.setState(stateRunning)
 	j.emit(jobEvent{Type: "job", Job: j.id, State: stateRunning})
-	var results []RunResult
-	var errMsg string
-	handled := false
-	if d := s.delegate; d != nil && !j.direct {
-		results, errMsg, handled = d(s.delegated(j))
-	}
-	if !handled {
-		results, errMsg = s.execute(j)
-	}
+	results, errMsg := s.execute(j)
 	s.release(j)
 	j.finish(results, errMsg)
 	if errMsg == "" {
@@ -209,47 +201,24 @@ func (s *Server) release(j *job) {
 	s.mu.Unlock()
 }
 
-// DelegatedJob is the view of a queued job handed to the delegation
-// hook (the fleet coordinator): the work to execute plus closures back
-// into the job's trace, event stream and the daemon's run counters, so
-// remote execution shows up in /v1/jobs/{id}/trace and /metrics exactly
-// like local execution does.
+// DelegatedJob is the view of a job's cache misses handed to the
+// delegation hook (the fleet coordinator): the runs to execute plus a
+// closure onto the job's trace, so remote execution shows up in
+// /v1/jobs/{id}/trace like local execution does.
 type DelegatedJob struct {
 	ID    string
 	Scale runner.Scale
 	Runs  []runner.ResolvedRun
 
-	// Span and Instant record trace intervals and point events on the
-	// job's timeline; EmitRunDone appends a run_done event to the job's
-	// stream; CountRun bumps nocd_runs_outcome_total ("cached"/"fresh").
-	Span        func(name, label string, start time.Time, dur time.Duration)
-	Instant     func(name string, at time.Time)
-	EmitRunDone func(label, key string, cached bool, countersHash string)
-	CountRun    func(outcome string)
+	// Span records an interval on the job's timeline.
+	Span func(name, label string, start time.Time, dur time.Duration)
 }
 
-// delegated wraps a job for the delegation hook.
-func (s *Server) delegated(j *job) DelegatedJob {
-	return DelegatedJob{
-		ID:      j.id,
-		Scale:   j.sc,
-		Runs:    j.runs,
-		Span:    j.addSpan,
-		Instant: j.addInstant,
-		EmitRunDone: func(label, key string, cached bool, countersHash string) {
-			j.emit(runDoneEvent{Type: "run_done", Label: label, Key: key,
-				Cached: cached, CountersHash: countersHash})
-		},
-		CountRun: s.tele.countRun,
-	}
-}
-
-// execute resolves each run against the cache and simulates the misses
-// through the runner, returning the per-run results or a failure
-// message. Fresh results are verified-by-construction (the counters
-// hash is computed from the metrics being stored) and written back
-// crash-safely; a cache write failure degrades to a log line, it never
-// fails the job.
+// execute answers every run of the job: from the result cache, else
+// from the delegate (unless the job is itself dispatched work), else by
+// simulating in-process. It is the daemon's one execution path, so
+// every result, cached, delegated or fresh, is counted and streamed
+// here, and every result not read from the cache is filed here.
 func (s *Server) execute(j *job) ([]RunResult, string) {
 	results := make([]RunResult, len(j.runs))
 	var miss []int
@@ -261,138 +230,200 @@ func (s *Server) execute(j *job) ([]RunResult, string) {
 		if err != nil {
 			s.logf("job %s: %v (re-simulating)", j.id, err)
 		}
-		if e == nil && s.lookup != nil {
-			pl := time.Now()
-			e = s.lookup(r.Key)
-			j.addSpan("peer_lookup", r.Label, pl, time.Since(pl))
-		}
 		if e == nil {
 			miss = append(miss, i)
 			continue
 		}
-		s.tele.countRun("cached")
 		results[i] = RunResult{
 			Label: r.Label, Key: r.Key, Cached: true,
 			CountersHash: e.Manifest.CountersHash,
 			Metrics:      e.Metrics,
+			Manifest:     e.Manifest,
 		}
-		j.emit(runDoneEvent{Type: "run_done", Label: r.Label, Key: r.Key,
-			Cached: true, CountersHash: e.Manifest.CountersHash})
+		s.record(j, results[i])
 	}
-
-	if len(miss) > 0 {
-		sc := j.sc
-		sc.Remote = nil // the daemon is the remote; execute in-process
-		sc.ObsDir = ""
-		sc.Obs = obs.Options{SampleInterval: s.cfg.SampleInterval, Epochs: true}
-		sc.Snapshots = s.snaps
-
-		// The deadline is written before the plan executes and only read
-		// afterwards (the cancel closure shares no mutable state), so the
-		// runner's worker goroutines race on nothing.
-		var deadline time.Time
-		var cancel func() bool
-		if s.cfg.JobTimeout > 0 {
-			deadline = time.Now().Add(s.cfg.JobTimeout)
-			cancel = func() bool { return time.Now().After(deadline) }
-		}
-		every := sc.Epoch
-		if every <= 0 {
-			every = 1000
-		}
-
-		// Per-run provenance and wall-clock starts, filled by each run's
-		// Start hook on its worker goroutine and read only after Execute
-		// joins the pool — no two goroutines touch the same slot.
-		origins := make([]string, len(miss))
-		originCycles := make([]int64, len(miss))
-		starts := make([]time.Time, len(miss))
-
-		plan := runner.NewPlan(sc)
+	if len(miss) == 0 {
+		return results, ""
+	}
+	if s.delegate != nil && !j.direct {
+		runs := make([]runner.ResolvedRun, len(miss))
 		for k, i := range miss {
-			k := k
-			r := j.runs[i]
-			label := r.Label
-			run := runner.Run{
-				Label:  r.Label,
-				Config: r.Config,
-				Cycles: r.Cycles,
-				Start: func(sm *sim.Sim) {
-					starts[k] = time.Now()
-					origins[k], originCycles[k] = sm.Origin()
-					if o := sm.Obs(); o != nil {
-						if o.Sampler != nil {
-							o.Sampler.SetSink(func(smp obs.Sample) {
-								j.emit(sampleEvent{Type: "sample", Label: label, Sample: smp})
-							})
-						}
-						if o.Epochs != nil {
-							o.Epochs.SetSink(func(rec obs.EpochRecord) {
-								j.emit(epochEvent{Type: "epoch", Label: label, Record: rec})
-							})
-						}
-					}
-				},
-				Cancel:      cancel,
-				CancelEvery: every,
-			}
-			if s.snaps != nil {
-				// Checkpoint the final state so a later extend job resumes
-				// here instead of recomputing; a timed-out run is excluded
-				// by the partial check below never reaching the cache, but
-				// its checkpoint is still exact state and safe to keep.
-				cfg := r.Config
-				run.Observe = func(sm *sim.Sim) {
-					ckpt := time.Now()
-					err := runner.Checkpoint(s.snaps, cfg, sm)
-					s.tele.observe(s.tele.snapStore, time.Since(ckpt))
-					j.addSpan("checkpoint", label, ckpt, time.Since(ckpt))
-					if err != nil {
-						s.logf("job %s: checkpointing %q: %v", j.id, label, err)
-					}
+			runs[k] = j.runs[i]
+		}
+		res, errMsg, handled := s.delegate(DelegatedJob{ID: j.id, Scale: j.sc, Runs: runs, Span: j.addSpan})
+		switch {
+		case !handled: // every peer is dead: simulate below
+		case errMsg != "":
+			return nil, errMsg
+		case len(res) != len(runs):
+			return nil, fmt.Sprintf("serve: delegate returned %d results for %d runs", len(res), len(runs))
+		default:
+			for k, i := range miss {
+				if err := checkDelegated(runs[k], res[k]); err != nil {
+					return nil, err.Error()
 				}
+				s.file(res[k])
+				s.record(j, res[k])
+				results[i] = res[k]
 			}
-			plan.AddRun(run)
+			return results, ""
 		}
-		runStart := time.Now()
-		metrics := plan.Execute()
-		j.addSpan("run", "", runStart, time.Since(runStart))
-		stats := plan.Stats()
-
-		exportStart := time.Now()
-		for k, i := range miss {
-			r := j.runs[i]
-			m := metrics[k]
-			if m.Cycles < r.Cycles {
-				// The cancel closure tripped mid-run: the metrics are
-				// partial, must never reach the cache, and fail the job.
-				return nil, fmt.Sprintf("serve: job exceeded %v timeout (run %q stopped at cycle %d of %d)",
-					s.cfg.JobTimeout, r.Label, m.Cycles, r.Cycles)
-			}
-			s.tele.observe(s.tele.runDur, stats[k].Elapsed)
-			j.addSpan("simulate", r.Label, starts[k], stats[k].Elapsed)
-			s.tele.countRun("fresh")
-			res, err := s.FileResult(r, m, stats[k].Elapsed, origins[k], originCycles[k])
-			if err != nil {
-				return nil, err.Error()
-			}
-			results[i] = res
-			j.emit(runDoneEvent{Type: "run_done", Label: r.Label, Key: r.Key,
-				Cached: false, CountersHash: res.CountersHash})
-		}
-		j.addSpan("export", "", exportStart, time.Since(exportStart))
+	}
+	if errMsg := s.simulate(j, miss, results); errMsg != "" {
+		return nil, errMsg
 	}
 	return results, ""
 }
 
-// FileResult hashes, manifests and caches one freshly simulated run —
-// the one write path for every in-process execution in the daemon, the
-// queue's own and the fleet coordinator's local fallback alike, so a
-// result is indistinguishable whoever computed it. origin and
-// originCycle are the run's warm-start provenance (sim.Origin). A
-// cache write failure degrades to a log line; only an unencodable
-// config is an error.
-func (s *Server) FileResult(r runner.ResolvedRun, m sim.Metrics, elapsed time.Duration, origin string, originCycle int64) (RunResult, error) {
+// checkDelegated verifies a result the delegate returned for run r
+// before it is filed or returned: the key must be r's, and the counters
+// hash recomputed from the metrics must match the manifest's
+// (Entry.Verify) and the one the executing daemon reported.
+func checkDelegated(r runner.ResolvedRun, res RunResult) error {
+	e := Entry{Key: res.Key, Manifest: res.Manifest, Metrics: res.Metrics}
+	if err := e.Verify(r.Key); err != nil {
+		return fmt.Errorf("delegated run %q: %w", r.Label, err)
+	}
+	if res.CountersHash != res.Manifest.CountersHash {
+		return fmt.Errorf("delegated run %q: reported counters hash %s, manifest says %s",
+			r.Label, res.CountersHash, res.Manifest.CountersHash)
+	}
+	return nil
+}
+
+// record counts one run's outcome and streams its run_done event.
+func (s *Server) record(j *job, res RunResult) {
+	outcome := "fresh"
+	if res.Cached {
+		outcome = "cached"
+	}
+	s.tele.countRun(outcome)
+	j.emit(runDoneEvent{Type: "run_done", Label: res.Label, Key: res.Key,
+		Cached: res.Cached, CountersHash: res.CountersHash})
+}
+
+// file writes one result's entry to the result cache: the one write
+// path, for fresh and delegated results alike. A write failure degrades
+// to a log line; it never fails the job.
+func (s *Server) file(res RunResult) {
+	e := &Entry{Key: res.Key, Manifest: res.Manifest, Metrics: res.Metrics}
+	if err := s.cache.Put(e); err != nil {
+		s.logf("caching %q: %v (result served uncached)", res.Label, err)
+	}
+}
+
+// simulate runs the job's missed runs (indices into j.runs) in-process
+// through the runner, filling their slots of results, and returns a
+// failure message or "". Fresh results are verified by construction:
+// the counters hash is computed from the metrics being stored.
+func (s *Server) simulate(j *job, miss []int, results []RunResult) string {
+	sc := j.sc
+	sc.Remote = nil // the daemon is the remote; execute in-process
+	sc.ObsDir = ""
+	sc.Obs = obs.Options{SampleInterval: s.cfg.SampleInterval, Epochs: true}
+	sc.Snapshots = s.snaps
+
+	// The deadline is written before the plan executes and only read
+	// afterwards (the cancel closure shares no mutable state), so the
+	// runner's worker goroutines race on nothing.
+	var deadline time.Time
+	var cancel func() bool
+	if s.cfg.JobTimeout > 0 {
+		deadline = time.Now().Add(s.cfg.JobTimeout)
+		cancel = func() bool { return time.Now().After(deadline) }
+	}
+	every := sc.Epoch
+	if every <= 0 {
+		every = 1000
+	}
+
+	// Per-run provenance and wall-clock starts, filled by each run's
+	// Start hook on its worker goroutine and read only after Execute
+	// joins the pool — no two goroutines touch the same slot.
+	origins := make([]string, len(miss))
+	originCycles := make([]int64, len(miss))
+	starts := make([]time.Time, len(miss))
+
+	plan := runner.NewPlan(sc)
+	for k, i := range miss {
+		k := k
+		r := j.runs[i]
+		label := r.Label
+		run := runner.Run{
+			Label:  r.Label,
+			Config: r.Config,
+			Cycles: r.Cycles,
+			Start: func(sm *sim.Sim) {
+				starts[k] = time.Now()
+				origins[k], originCycles[k] = sm.Origin()
+				if o := sm.Obs(); o != nil {
+					if o.Sampler != nil {
+						o.Sampler.SetSink(func(smp obs.Sample) {
+							j.emit(sampleEvent{Type: "sample", Label: label, Sample: smp})
+						})
+					}
+					if o.Epochs != nil {
+						o.Epochs.SetSink(func(rec obs.EpochRecord) {
+							j.emit(epochEvent{Type: "epoch", Label: label, Record: rec})
+						})
+					}
+				}
+			},
+			Cancel:      cancel,
+			CancelEvery: every,
+		}
+		if s.snaps != nil {
+			// Checkpoint the final state so a later extend job resumes
+			// here instead of recomputing; a timed-out run is excluded
+			// by the partial check below never reaching the cache, but
+			// its checkpoint is still exact state and safe to keep.
+			cfg := r.Config
+			run.Observe = func(sm *sim.Sim) {
+				ckpt := time.Now()
+				err := runner.Checkpoint(s.snaps, cfg, sm)
+				s.tele.observe(s.tele.snapStore, time.Since(ckpt))
+				j.addSpan("checkpoint", label, ckpt, time.Since(ckpt))
+				if err != nil {
+					s.logf("job %s: checkpointing %q: %v", j.id, label, err)
+				}
+			}
+		}
+		plan.AddRun(run)
+	}
+	runStart := time.Now()
+	metrics := plan.Execute()
+	j.addSpan("run", "", runStart, time.Since(runStart))
+	stats := plan.Stats()
+
+	exportStart := time.Now()
+	for k, i := range miss {
+		r := j.runs[i]
+		m := metrics[k]
+		if m.Cycles < r.Cycles {
+			// The cancel closure tripped mid-run: the metrics are
+			// partial, must never reach the cache, and fail the job.
+			return fmt.Sprintf("serve: job exceeded %v timeout (run %q stopped at cycle %d of %d)",
+				s.cfg.JobTimeout, r.Label, m.Cycles, r.Cycles)
+		}
+		s.tele.observe(s.tele.runDur, stats[k].Elapsed)
+		j.addSpan("simulate", r.Label, starts[k], stats[k].Elapsed)
+		res, err := freshResult(r, m, stats[k].Elapsed, origins[k], originCycles[k])
+		if err != nil {
+			return err.Error()
+		}
+		s.file(res)
+		s.record(j, res)
+		results[i] = res
+	}
+	j.addSpan("export", "", exportStart, time.Since(exportStart))
+	return ""
+}
+
+// freshResult builds the result of one run simulated in-process, with
+// the manifest its cache entry carries. origin and originCycle are the
+// run's warm-start provenance (sim.Origin). Only an unencodable config
+// is an error.
+func freshResult(r runner.ResolvedRun, m sim.Metrics, elapsed time.Duration, origin string, originCycle int64) (RunResult, error) {
 	hash := runner.CountersHash(m)
 	elapsedMS := float64(elapsed.Microseconds()) / 1000
 	rawCfg, err := json.Marshal(&r.Config)
@@ -414,11 +445,8 @@ func (s *Server) FileResult(r runner.ResolvedRun, m sim.Metrics, elapsed time.Du
 		Config:       rawCfg,
 	}
 	man.FillEnv()
-	if err := s.cache.Put(&Entry{Key: r.Key, Manifest: man, Metrics: m}); err != nil {
-		s.logf("caching %q: %v (result served uncached)", r.Label, err)
-	}
 	return RunResult{
 		Label: r.Label, Key: r.Key, Cached: false,
-		CountersHash: hash, ElapsedMS: elapsedMS, Metrics: m,
+		CountersHash: hash, ElapsedMS: elapsedMS, Metrics: m, Manifest: man,
 	}, nil
 }

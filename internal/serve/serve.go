@@ -105,11 +105,10 @@ type Server struct {
 	endpoints map[string]*endpointStats
 
 	// Fleet extension points, installed (before Start) by the fleet
-	// layer; all nil on a standalone daemon. delegate may execute a
-	// whole job elsewhere; lookup consults peer caches on a local miss;
-	// extraMetrics appends a subsystem section to /metrics.
+	// layer; both nil on a standalone daemon. delegate may execute a
+	// job's cache misses elsewhere; extraMetrics appends a subsystem
+	// section to /metrics.
 	delegate     func(DelegatedJob) (results []RunResult, errMsg string, handled bool)
-	lookup       func(key string) *Entry
 	extraMetrics func(io.Writer)
 }
 
@@ -161,7 +160,6 @@ func New(cfg Config) (*Server, error) {
 	s.route("GET /v1/runs/{id}/trace", s.handleTrace)
 	s.route("GET /v1/jobs/{id}/trace", s.handleTrace)
 	s.route("GET /v1/cache/stats", s.handleCacheStats)
-	s.route("GET /v1/cache/{key}", s.handleCacheEntry)
 	s.route("GET /healthz", s.handleHealth)
 	s.route("GET /metrics", s.handleMetrics)
 	return s, nil
@@ -187,16 +185,12 @@ func (s *Server) BaseScale() runner.Scale { return s.cfg.Scale }
 func (s *Server) Route(pattern string, h http.HandlerFunc) { s.route(pattern, h) }
 
 // SetDelegate installs the job-delegation hook. A non-nil delegate is
-// offered every non-dispatched job before local execution; returning
-// handled=false falls back to in-process execution. Install before
-// Start: workers read the field unguarded.
+// offered the cache misses of every non-dispatched job; returning
+// handled=false falls back to in-process execution. The daemon
+// verifies, files, counts and streams every result the delegate
+// returns, as it does its own. Install before Start: workers read the
+// field unguarded.
 func (s *Server) SetDelegate(d func(DelegatedJob) ([]RunResult, string, bool)) { s.delegate = d }
-
-// SetLookup installs the peer-cache lookup hook, consulted by the
-// in-process executor after a local cache miss and before simulating.
-// The hook returns a verified entry (replicating it locally is the
-// hook's business) or nil. Install before Start.
-func (s *Server) SetLookup(fn func(key string) *Entry) { s.lookup = fn }
 
 // SetExtraMetrics installs a subsystem section renderer appended to
 // /metrics between the daemon's own counters and the per-endpoint
@@ -447,34 +441,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, s.cache.Stats())
-}
-
-// handleCacheEntry answers peer cache probes: HEAD /v1/cache/{key}
-// reports presence without reading the entry (and without skewing the
-// hit/miss statistics), GET returns the verified entry itself. This is
-// the read side of peer-aware caching; the fetching peer re-verifies
-// the counters hash before replicating, so a corrupt entry can cross
-// the wire but never enter another daemon's cache.
-func (s *Server) handleCacheEntry(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if r.Method == http.MethodHead {
-		if !s.cache.Contains(key) {
-			w.WriteHeader(http.StatusNotFound)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-		return
-	}
-	e, err := s.cache.Get(key)
-	if err != nil {
-		s.fail(w, http.StatusNotFound, "cache entry %s: %v", short(key), err)
-		return
-	}
-	if e == nil {
-		s.fail(w, http.StatusNotFound, "no cache entry %s", short(key))
-		return
-	}
-	s.writeJSON(w, http.StatusOK, e)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

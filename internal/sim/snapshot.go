@@ -192,7 +192,10 @@ func (s *Sim) DecodeSnap(r *snap.Reader) {
 
 // checkMisses fails r unless the restored misses are consistent where
 // stepping indexes by them: every token a core awaits names the core
-// and came from its counter; every flit, reassembly, undrained packet
+// and came from its counter, which is at most as far ahead of the
+// token as the core has younger instructions in its window (a counter
+// further ahead would number a later miss onto the token's entry in
+// the core's token table); every flit, reassembly, undrained packet
 // and L2 reply routes inside the system; the flits of one packet agree
 // on its header; and every request or reply carries a token its core
 // awaits, one packet per token.
@@ -203,9 +206,13 @@ func (s *Sim) checkMisses(r *snap.Reader) {
 		if c == nil {
 			continue
 		}
-		c.Awaiting(func(tok uint64) {
-			if tok>>32 != uint64(id) || tok&0xffffffff > s.tokens[id] {
+		c.Awaiting(func(tok uint64, younger int) {
+			switch ahead := int64(uint32(s.tokens[id]) - uint32(tok)); {
+			case tok>>32 != uint64(id):
 				r.Failf("core %d awaits token %#x it never issued", id, tok)
+			case ahead > int64(younger):
+				r.Failf("core %d miss counter is %d ahead of awaited token %#x, with %d younger instructions in its window",
+					id, ahead, tok, younger)
 			}
 			awaited[tok] = true
 		})

@@ -400,6 +400,38 @@ func seqCorrupted(t testing.TB, cfg Config) []byte {
 	return out
 }
 
+// tokenCorrupted returns a mid-run blob of cfg in which the miss
+// counter of the core awaiting the most misses sits 8191 misses ahead
+// of its youngest awaited token, so the core's next miss is numbered
+// onto that token's entry of its token table while the token is still
+// outstanding: a decodable blob whose next miss collides with an
+// outstanding one.
+func tokenCorrupted(t testing.TB, cfg Config) []byte {
+	s := New(cfg)
+	s.Run(200)
+	blob := s.Snapshot()
+	id, tok := -1, uint64(0)
+	for i, c := range s.cores {
+		if c != nil && (id < 0 || c.Outstanding() > s.cores[id].Outstanding()) {
+			id = i
+		}
+	}
+	s.cores[id].Awaiting(func(tk uint64, _ int) { tok = max(tok, tk) })
+	if tok == 0 {
+		t.Fatal("no core awaits a miss at cycle 200")
+	}
+	w := &snap.Writer{}
+	snap.Encode(w, &s.tokens) // the per-core miss counters, ahead of the identical miss counts
+	off := bytes.Index(blob, w.Bytes())
+	if off < 0 {
+		t.Fatal("miss counters not found in their blob")
+	}
+	out := append([]byte(nil), blob...)
+	at := off + w.Len() - 8*(len(s.tokens)-id)
+	binary.LittleEndian.PutUint64(out[at:], tok&0xffffffff+64*128-1)
+	return out
+}
+
 // FuzzSimRestore feeds arbitrary bytes to Restore. The bar: an error,
 // or a Sim that runs 64 cycles without panicking, and no allocation
 // beyond O(blob) on top of New(cfg).
@@ -427,6 +459,11 @@ func FuzzSimRestore(f *testing.F) {
 	bad = seqCorrupted(f, cases[0])
 	if _, err := Restore(cases[0], bad); err == nil {
 		f.Fatal("a NIC packet counter at 2^39 restored without error")
+	}
+	f.Add(uint8(0), bad)
+	bad = tokenCorrupted(f, cases[0])
+	if _, err := Restore(cases[0], bad); err == nil {
+		f.Fatal("a miss counter far ahead of an awaited token restored without error")
 	}
 	f.Add(uint8(0), bad)
 	base := make([]uint64, len(cases))
