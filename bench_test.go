@@ -1,5 +1,5 @@
 // Benchmarks: one per table and figure of the paper's evaluation, plus
-// the DESIGN.md ablations. Each benchmark runs the corresponding
+// the extensions. Each benchmark runs the corresponding
 // experiment driver end to end at a reduced scale and reports the
 // headline quantity of that figure as a custom metric, so
 //
@@ -205,35 +205,10 @@ func BenchmarkTorus(b *testing.B) {
 	runExp(b, "torus")
 }
 
-// BenchmarkAblation — DESIGN.md's design-choice ablations (arbiter,
-// congestion signal, application awareness).
-func BenchmarkAblation(b *testing.B) {
-	r := runExp(b, "ablate")
-	b.ReportMetric(float64(len(r.Table.Rows)), "variants")
-}
-
 // BenchmarkLoadLatency — open-loop load-latency curves (substrate
 // characterisation, BookSim/NOCulator-style).
 func BenchmarkLoadLatency(b *testing.B) {
 	runExp(b, "loadlat")
-}
-
-// BenchmarkAblationArbiter — Oldest-First vs random deflection
-// arbitration (DESIGN.md ablation 1).
-func BenchmarkAblationArbiter(b *testing.B) {
-	runExp(b, "arbiter")
-}
-
-// BenchmarkMinBD — minimal side buffering between BLESS and the VC
-// router ([22], cited extension).
-func BenchmarkMinBD(b *testing.B) {
-	runExp(b, "minbd")
-}
-
-// BenchmarkAdaptive — §7 traffic-engineering extension: congestion-aware
-// productive-port selection vs strict XY.
-func BenchmarkAdaptive(b *testing.B) {
-	runExp(b, "adaptive")
 }
 
 // BenchmarkFairness — slowdown metrics with and without throttling
@@ -249,7 +224,7 @@ func BenchmarkWriteback(b *testing.B) {
 }
 
 // BenchmarkThreads — §7's multithreaded regional-traffic scenario:
-// throttling + adaptive routing on thread-group hot spots.
+// throttling on thread-group hot spots.
 func BenchmarkThreads(b *testing.B) {
 	runExp(b, "threads")
 }

@@ -31,7 +31,7 @@ func main() {
 		topo       = flag.String("topo", "mesh", "topology: mesh | torus")
 		router     = flag.String("router", "bless", "router: bless | buffered | hierring")
 		wl         = flag.String("workload", "HML", "workload category (H M L HML HM HL ML), 'uniform:<app>' or 'single:<app>'")
-		controller = flag.String("controller", "none", "controller: none | central | static | distributed | unaware | latency")
+		controller = flag.String("controller", "none", "controller: none | central | static | distributed")
 		staticRate = flag.Float64("static-rate", 0.5, "rate for -controller static")
 		mapping    = flag.String("mapping", "xor", "L2 mapping: xor | exp | pow")
 		meanHops   = flag.Float64("mean-hops", 1, "mean hop distance for locality mappings")
@@ -39,8 +39,6 @@ func main() {
 		epoch      = flag.Int64("epoch", 0, "controller epoch (default cycles/10)")
 		seed       = flag.Uint64("seed", 42, "random seed")
 		verbose    = flag.Bool("v", false, "per-node detail")
-		adaptive   = flag.Bool("adaptive", false, "congestion-aware productive-port routing (BLESS)")
-		sideBuffer = flag.Int("side-buffer", 0, "MinBD-style side buffer depth in flits (BLESS)")
 		writebacks = flag.Bool("writebacks", false, "model store traffic and dirty-eviction writebacks")
 
 		obsInterval = flag.Int64("obs-interval", 0, "record an interval sample every N cycles (0 = off)")
@@ -89,12 +87,6 @@ func main() {
 	if *topo == "torus" {
 		opts = append(opts, runner.WithTopo(topology.Torus))
 	}
-	if *adaptive {
-		opts = append(opts, runner.WithAdaptive())
-	}
-	if *sideBuffer > 0 {
-		opts = append(opts, runner.WithSideBuffer(*sideBuffer))
-	}
 	if *writebacks {
 		opts = append(opts, runner.WithWritebacks())
 	}
@@ -116,10 +108,6 @@ func main() {
 		opts = append(opts, runner.WithStaticUniform(*staticRate))
 	case "distributed":
 		opts = append(opts, runner.WithController(sim.Distributed))
-	case "unaware":
-		opts = append(opts, runner.WithController(sim.UnawareControl))
-	case "latency":
-		opts = append(opts, runner.WithController(sim.LatencyControl))
 	default:
 		fmt.Fprintf(os.Stderr, "nocsim: unknown controller %q\n", *controller)
 		os.Exit(1)

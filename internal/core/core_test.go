@@ -386,35 +386,6 @@ func TestDistributedMarksWhenStarving(t *testing.T) {
 	}
 }
 
-func TestUnawareThrottlesEveryone(t *testing.T) {
-	p := NewPolicy(4, 128)
-	u := NewUnaware(p, DefaultParams(), 0.5)
-	starve(p, 0, 0.7)
-	d := u.Update([]float64{1, 2, 500, 800})
-	if !d.Congested || d.ThrottledNodes != 4 {
-		t.Errorf("unaware controller: congested=%v throttled=%d, want true/4", d.Congested, d.ThrottledNodes)
-	}
-	for i := 0; i < 4; i++ {
-		if p.T.Rate(i) != 0.5 {
-			t.Errorf("node %d rate %v, want homogeneous 0.5", i, p.T.Rate(i))
-		}
-	}
-}
-
-func TestLatencyTriggeredUsesLatencySignal(t *testing.T) {
-	p := NewPolicy(2, 128)
-	l := NewLatencyTriggered(p, DefaultParams(), 30)
-	starve(p, 0, 0.7) // starvation alone must not trigger it
-	d := l.Update(10, []float64{1, 100})
-	if d.Congested {
-		t.Error("latency below threshold must not trigger")
-	}
-	d = l.Update(50, []float64{1, 100})
-	if !d.Congested || d.Rates[0] == 0 || d.Rates[1] != 0 {
-		t.Errorf("latency above threshold must throttle the intensive node: %+v", d)
-	}
-}
-
 // Property: throttler long-run block fraction equals the set rate for
 // arbitrary rates.
 func TestThrottlerRateProperty(t *testing.T) {

@@ -44,21 +44,6 @@ func init() {
 			"rates":  "scratch: every Update overwrites all elements before any read",
 		},
 	})
-	snap.Cover(Unaware{}, snap.Coverage{
-		Waived: map[string]string{
-			"policy": "construction: wired to the restored Policy, which owns the state",
-			"params": "config: Params is construction input",
-			"Rate":   "config: homogeneous rate set at construction",
-		},
-	})
-	snap.Cover(LatencyTriggered{}, snap.Coverage{
-		Waived: map[string]string{
-			"policy":        "construction: wired to the restored Policy, which owns the state",
-			"params":        "config: Params is construction input",
-			"LatencyThresh": "config: threshold set at construction",
-			"rates":         "scratch: every Update overwrites all elements before any read",
-		},
-	})
 	snap.Cover(Params{}, snap.Coverage{
 		Waived: map[string]string{
 			"AlphaStarve": "config: tuning constant",

@@ -66,13 +66,12 @@ func (c *Config) setDefaults() {
 // waiting marks a window entry blocked on an outstanding miss.
 const waiting = int64(-1)
 
-// Core is one processor core replaying a trace. The instruction stream
-// may come from a live synthetic generator or from a recorded trace
-// file (trace.Replay) — anything implementing trace.Source.
+// Core is one processor core replaying the instruction stream of a
+// synthetic trace generator.
 type Core struct {
 	id      int
 	cfg     Config
-	gen     trace.Source
+	gen     *trace.Generator
 	backend MemBackend
 
 	// Window ring: readyAt[i] is the cycle entry i's result is ready, or
@@ -94,7 +93,7 @@ type Core struct {
 }
 
 // New builds a core with the given id replaying gen through backend.
-func New(id int, cfg Config, gen trace.Source, backend MemBackend) *Core {
+func New(id int, cfg Config, gen *trace.Generator, backend MemBackend) *Core {
 	cfg.setDefaults()
 	return &Core{
 		id:      id,

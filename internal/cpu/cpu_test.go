@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"bytes"
 	"testing"
 
 	"nocsim/internal/app"
@@ -204,29 +203,6 @@ func BenchmarkStepMemoryBound(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Step(int64(i))
-	}
-}
-
-func TestCoreRunsFromRecordedTrace(t *testing.T) {
-	// Record a slice of mcf and drive a core from the replay: the
-	// PinPoints-style capture/replay flow of §6.1.
-	var buf bytes.Buffer
-	if _, err := trace.Record(&buf, "mcf", heavyGen(21), 50_000); err != nil {
-		t.Fatal(err)
-	}
-	rp, err := trace.ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := New(0, Config{}, rp, &alwaysHitBackend{})
-	for cyc := int64(0); cyc < 100_000; cyc++ {
-		c.Step(cyc)
-	}
-	if c.Retired() < 50_000 {
-		t.Errorf("replayed core retired %d instructions, want at least one full loop", c.Retired())
-	}
-	if rp.Loops() == 0 {
-		t.Error("trace should have looped during the run")
 	}
 }
 

@@ -52,7 +52,7 @@ func TestParallelismInvariance(t *testing.T) {
 // (Parallel=8).
 func TestWorkerInvarianceAcrossFabrics(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ten 256-node simulations")
+		t.Skip("six 256-node simulations")
 	}
 	cat, _ := workload.CategoryByName("HML")
 	w := workload.Generate(cat, 256, 7)
@@ -61,8 +61,6 @@ func TestWorkerInvarianceAcrossFabrics(t *testing.T) {
 		opts []runner.Option
 	}{
 		{"bless", nil},
-		{"bless-sidebuffer", []runner.Option{runner.WithSideBuffer(4)}},
-		{"bless-adaptive", []runner.Option{runner.WithAdaptive()}},
 		{"buffered", []runner.Option{runner.WithRouter(sim.Buffered)}},
 		{"hierring", []runner.Option{runner.WithRingGroup(8)}},
 	}

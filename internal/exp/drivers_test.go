@@ -96,13 +96,6 @@ func TestTorusDriver(t *testing.T) {
 	}
 }
 
-func TestAblateDriver(t *testing.T) {
-	r := runDriver(t, "ablate", microScale())
-	if len(r.Table.Rows) != 5 {
-		t.Errorf("ablate rows = %d, want 5 variants", len(r.Table.Rows))
-	}
-}
-
 func TestLoadLatDriver(t *testing.T) {
 	r := runDriver(t, "loadlat", microScale())
 	// 3 patterns x 2 architectures.
@@ -111,27 +104,6 @@ func TestLoadLatDriver(t *testing.T) {
 	}
 	if len(r.Notes) != 3 {
 		t.Errorf("loadlat notes = %d, want one saturation note per pattern", len(r.Notes))
-	}
-}
-
-func TestArbiterDriver(t *testing.T) {
-	r := runDriver(t, "arbiter", microScale())
-	if len(r.Series) != 2 {
-		t.Errorf("arbiter series = %d, want 2", len(r.Series))
-	}
-}
-
-func TestMinBDDriver(t *testing.T) {
-	r := runDriver(t, "minbd", microScale())
-	if len(r.Series) != 3 {
-		t.Errorf("minbd series = %d, want 3 architectures", len(r.Series))
-	}
-}
-
-func TestAdaptiveDriver(t *testing.T) {
-	r := runDriver(t, "adaptive", microScale())
-	if len(r.Series) != 4 {
-		t.Errorf("adaptive series = %d, want 2 patterns x 2 modes", len(r.Series))
 	}
 }
 

@@ -23,8 +23,8 @@ func TestRegistryComplete(t *testing.T) {
 		"fig2a", "fig2b", "fig2c", "fig3", "fig4", "fig5", "fig6",
 		"table1", "table2", "fig7", "fig8", "fig9", "fig10",
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-		"sens", "epoch", "dist", "torus", "ablate",
-		"loadlat", "arbiter", "minbd", "fairness", "adaptive", "wb", "threads", "rings",
+		"sens", "epoch", "dist", "torus",
+		"loadlat", "fairness", "wb", "threads", "rings",
 	}
 	ids := IDs()
 	have := map[string]bool{}

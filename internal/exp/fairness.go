@@ -3,18 +3,13 @@ package exp
 import (
 	"fmt"
 
-	"nocsim/internal/noc"
-	"nocsim/internal/noc/bless"
 	"nocsim/internal/runner"
 	"nocsim/internal/stats"
-	"nocsim/internal/topology"
-	"nocsim/internal/traffic"
 	"nocsim/internal/workload"
 )
 
 func init() {
 	register("fairness", fairness)
-	register("adaptive", adaptiveRouting)
 }
 
 // fairness quantifies §6.2's "Fairness In Throttling" claim with the
@@ -64,40 +59,4 @@ func fairness(sc Scale) *Result {
 		},
 		Runs: plan.Stats(),
 	}
-}
-
-// adaptiveRouting evaluates the §7 "Traffic Engineering" extension:
-// locally congestion-aware productive-port selection against strict XY,
-// open-loop, on the patterns where path diversity matters.
-func adaptiveRouting(sc Scale) *Result {
-	mk := func(adaptive bool) func() noc.Network {
-		return func() noc.Network {
-			return bless.New(bless.Config{
-				Topology: topology.NewSquare(topology.Mesh, 8),
-				Adaptive: adaptive,
-			})
-		}
-	}
-	r := &Result{
-		ID:     "adaptive",
-		Title:  "Adaptive (congestion-aware) routing vs strict XY (8x8 BLESS, open loop)",
-		XLabel: "offered load (flits/node/cycle)",
-		YLabel: "avg packet latency (cycles)",
-	}
-	transpose := func(n noc.Network) traffic.Pattern { return traffic.Transpose{Top: n.Topology()} }
-	hotspot := func(n noc.Network) traffic.Pattern {
-		return traffic.Hotspot{Nodes: n.Topology().Nodes(), Hot: 27, Frac: 0.15}
-	}
-	jobs := []sweepJob{
-		{"transpose/xy", mk(false), transpose, sweepRates},
-		{"transpose/adaptive", mk(true), transpose, sweepRates},
-		{"hotspot/xy", mk(false), hotspot, sweepRates},
-		{"hotspot/adaptive", mk(true), hotspot, sweepRates},
-	}
-	curves := runSweeps(r, sc, jobs)
-	for i, j := range jobs {
-		r.Notes = append(r.Notes, fmt.Sprintf("%s saturation: %.2f",
-			j.name, traffic.Saturation(curves[i], 60)))
-	}
-	return r
 }

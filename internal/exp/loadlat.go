@@ -14,8 +14,6 @@ import (
 
 func init() {
 	register("loadlat", loadLatency)
-	register("arbiter", arbiterAblation)
-	register("minbd", minbdComparison)
 	register("rings", ringComparison)
 }
 
@@ -136,68 +134,6 @@ func ringComparison(sc Scale) *Result {
 	for i, j := range jobs {
 		r.Notes = append(r.Notes, fmt.Sprintf("%s saturation: %.2f flits/node/cycle",
 			j.name, traffic.Saturation(curves[i], 80)))
-	}
-	return r
-}
-
-// minbdComparison positions MinBD-style minimal buffering (a 4-flit
-// side buffer per router, [22]) between pure BLESS and the full VC
-// router, open-loop: the side buffer absorbs would-be deflections and
-// pushes saturation toward the buffered network at a fraction of the
-// buffer cost.
-func minbdComparison(sc Scale) *Result {
-	r := &Result{
-		ID:     "minbd",
-		Title:  "Minimal buffering (MinBD [22]) between BLESS and the VC router (8x8, uniform)",
-		XLabel: "offered load (flits/node/cycle)",
-		YLabel: "avg packet latency (cycles)",
-	}
-	jobs := []sweepJob{
-		{"BLESS", func() noc.Network {
-			return bless.New(bless.Config{Topology: topology.NewSquare(topology.Mesh, 8)})
-		}, uniformPat, sweepRates},
-		{"MinBD-4", func() noc.Network {
-			return bless.New(bless.Config{Topology: topology.NewSquare(topology.Mesh, 8), SideBuffer: 4})
-		}, uniformPat, sweepRates},
-		{"Buffered", func() noc.Network {
-			return buffered.New(buffered.Config{Topology: topology.NewSquare(topology.Mesh, 8)})
-		}, uniformPat, sweepRates},
-	}
-	curves := runSweeps(r, sc, jobs)
-	for i, j := range jobs {
-		r.Notes = append(r.Notes, fmt.Sprintf("%s saturation: %.2f flits/node/cycle",
-			j.name, traffic.Saturation(curves[i], 60)))
-	}
-	return r
-}
-
-// arbiterAblation compares Oldest-First against random deflection
-// arbitration open-loop: the age-based total order both guarantees
-// livelock freedom and reduces worst-case latency near saturation.
-func arbiterAblation(sc Scale) *Result {
-	mk := func(arb bless.Arbiter) func() noc.Network {
-		return func() noc.Network {
-			return bless.New(bless.Config{
-				Topology: topology.NewSquare(topology.Mesh, 8),
-				Arb:      arb,
-				Seed:     sc.Seed,
-			})
-		}
-	}
-	r := &Result{
-		ID:     "arbiter",
-		Title:  "Deflection arbitration ablation: Oldest-First vs random (8x8, uniform)",
-		XLabel: "offered load (flits/node/cycle)",
-		YLabel: "avg packet latency (cycles)",
-	}
-	jobs := []sweepJob{
-		{"oldest-first", mk(bless.OldestFirst), uniformPat, sweepRates},
-		{"random", mk(bless.Random), uniformPat, sweepRates},
-	}
-	curves := runSweeps(r, sc, jobs)
-	for i, j := range jobs {
-		r.Notes = append(r.Notes, fmt.Sprintf("%s saturation: %.2f flits/node/cycle",
-			j.name, traffic.Saturation(curves[i], 60)))
 	}
 	return r
 }

@@ -16,7 +16,6 @@ func init() {
 	register("epoch", epochSweep)
 	register("dist", distributedVsCentral)
 	register("torus", torusComparison)
-	register("ablate", ablations)
 }
 
 // sensWorkload is the congested workload every sweep below shares.
@@ -224,45 +223,5 @@ func torusComparison(sc Scale) *Result {
 		Table: t,
 		Notes: []string{"paper: torus yields ~10% throughput improvement, same trends"},
 		Runs:  plan.Stats(),
-	}
-}
-
-// ablations benchmarks the design choices DESIGN.md calls out: the
-// Oldest-First arbiter, the starvation (vs latency) congestion signal,
-// and application-aware (vs homogeneous) throttling.
-func ablations(sc Scale) *Result {
-	w := sensWorkload(sc)
-	variants := []struct {
-		name string
-		cfg  sim.Config
-	}{
-		{"full mechanism (oldest-first + starvation + IPF-aware)", runner.Controlled(w, 4, 4, sc)},
-		{"no congestion control", runner.Baseline(w, 4, 4, sc)},
-		{"application-unaware (homogeneous rate)",
-			runner.Baseline(w, 4, 4, sc, runner.WithController(sim.UnawareControl))},
-		{"latency-triggered detection",
-			runner.Baseline(w, 4, 4, sc, runner.WithController(sim.LatencyControl))},
-		{"random deflection arbitration", runner.Controlled(w, 4, 4, sc, runner.WithRandomArb())},
-	}
-	plan := runner.NewPlan(sc)
-	for i, v := range variants {
-		plan.Add(fmt.Sprintf("ablate/%d", i), v.cfg, sc.Cycles)
-	}
-	ms := plan.Execute()
-
-	t := &Table{Header: []string{"variant", "system throughput", "vs full mechanism %"}}
-	full := ms[0].SystemThroughput
-	for i, v := range variants {
-		st := ms[i].SystemThroughput
-		t.Rows = append(t.Rows, []string{v.name, f2(st), f1(stats.PercentGain(full, st))})
-	}
-	return &Result{
-		ID:    "ablate",
-		Title: "Ablations of the mechanism's design choices",
-		Table: t,
-		Notes: []string{
-			"each row removes one design decision; the full mechanism should dominate",
-		},
-		Runs: plan.Stats(),
 	}
 }

@@ -17,14 +17,18 @@ func init() {
 // mesh; the measured per-epoch IPF samples give its mean and variance,
 // to compare against the calibration targets (the paper's trace
 // measurements). Each application is one run of a shared plan; the
-// Observe hook harvests the epoch samples before the simulator is
-// discarded.
+// Observe hook harvests node 5's per-epoch IPF from the decision ledger
+// before the simulator is discarded. The ledger is an observability
+// collector, so turning it on leaves the run's results and cache key
+// unchanged.
 func table1(sc Scale) *Result {
 	type measure struct {
 		sum    stats.Summary
 		cumIPF float64
 	}
 	out := make([]measure, len(app.Table1))
+	ledger := sc.Obs
+	ledger.Epochs = true
 	plan := runner.NewPlan(sc)
 	for i, p := range app.Table1 {
 		i := i
@@ -32,12 +36,12 @@ func table1(sc Scale) *Result {
 		plan.AddRun(runner.Run{
 			Label: "table1/" + p.Name,
 			Config: runner.Baseline(w, 4, 4, sc,
-				runner.WithRecordEpochs(), runner.WithSeed(sc.Seed+1000)),
+				runner.WithObs(ledger), runner.WithSeed(sc.Seed+1000)),
 			Cycles: sc.Cycles,
 			Observe: func(s *sim.Sim) {
-				for _, smp := range s.Samples() {
-					if smp.Node == 5 && smp.IPF > 0 {
-						out[i].sum.Add(smp.IPF)
+				for _, rec := range s.Obs().Epochs.Records() {
+					if ipf := rec.Nodes[5].IPF; ipf > 0 {
+						out[i].sum.Add(ipf)
 					}
 				}
 				out[i].cumIPF = s.Metrics().IPF[5]

@@ -16,8 +16,8 @@ func init() {
 // threadedWorkloads realises §7's "Traffic Engineering" motivation:
 // multithreaded applications have heavily regional communication that
 // forms hot spots. Nodes are grouped into square thread blocks whose
-// misses are serviced within the group; we then measure what each
-// §7 remedy buys — source throttling, adaptive routing, and both.
+// misses are serviced within the group; we then measure what source
+// throttling buys over the baseline.
 func threadedWorkloads(sc Scale) *Result {
 	const k = 8
 	groups := workload.QuadrantGroups(k, k, 4)
@@ -34,8 +34,6 @@ func threadedWorkloads(sc Scale) *Result {
 	}{
 		{"baseline BLESS", runner.Baseline(w, k, k, sc, regional...)},
 		{"+ throttling", runner.Controlled(w, k, k, sc, regional...)},
-		{"+ adaptive routing", runner.Baseline(w, k, k, sc, append(regional[:2:2], runner.WithAdaptive())...)},
-		{"+ both", runner.Controlled(w, k, k, sc, append(regional[:2:2], runner.WithAdaptive())...)},
 	}
 	plan := runner.NewPlan(sc)
 	for i, v := range variants {
@@ -51,17 +49,15 @@ func threadedWorkloads(sc Scale) *Result {
 			f2(m.StarvationRate), f1(m.AvgNetLatency),
 		})
 	}
-	base, thr, ad, both := ms[0], ms[1], ms[2], ms[3]
+	base, thr := ms[0], ms[1]
 
 	return &Result{
 		ID:    "threads",
 		Title: "Multithreaded-style regional traffic (8x8, 4x4 thread groups)",
 		Table: t,
 		Notes: []string{
-			fmt.Sprintf("throttling %+.1f%%, adaptive %+.1f%%, combined %+.1f%% vs baseline",
-				stats.PercentGain(base.SystemThroughput, thr.SystemThroughput),
-				stats.PercentGain(base.SystemThroughput, ad.SystemThroughput),
-				stats.PercentGain(base.SystemThroughput, both.SystemThroughput)),
+			fmt.Sprintf("throttling %+.1f%% vs baseline",
+				stats.PercentGain(base.SystemThroughput, thr.SystemThroughput)),
 			"§7: regional hot-spots motivate traffic engineering on top of throttling",
 		},
 		Runs: plan.Stats(),

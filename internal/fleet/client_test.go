@@ -133,10 +133,10 @@ func TestBatchSweeps(t *testing.T) {
 func TestExecuteSpecsOverBodyCap(t *testing.T) {
 	sc := testScale()
 	sc.Cycles, sc.Epoch = 50, 10
-	// A raw 16x16 config encodes to about 12.8 KB: 82 of them are just
+	// A raw 16x16 config encodes to about 12.75 KB: 83 of them are just
 	// over the 1 MiB cap.
 	var ps runner.PlanSpec
-	for i := 0; i < 82; i++ {
+	for i := 0; i < 83; i++ {
 		ps.Runs = append(ps.Runs, runner.RunSpec{
 			Label: fmt.Sprintf("cap%02d", i), Preset: "controlled", Workload: "HML",
 			Width: 16, Seed: uint64(i + 1),

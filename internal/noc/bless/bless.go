@@ -11,16 +11,15 @@
 // Injection requires a free output link; otherwise the flit waits in the
 // processor-side NIC queue and the cycle counts as starved.
 //
-// The fabric is the router policy alone — arbitration, side buffers,
-// adaptive load and random streams — over a chassis.Mesh, which owns
-// the NICs, counters, flit pool, link-plane geometry and active set.
+// The fabric is the router policy alone — Oldest-First arbitration and
+// strict XY routing — over a chassis.Mesh, which owns the NICs,
+// counters, flit pool, link-plane geometry and active set.
 // Each cycle is one pass over the routers: a router reads its arriving
 // flits, arbitrates, and commits its outputs directly onto the
 // downstream link pipelines (the spare ring stage of chassis.Mesh keeps
 // writes and reads apart). A router is stepped only while it has NIC
-// traffic, side-buffered flits or flits in its incoming pipelines;
-// skipping is exact (see stepRouter) and never engages under adaptive
-// routing, whose per-cycle load decay is cheap only in the dense loop.
+// traffic or flits in its incoming pipelines; skipping is exact (see
+// stepRouter).
 package bless
 
 import (
@@ -31,30 +30,8 @@ import (
 	"nocsim/internal/noc"
 	"nocsim/internal/noc/chassis"
 	"nocsim/internal/obs"
-	"nocsim/internal/rng"
 	"nocsim/internal/topology"
 )
-
-// Arbiter selects the contention-resolution policy.
-type Arbiter int
-
-const (
-	// OldestFirst is the paper's baseline: flit age forms a total order,
-	// the oldest contender wins each port, ties are impossible (§2.2).
-	// The globally oldest flit always takes a productive port, so it
-	// always makes progress: the network is livelock-free.
-	OldestFirst Arbiter = iota
-	// Random arbitration is the ablation: winners are picked uniformly.
-	// It loses the livelock-freedom argument and ages packets unfairly.
-	Random
-)
-
-func (a Arbiter) String() string {
-	if a == Random {
-		return "random"
-	}
-	return "oldest-first"
-}
 
 // Config parameterises the fabric.
 type Config struct {
@@ -76,29 +53,12 @@ type Config struct {
 	InjectWidth int
 	// Policy gates and observes injection; nil means noc.Open{}.
 	Policy noc.InjectionPolicy
-	// Arb selects the arbitration policy.
-	Arb Arbiter
-	// SideBuffer enables MinBD-style minimal buffering (Fallin et al.,
-	// NOCS 2012, cited as [22]): a small per-router side buffer that
-	// absorbs up to one would-be-deflected flit per cycle and
-	// re-injects it when an output port is free (with priority over NI
-	// injection). 0 disables it; MinBD uses 4 flits.
-	SideBuffer int
-	// Adaptive replaces strict XY routing with locally congestion-aware
-	// productive-port selection (§7 "Traffic Engineering"): among the
-	// productive directions, a flit takes the one whose output port has
-	// been least busy recently, steering around hot regions. Routing
-	// stays minimal (only productive ports are preferred), so delivery
-	// guarantees are unchanged.
-	Adaptive bool
 	// NoActiveSet forces every router to be stepped every cycle even
 	// when the active-set conditions hold. Skipping is exact — counters
 	// and observability output are identical either way (pinned by
 	// TestActiveSetExact in stepbench) — so this exists for that test
 	// and for isolating the optimisation in benchmarks.
 	NoActiveSet bool
-	// Seed seeds the Random arbiter's per-node streams.
-	Seed uint64
 	// Probe supplies the observability hooks; the zero Probe (nil
 	// collectors) costs one predictable branch per event.
 	Probe obs.Probe
@@ -203,27 +163,15 @@ type Fabric struct {
 	chassis.Mesh
 	cfg Config
 
-	// ejectW, injectW, sideCap and arb mirror the Config fields the
-	// per-node loop consults every cycle, hoisted onto the Fabric so the
-	// hot path loads them without chasing the embedded Config.
+	// ejectW and injectW mirror the Config fields the per-node loop
+	// consults every cycle, hoisted onto the Fabric so the hot path loads
+	// them without chasing the embedded Config.
 	ejectW  int
 	injectW int
-	sideCap int32
-	arb     Arbiter
 
 	// in holds the incoming link pipelines as chassis link planes (see
 	// chassis.Mesh): one pool handle per link and stage, 0 empty.
 	in []noc.Handle
-
-	// side[n*SideBuffer ...] are the per-node MinBD side buffers (ring
-	// per node); sideHead/sideCount index them. Empty when disabled.
-	side      []noc.Handle
-	sideHead  []int32
-	sideCount []int32
-
-	// load[(n*4)+d] is an exponentially-decayed busy count per output
-	// port, the local congestion estimate adaptive routing consults.
-	load []uint32
 
 	// scr is the arbitration scratch. The per-flit arrays live here
 	// rather than on stepRouter's frame so stepping a node does not
@@ -231,8 +179,6 @@ type Fabric struct {
 	// read (keys in full, hs/dst/ord up to na, out only for ports whose
 	// free bit was claimed).
 	scr stepScratch
-
-	randSrc []*rng.Source // per node, Random arbiter only
 }
 
 // New constructs a bufferless fabric.
@@ -249,33 +195,13 @@ func New(cfg Config) *Fabric {
 	if cfg.InjectWidth <= 0 {
 		cfg.InjectWidth = 1
 	}
-	n := cfg.Topology.Nodes()
 	f := &Fabric{
 		cfg:     cfg,
 		ejectW:  cfg.EjectWidth,
 		injectW: cfg.InjectWidth,
-		sideCap: int32(cfg.SideBuffer),
-		arb:     cfg.Arb,
 	}
-	// Adaptive routing's per-cycle load decay is cheap only in the
-	// dense loop, so it keeps every router stepping.
-	f.Init(cfg.Topology, cfg.HopLatency, cfg.Policy, cfg.NoActiveSet || cfg.Adaptive, cfg.Probe)
+	f.Init(cfg.Topology, cfg.HopLatency, cfg.Policy, cfg.NoActiveSet, cfg.Probe)
 	f.in = make([]noc.Handle, f.PlaneLen())
-	if cfg.Arb == Random {
-		root := rng.New(cfg.Seed ^ 0xb1e55)
-		f.randSrc = make([]*rng.Source, n)
-		for i := range f.randSrc {
-			f.randSrc[i] = root.SplitIndex(i)
-		}
-	}
-	if cfg.SideBuffer > 0 {
-		f.side = make([]noc.Handle, n*cfg.SideBuffer)
-		f.sideHead = make([]int32, n)
-		f.sideCount = make([]int32, n)
-	}
-	if cfg.Adaptive {
-		f.load = make([]uint32, n*maxDirs)
-	}
 	return f
 }
 
@@ -294,12 +220,11 @@ func (f *Fabric) Step() {
 
 // stepRouter runs one router's cycle: read link heads, arbitrate,
 // eject, inject, commit outputs downstream. It reports whether the node
-// still has any work (NIC traffic, side-buffered flits, or flits in its
-// incoming pipelines — everything that could make a future cycle differ
-// from a no-op, so skipping a !alive node is exact).
+// still has any work (NIC traffic or flits in its incoming pipelines —
+// everything that could make a future cycle differ from a no-op, so
+// skipping a !alive node is exact).
 func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 	f.Replay(node)
-	base := node * maxDirs
 
 	// Collect arrivals at the head stage and clear the slots.
 	sc := &f.scr
@@ -310,18 +235,9 @@ func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 	st.Arbitrations += int64(na)
 	f.Depart(node, na)
 
-	// Order contenders. Oldest-First runs the sorting network over all
-	// four keys; Random shuffles the arrivals.
-	if f.arb == OldestFirst {
-		sc.sortAge()
-	} else {
-		sc.ord = [maxDirs]uint8{0, 1, 2, 3}
-		src := f.randSrc[node]
-		for i := na - 1; i > 0; i-- {
-			j := src.Intn(i + 1)
-			sc.ord[i], sc.ord[j] = sc.ord[j], sc.ord[i]
-		}
-	}
+	// Order contenders oldest first (§2.2): the globally oldest flit
+	// always wins a productive port, so the network is livelock-free.
+	sc.sortAge()
 
 	// One pass over the age order does both ejection and port
 	// assignment: eject up to EjectWidth arrivals destined here (the
@@ -329,10 +245,8 @@ func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 	// FLIT-BLESS does under ejection contention). Ejection never
 	// consumes an output port, so a merged pass assigns exactly the
 	// ports the separate eject-then-assign passes did. Each transit
-	// flit is routed once; when no productive port is free, divert
-	// side-buffers or deflects it. With MinBD side buffering, one
-	// would-be-deflected flit per cycle is absorbed into the side
-	// buffer instead of misrouting.
+	// flit is routed once; when no productive port is free, deflect
+	// sends it out of the least harmful free port.
 	out := &sc.out
 	nic := f.NIC(node)
 	ejected := 0
@@ -340,7 +254,6 @@ func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 	// bitmask; assigning a port clears its bit.
 	full := f.Topology().PortMask(node)
 	free := full
-	sideSlot := f.side != nil && f.sideCount[node] < f.sideCap
 	cross := int64(0) // batched st.CrossbarTraversals
 	for k := 0; k < na; k++ {
 		i := sc.ord[k] & 3
@@ -353,29 +266,17 @@ func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 				continue
 			}
 		} else {
-			var p uint8
-			if f.load == nil {
-				xy, prod := f.Topology().RouteEntry(node, dst)
-				p = pick(xy, prod, free)
-			} else {
-				p = f.leastLoaded(node, dst, free)
-			}
-			if p != 0 {
+			xy, prod := f.Topology().RouteEntry(node, dst)
+			if p := pick(xy, prod, free); p != 0 {
 				free &^= p
 				out[bits.TrailingZeros8(p)&3] = h
 				cross++
 				continue
 			}
 		}
-		free &^= f.divert(node, h, dst, free, out, st, &sideSlot)
+		free &^= f.deflect(node, h, dst, free, out, st)
 	}
 	st.CrossbarTraversals += cross
-
-	// Side-buffer re-injection: one buffered flit per cycle re-enters
-	// when a port is free, with priority over NI injection (MinBD).
-	if f.side != nil {
-		free &^= f.reinjectSide(node, free, out, st)
-	}
 
 	// Injection: the node may inject while an output link is free. An
 	// empty NIC wants nothing; the policy still observes the cycle.
@@ -385,14 +286,6 @@ func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 		f.Idle(node)
 	}
 
-	// Adaptive routing's periodic decay of the local congestion
-	// estimate (this cycle's busy ports are counted in the commit loop).
-	if f.load != nil && f.Cycle()&63 == 0 {
-		for d := 0; d < maxDirs; d++ {
-			f.load[base+d] -= f.load[base+d] >> 1
-		}
-	}
-
 	// Commit departing flits straight onto the downstream pipelines.
 	// The write stage trails every same-cycle read by one ring slot, so
 	// these stores are invisible until the arrival cycle; congestion
@@ -400,15 +293,13 @@ func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 	if assigned := full &^ free; assigned != 0 {
 		cong := f.Congested(node)
 		wbase := f.WriteBase()
+		base := node * maxDirs
 		st.LinkTraversals += int64(bits.OnesCount8(assigned))
 		for m := assigned; m != 0; m &= m - 1 {
 			d := bits.TrailingZeros8(m)
 			h := out[d]
 			if cong {
 				f.Hot[h].CongBit = true
-			}
-			if f.load != nil {
-				f.load[base+d]++
 			}
 			lk := f.Links[base+d]
 			f.in[wbase+int(lk.Idx)] = h
@@ -419,35 +310,15 @@ func (f *Fabric) stepRouter(node int, st *noc.Stats) (alive bool) {
 		}
 	}
 
-	return nic.HasTraffic() || (f.side != nil && f.sideCount[node] > 0) || f.Queued(node)
+	return nic.HasTraffic() || f.Queued(node)
 }
 
-// divert places flit h when no productive port is free for it (or it
-// is bound here and ejection is full): into the side buffer if a slot
-// is available this cycle, else onto the least-harmful free direction
-// (a deflection). It returns the port it claimed as a one-bit mask, 0
-// for the side buffer.
-func (f *Fabric) divert(node int, h noc.Handle, dst int, free uint8, out *[maxDirs]noc.Handle, st *noc.Stats, sideSlot *bool) uint8 {
-	// Absorb into the side buffer instead of deflecting, when enabled
-	// and not already used this cycle.
-	if *sideSlot {
-		*sideSlot = false
-		d := f.cfg.SideBuffer
-		idx := node*d + int(f.sideHead[node]+f.sideCount[node])%d
-		f.side[idx] = h
-		f.sideCount[node]++
-		st.BufferWrites++
-		if f.Tracer != nil {
-			var fl noc.Flit
-			f.Pool.Get(h, &fl)
-			f.Tracer.Buffer(f.Cycle(), node, &fl)
-		}
-		return 0
-	}
-
-	// Deflect to the free valid port that hurts least (smallest
-	// resulting distance to the destination). One always exists: the
-	// number of flits needing ports never exceeds the node's degree.
+// deflect places flit h when no productive port is free for it (or it
+// is bound here and ejection is full): onto the free valid port that
+// hurts least (smallest resulting distance to the destination). One
+// always exists: the number of flits needing ports never exceeds the
+// node's degree. It returns the port it claimed as a one-bit mask.
+func (f *Fabric) deflect(node int, h noc.Handle, dst int, free uint8, out *[maxDirs]noc.Handle, st *noc.Stats) uint8 {
 	best := topology.Invalid
 	bestDist := int(^uint(0) >> 1)
 	for m := free; m != 0; m &= m - 1 {
@@ -476,28 +347,6 @@ func (f *Fabric) divert(node int, h noc.Handle, dst int, free uint8, out *[maxDi
 		f.Tracer.Deflect(f.Cycle(), node, &fl)
 	}
 	return 1 << uint(best)
-}
-
-// reinjectSide moves the side buffer's head flit back into the router
-// when an output port is free (one per cycle, before NI injection). It
-// returns the port it claimed as a one-bit mask, or 0.
-func (f *Fabric) reinjectSide(node int, free uint8, out *[maxDirs]noc.Handle, st *noc.Stats) uint8 {
-	if f.sideCount[node] == 0 {
-		return 0
-	}
-	d := f.cfg.SideBuffer
-	//nocvet:allow handleleak peek: the handle stays owned by the side ring until the reinjection below succeeds and advances sideHead
-	h := f.side[node*d+int(f.sideHead[node])]
-	p := f.toward(node, int(f.Pool.Hot(h).Dst), free)
-	if p == 0 {
-		return 0
-	}
-	out[bits.TrailingZeros8(p)&3] = h
-	f.sideHead[node] = (f.sideHead[node] + 1) % int32(d)
-	f.sideCount[node]--
-	st.BufferReads++
-	st.CrossbarTraversals++
-	return p
 }
 
 // inject moves up to InjectWidth flits from the NIC into free output
@@ -544,38 +393,14 @@ func pick(xy topology.Port, prod, free uint8) uint8 {
 	return p
 }
 
-// leastLoaded is adaptive routing's choice: the free productive
-// direction whose output port has been least busy recently, as a
-// one-bit mask, or 0.
-func (f *Fabric) leastLoaded(node, dst int, free uint8) uint8 {
-	best := uint8(0)
-	bestLoad := ^uint32(0)
-	for m := f.Topology().ProductiveMask(node, dst) & free; m != 0; m &= m - 1 {
-		d := bits.TrailingZeros8(m)
-		if l := f.load[node*maxDirs+d]; l < bestLoad {
-			best = 1 << uint(d)
-			bestLoad = l
-		}
-	}
-	return best
-}
-
 // toward returns, as a one-bit mask, the free output port a flit at
-// node bound for dst leaves by: a productive one if any is free, else
-// the lowest free port; 0 when every port is taken. A productive port
-// is the pick from one routing lookup under the default routing, the
-// least recently busy free productive direction under adaptive routing
-// (f.load != nil).
+// node bound for dst leaves by: the pick from one routing lookup if a
+// productive port is free, else the lowest free port; 0 when every
+// port is taken.
 func (f *Fabric) toward(node, dst int, free uint8) uint8 {
 	if dst != node {
-		var p uint8
-		if f.load == nil {
-			xy, prod := f.Topology().RouteEntry(node, dst)
-			p = pick(xy, prod, free)
-		} else {
-			p = f.leastLoaded(node, dst, free)
-		}
-		if p != 0 {
+		xy, prod := f.Topology().RouteEntry(node, dst)
+		if p := pick(xy, prod, free); p != 0 {
 			return p
 		}
 	}

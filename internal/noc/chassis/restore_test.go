@@ -17,20 +17,13 @@ import (
 )
 
 // fabrics are the 4x4 configurations the codec tests restore into: one
-// per fabric, plus a bless mesh with every optional body section (side
-// rings, adaptive load, random streams).
+// per fabric.
 var fabrics = []struct {
 	name string
 	new  func() noc.Network
 }{
 	{"bless", func() noc.Network {
 		return bless.New(bless.Config{Topology: topology.NewSquare(topology.Mesh, 4)})
-	}},
-	{"bless-minbd", func() noc.Network {
-		return bless.New(bless.Config{
-			Topology: topology.NewSquare(topology.Mesh, 4), SideBuffer: 4, Adaptive: true,
-			Arb: bless.Random, Seed: 3,
-		})
 	}},
 	{"buffered", func() noc.Network {
 		return buffered.New(buffered.Config{Topology: topology.NewSquare(topology.Mesh, 4)})
@@ -48,7 +41,7 @@ func blob(net noc.Network) []byte {
 }
 
 // midRun returns a blob of net after cycles of uniform random traffic
-// heavy enough to fill pipelines, buffers, side rings and NIC queues.
+// heavy enough to fill pipelines, buffers and NIC queues.
 func midRun(net noc.Network, cycles int) []byte {
 	inj := traffic.NewInjector(net.Topology().Nodes(), 0.3, traffic.Uniform{Nodes: net.Topology().Nodes()}, 5)
 	for i := 0; i < cycles; i++ {

@@ -201,16 +201,3 @@ func checkActiveSetExact(t *testing.T, name string, units int, newNet newFabric)
 		})
 	}
 }
-
-// TestActiveSetDisabledByAdaptive pins the gate: adaptive routing
-// observes port history at every router every cycle, so skipping
-// would change routing decisions and must not engage.
-func TestActiveSetDisabledByAdaptive(t *testing.T) {
-	f := bless.New(bless.Config{
-		Topology: topology.NewSquare(topology.Mesh, 8),
-		Adaptive: true,
-	})
-	if _, enabled := f.ActiveSet(); enabled {
-		t.Error("active set must not engage with adaptive routing")
-	}
-}

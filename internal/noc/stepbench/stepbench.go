@@ -89,22 +89,11 @@ func Cases() []Case {
 	}
 }
 
-// contendedCases are the gated branches of the bufferless router — side
-// buffers, adaptive routing, the Random arbiter and torus wrap links —
-// at a contended rate, so TestZeroSteadyStateAllocs steps each one
-// under deflection pressure. They are not benchmark cells.
+// contendedCases put the bufferless router's torus wrap links under
+// deflection pressure, so TestZeroSteadyStateAllocs steps them at a
+// contended rate. They are not benchmark cells.
 func contendedCases() []Case {
-	mesh8 := func() *topology.Topology { return topology.NewSquare(topology.Mesh, 8) }
 	return []Case{
-		{Name: "bless/8x8-side4", Rate: contended, New: func() noc.Network {
-			return bless.New(bless.Config{Topology: mesh8(), SideBuffer: 4})
-		}},
-		{Name: "bless/8x8-adaptive", Rate: contended, New: func() noc.Network {
-			return bless.New(bless.Config{Topology: mesh8(), Adaptive: true})
-		}},
-		{Name: "bless/8x8-random", Rate: contended, New: func() noc.Network {
-			return bless.New(bless.Config{Topology: mesh8(), Arb: bless.Random, Seed: seed})
-		}},
 		{Name: "bless/8x8-torus", Rate: contended, New: func() noc.Network {
 			return bless.New(bless.Config{Topology: topology.NewSquare(topology.Torus, 8)})
 		}},

@@ -98,32 +98,9 @@ func WithGroups(groups []int) Option {
 	}
 }
 
-// WithAdaptive enables congestion-aware productive-port routing.
-func WithAdaptive() Option {
-	return func(c *sim.Config) { c.Adaptive = true }
-}
-
-// WithRandomArb replaces Oldest-First deflection arbitration with
-// uniform-random arbitration.
-func WithRandomArb() Option {
-	return func(c *sim.Config) { c.RandomArb = true }
-}
-
-// WithSideBuffer gives the BLESS routers a MinBD-style side buffer of
-// depth flits.
-func WithSideBuffer(depth int) Option {
-	return func(c *sim.Config) { c.SideBuffer = depth }
-}
-
 // WithWritebacks enables the write-traffic extension.
 func WithWritebacks() Option {
 	return func(c *sim.Config) { c.Writebacks = true }
-}
-
-// WithRecordEpochs keeps per-epoch per-node samples for distribution
-// studies.
-func WithRecordEpochs() Option {
-	return func(c *sim.Config) { c.RecordEpochs = true }
 }
 
 // WithWarmup gives the run an uncontrolled warm-start prefix of n

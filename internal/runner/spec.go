@@ -10,6 +10,7 @@ import (
 
 	"nocsim/internal/obs"
 	"nocsim/internal/sim"
+	"nocsim/internal/topology"
 	"nocsim/internal/workload"
 )
 
@@ -73,10 +74,6 @@ type RunSpec struct {
 	// "pow"; MeanHops parameterises the locality mappings.
 	Mapping  string  `json:"mapping,omitempty"`
 	MeanHops float64 `json:"mean_hops,omitempty"`
-	// Adaptive, RandomArb and SideBuffer toggle the BLESS variants.
-	Adaptive   bool `json:"adaptive,omitempty"`
-	RandomArb  bool `json:"random_arb,omitempty"`
-	SideBuffer int  `json:"side_buffer,omitempty"`
 	// StaticRate is the uniform throttle rate for the "static" preset.
 	StaticRate float64 `json:"static_rate,omitempty"`
 
@@ -223,15 +220,6 @@ func (r RunSpec) Resolve(sc Scale) (sim.Config, int64, error) {
 	default:
 		return fail("unknown mapping %q (xor, exp, pow)", r.Mapping)
 	}
-	if r.Adaptive {
-		opts = append(opts, WithAdaptive())
-	}
-	if r.RandomArb {
-		opts = append(opts, WithRandomArb())
-	}
-	if r.SideBuffer > 0 {
-		opts = append(opts, WithSideBuffer(r.SideBuffer))
-	}
 
 	var cfg sim.Config
 	switch r.Preset {
@@ -253,10 +241,23 @@ func (r RunSpec) Resolve(sc Scale) (sim.Config, int64, error) {
 
 // validateRawConfig rejects the raw-config shapes that would panic the
 // simulator's constructor, so a malformed submission becomes a 400
-// instead of a dead queue worker.
+// instead of a dead queue worker, and the enum values the constructor
+// does not know, which its default arms would otherwise run as the
+// open baseline, BLESS, a mesh or the XOR mapping under a cache key of
+// their own.
 func validateRawConfig(cfg *sim.Config) error {
 	if err := checkMesh(meshOf(*cfg)); err != nil {
 		return err
+	}
+	switch {
+	case cfg.Controller < sim.NoControl || cfg.Controller > sim.Distributed:
+		return fmt.Errorf("unknown Controller %d", cfg.Controller)
+	case cfg.Router < sim.BLESS || cfg.Router > sim.HierRing:
+		return fmt.Errorf("unknown Router %d", cfg.Router)
+	case cfg.Topo != topology.Mesh && cfg.Topo != topology.Torus:
+		return fmt.Errorf("unknown Topo %d", cfg.Topo)
+	case cfg.Mapping < sim.XORMap || cfg.Mapping > sim.GroupMap:
+		return fmt.Errorf("unknown Mapping %d", cfg.Mapping)
 	}
 	n := nodesOf(*cfg)
 	if cfg.Apps != nil && len(cfg.Apps) != n {
@@ -329,21 +330,24 @@ func checkMesh(width, height int) error {
 }
 
 // CacheKey returns a run's content address: the hex sha256 of the
-// canonicalized configuration plus the cycle budget. Canonicalization
-// zeroes the two config fields that cannot influence results — Workers
-// (ignored by the simulator) and Obs (passive collectors) — and
-// marshals the rest in struct declaration order. Two submissions describing the same
-// simulation therefore collide on the same key regardless of phrasing
-// or of where and how parallel they execute; equal keys plus the
-// determinism contract mean equal counters, which is what makes a
-// content-addressed result cache sound.
+// simulator's model version, the canonicalized configuration and the
+// cycle budget. The model version retires every address of an older
+// model once a change moves results (see sim.ModelVersion).
+// Canonicalization zeroes the two config fields that cannot influence
+// results — Workers (ignored by the simulator) and Obs (passive
+// collectors) — and marshals the rest in struct declaration order. Two
+// submissions describing the same simulation therefore collide on the
+// same key regardless of phrasing or of where and how parallel they
+// execute; equal keys plus the determinism contract mean equal
+// counters, which is what makes a content-addressed result cache sound.
 func CacheKey(cfg sim.Config, cycles int64) (string, error) {
 	cfg.Workers = 0
 	cfg.Obs = obs.Options{}
 	b, err := json.Marshal(struct {
+		Model  int        `json:"model"`
 		Config sim.Config `json:"config"`
 		Cycles int64      `json:"cycles"`
-	}{cfg, cycles})
+	}{sim.ModelVersion, cfg, cycles})
 	if err != nil {
 		return "", fmt.Errorf("runner: canonicalizing cache key: %w", err)
 	}

@@ -27,7 +27,7 @@ func TestSpecResolveMatchesPresets(t *testing.T) {
 		Label: "a", Preset: "controlled", Workload: "HML", Width: 4, Height: 4,
 	}, {
 		Label: "b", Workload: "H", Width: 8, Height: 8,
-		Router: "buffered", Mapping: "exp", MeanHops: 2.5, SideBuffer: 4,
+		Router: "buffered", Mapping: "exp", MeanHops: 2.5,
 	}}}
 	_, runs, err := spec.Resolve(sc)
 	if err != nil {
@@ -45,7 +45,7 @@ func TestSpecResolveMatchesPresets(t *testing.T) {
 
 	catH, _ := workload.CategoryByName("H")
 	wantB := Baseline(workload.Generate(catH, 64, sc.Seed), 8, 8, sc,
-		WithRouter(sim.Buffered), WithMapping(sim.ExpMap, 2.5), WithSideBuffer(4))
+		WithRouter(sim.Buffered), WithMapping(sim.ExpMap, 2.5))
 	if !reflect.DeepEqual(runs[1].Config, wantB) {
 		t.Error("declarative option run differs from Baseline preset with options")
 	}
@@ -189,17 +189,18 @@ func TestCacheKeyInvariance(t *testing.T) {
 // preset configuration to literal hex digests. Every nocd cache entry
 // and checkpoint-store key is derived from CacheKey and WarmDigest, so
 // any change to the canonical config encoding — a field added, removed,
-// renamed or reordered in sim.Config, or a new canonicalization rule —
-// orphans every stored result. Such a change must be deliberate: update
-// these literals in the same commit and say so.
+// renamed or reordered in sim.Config, a new canonicalization rule, or a
+// sim.ModelVersion bump — orphans every stored result. Such a change
+// must be deliberate: update these literals in the same commit and say
+// so.
 func TestCacheKeyFormatPinned(t *testing.T) {
 	sc := specScale()
 	cat, _ := workload.CategoryByName("HML")
 	cfg := Controlled(workload.Generate(cat, 16, sc.Seed), 4, 4, sc)
 
 	const (
-		wantKey    = "93093ae158b228fda8bcd90a970ad0565216f0df02bcca710943fdea0f5f0c76"
-		wantDigest = "278e5b959d220039340bad1c59ecee2b95d274356fffca17c1ff9085d0912479"
+		wantKey    = "f2b45545b77ba293c597b7d77a0f6628a9ec0e10c98cc863a0452c1e5043b2af"
+		wantDigest = "6a39f6d396ffd521d9ca09463025698e5441cbb2b20808b7d6e08f1935eed55d"
 	)
 	if k, err := CacheKey(cfg, sc.Cycles); err != nil || k != wantKey {
 		t.Errorf("CacheKey = %s (err %v), pinned %s", k, err, wantKey)

@@ -36,10 +36,10 @@ import (
 
 // WarmDigest returns the content address of a configuration's warmup
 // prefix: the CacheKey of its NormalizeWarm image with a zero cycle
-// budget. Every configuration that differs only in measured knobs —
-// controller kind and parameters, static rates, collectors, the Warmup
-// cycle itself — maps to the same digest and
-// therefore shares checkpoints.
+// budget, so it hashes sim.ModelVersion too. Every configuration that
+// differs only in measured knobs — controller kind and parameters,
+// static rates, collectors, the Warmup cycle itself — maps to the same
+// digest and therefore shares checkpoints.
 func WarmDigest(cfg sim.Config) (string, error) {
 	return CacheKey(sim.NormalizeWarm(cfg), 0)
 }

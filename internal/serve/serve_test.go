@@ -230,6 +230,14 @@ func TestInvalidPlan(t *testing.T) {
 		`{"runs": [{"workload": "H", "width": 100000, "height": 100000}]}`,
 		`{"runs": [{"workload": "H", "width": 4294967296, "height": 4294967296}]}`,
 		`{"runs": [{"config": {"Width": 100000, "Height": 100000}}]}`,
+		// Enum values sim.New does not know: its default arms would run
+		// them as the open baseline, BLESS, a mesh or the XOR mapping.
+		`{"runs": [{"config": {"Controller": 5}}]}`,
+		`{"runs": [{"config": {"Controller": 6}}]}`,
+		`{"runs": [{"config": {"Controller": -1}}]}`,
+		`{"runs": [{"config": {"Router": 3}}]}`,
+		`{"runs": [{"config": {"Topo": 2}}]}`,
+		`{"runs": [{"config": {"Mapping": 4}}]}`,
 	} {
 		submit(t, ts, bad, http.StatusBadRequest)
 	}

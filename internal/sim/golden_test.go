@@ -2,6 +2,8 @@ package sim
 
 import (
 	"testing"
+
+	"nocsim/internal/obs"
 )
 
 // Golden regression tests: the simulator is fully deterministic, so one
@@ -142,6 +144,40 @@ func TestGoldenPlausibility(t *testing.T) {
 		// mcf at 16 copies is congested: some starvation must register.
 		if m.StarvationRate == 0 {
 			t.Errorf("%s: zero starvation in a congested run", g.name)
+		}
+	}
+}
+
+// TestModelVersionPinned ties the golden counters to ModelVersion. It
+// pins each goldenCases run's counters hash (runner.CountersHash: the
+// fabric counters plus total retired instructions and misses, the hash
+// every cache entry carries) next to the version those hashes belong
+// to. A change that moves the counters without bumping ModelVersion
+// fails here, before stale cache entries could be served under the old
+// version's addresses.
+func TestModelVersionPinned(t *testing.T) {
+	const pinnedVersion = 1
+	pinned := map[string]string{
+		"bless-open-mcf":       "049a07ff1ddf0c1e2d3ced5bd553087f",
+		"bless-central-H":      "742e198a8244ce723fc91b4a901f09b0",
+		"buffered-mcf":         "6b4c05942fef55582a6524b98e330d48",
+		"hierring-mcf":         "965bf80d00d5ba40b03fd7d7b1771df0",
+		"buffered-central-mcf": "dcabaeb2d71b68c1ea24178fd39884c0",
+	}
+	if ModelVersion != pinnedVersion {
+		t.Fatalf("ModelVersion is %d but the hashes below are pinned for %d: re-pin them for the new version", ModelVersion, pinnedVersion)
+	}
+	for _, g := range goldenCases() {
+		s := New(g.cfg)
+		s.Run(g.cycles)
+		m := s.Metrics()
+		var retired int64
+		for _, r := range m.Retired {
+			retired += r
+		}
+		if got := obs.HashCounters(m.Net, retired, m.Misses); got != pinned[g.name] {
+			t.Errorf("%s: counters hash %s, pinned %s for ModelVersion %d: a change that moves results must bump sim.ModelVersion and re-pin these hashes",
+				g.name, got, pinned[g.name], pinnedVersion)
 		}
 	}
 }

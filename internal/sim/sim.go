@@ -33,6 +33,15 @@ import (
 	"nocsim/internal/trace"
 )
 
+// ModelVersion names the behaviour of the simulated model. Every
+// content address derived from a configuration (runner.CacheKey and the
+// warm-prefix digest built on it) hashes it, so cached results and
+// checkpoints of an older model stop matching when it changes. Bump it
+// in any change that moves a result of an unchanged configuration;
+// TestModelVersionPinned fails when the golden counters move without a
+// bump.
+const ModelVersion = 1
+
 // RouterKind selects the network architecture.
 type RouterKind int
 
@@ -85,10 +94,6 @@ const (
 	StaticPerNode
 	// Distributed is the §6.6 TCP-like congestion-bit controller.
 	Distributed
-	// UnawareControl is the application-unaware dynamic ablation.
-	UnawareControl
-	// LatencyControl is the latency-triggered detection ablation.
-	LatencyControl
 )
 
 func (c ControllerKind) String() string {
@@ -101,10 +106,6 @@ func (c ControllerKind) String() string {
 		return "static-per-node"
 	case Distributed:
 		return "distributed"
-	case UnawareControl:
-		return "unaware"
-	case LatencyControl:
-		return "latency-triggered"
 	}
 	return "none"
 }
@@ -129,9 +130,6 @@ type Config struct {
 	StaticRate float64
 	// StaticRates are the per-node rates for StaticPerNode.
 	StaticRates []float64
-	// LatencyThresh is LatencyControl's detection threshold in cycles;
-	// 0 means 30.
-	LatencyThresh float64
 
 	// Mapping selects the miss-home mapping; MeanHops parameterises the
 	// locality mappings (0 means 1.0). Groups assigns each node to a
@@ -160,19 +158,10 @@ type Config struct {
 	// RingGroup is the local-ring size for the HierRing fabric; 0 means
 	// 8. Width*Height must be a multiple of it.
 	RingGroup int
-	// RandomArb replaces Oldest-First deflection arbitration with
-	// uniform-random arbitration (ablation; BLESS fabric only).
-	RandomArb bool
-	// SideBuffer enables MinBD-style minimal buffering in the BLESS
-	// fabric: a per-router side buffer of this many flits (0 = off).
-	SideBuffer int
-	// Adaptive enables locally congestion-aware productive-port routing
-	// in the BLESS fabric (§7 "Traffic Engineering").
-	Adaptive bool
 
 	// Warmup declares that the run's first Warmup cycles execute under
 	// the warmup-normalized configuration (NormalizeWarm): no congestion
-	// controller, no observability, no epoch recording. The runner uses
+	// controller, no observability. The runner uses
 	// it to share one warmup simulation per config prefix and fork grid
 	// points from its checkpoint; the simulator itself only validates it
 	// when restoring across configurations (see Restore).
@@ -187,9 +176,6 @@ type Config struct {
 	// Obs configures the observability collectors (zero disables them;
 	// disabled collectors cost one nil check per fabric event).
 	Obs obs.Options
-	// RecordEpochs keeps per-epoch, per-node IPF and starvation samples
-	// for distribution plots (Fig. 9, Table 1 variance).
-	RecordEpochs bool
 	// ControlTraffic, when true, injects the controller's 2n
 	// coordination packets into the network as real Control packets.
 	ControlTraffic bool
@@ -221,9 +207,6 @@ func (c *Config) setDefaults() {
 	if c.L2Latency == 0 {
 		c.L2Latency = 6
 	}
-	if c.LatencyThresh == 0 {
-		c.LatencyThresh = 30
-	}
 	if c.Params.Epoch == 0 {
 		c.Params = core.DefaultParams()
 	}
@@ -239,15 +222,6 @@ type pendingReply struct {
 	token uint64
 }
 
-// EpochSample is one node's measurements over one controller epoch.
-type EpochSample struct {
-	Epoch     int64
-	Node      int
-	IPF       float64
-	Sigma     float64
-	Throttled float64 // applied rate
-}
-
 // Sim is an assembled system.
 type Sim struct {
 	cfg    Config
@@ -259,10 +233,8 @@ type Sim struct {
 	mapper cache.Mapper
 
 	policy      noc.InjectionPolicy
-	corePolicy  *core.Policy     // non-nil for Central/Unaware/Latency
-	controller  *core.Controller // Central
-	unaware     *core.Unaware    // UnawareControl
-	latencyCtl  *core.LatencyTriggered
+	corePolicy  *core.Policy      // Central
+	controller  *core.Controller  // Central
 	static      *core.Static      // Static*
 	distributed *core.Distributed // Distributed
 
@@ -280,11 +252,9 @@ type Sim struct {
 	// Epoch bookkeeping.
 	epochStartRetired []int64
 	epochStartMisses  []int64
-	epochStats        noc.Stats
 	ipfScratch        []float64
 	epochs            int64
 	controlPackets    int64
-	samples           []EpochSample
 
 	// obs owns the observability collectors; nil when Config.Obs
 	// disables them all. epochNodes is the decision ledger's per-node
@@ -354,14 +324,6 @@ func New(cfg Config) *Sim {
 		s.corePolicy = core.NewPolicy(n, 0)
 		s.controller = core.NewController(s.corePolicy, cfg.Params)
 		s.policy = s.corePolicy
-	case UnawareControl:
-		s.corePolicy = core.NewPolicy(n, 0)
-		s.unaware = core.NewUnaware(s.corePolicy, cfg.Params, 0.5)
-		s.policy = s.corePolicy
-	case LatencyControl:
-		s.corePolicy = core.NewPolicy(n, 0)
-		s.latencyCtl = core.NewLatencyTriggered(s.corePolicy, cfg.Params, cfg.LatencyThresh)
-		s.policy = s.corePolicy
 	case StaticUniform:
 		s.static = core.NewStatic(n)
 		s.static.SetAll(cfg.StaticRate)
@@ -401,18 +363,10 @@ func New(cfg Config) *Sim {
 			Probe:     s.obs.Probe(),
 		})
 	default:
-		arb := bless.OldestFirst
-		if cfg.RandomArb {
-			arb = bless.Random
-		}
 		s.net = bless.New(bless.Config{
 			Topology:   top,
 			EjectWidth: cfg.EjectWidth,
 			Policy:     s.policy,
-			Arb:        arb,
-			SideBuffer: cfg.SideBuffer,
-			Adaptive:   cfg.Adaptive,
-			Seed:       cfg.Seed,
 			Probe:      s.obs.Probe(),
 		})
 	}
@@ -530,9 +484,6 @@ func (s *Sim) Core(i int) *cpu.Core { return s.cores[i] }
 
 // Decisions returns the central controller's per-epoch decisions.
 func (s *Sim) Decisions() []core.Decision { return s.decisions }
-
-// Samples returns per-epoch per-node samples (RecordEpochs only).
-func (s *Sim) Samples() []EpochSample { return s.samples }
 
 // ControlPackets returns the cumulative coordination cost in packets.
 func (s *Sim) ControlPackets() int64 { return s.controlPackets }
@@ -669,13 +620,6 @@ func (s *Sim) runEpoch() {
 	switch {
 	case s.controller != nil:
 		d = s.controller.Update(s.ipfScratch)
-	case s.unaware != nil:
-		d = s.unaware.Update(s.ipfScratch)
-	case s.latencyCtl != nil:
-		cur := s.net.Stats()
-		delta := cur.Sub(s.epochStats)
-		s.epochStats = cur
-		d = s.latencyCtl.Update(delta.AvgNetLatency(), s.ipfScratch)
 	case s.distributed != nil:
 		s.distributed.Epoch()
 		ran = false
@@ -691,19 +635,6 @@ func (s *Sim) runEpoch() {
 		cp := d
 		cp.Rates = append([]float64(nil), d.Rates...)
 		s.decisions = append(s.decisions, cp)
-	}
-
-	if s.cfg.RecordEpochs {
-		for i := 0; i < n; i++ {
-			if s.cores[i] == nil {
-				continue
-			}
-			sigma, rate := s.policyRates(i)
-			s.samples = append(s.samples, EpochSample{
-				Epoch: s.epochs, Node: i, IPF: s.ipfScratch[i],
-				Sigma: sigma, Throttled: rate,
-			})
-		}
 	}
 
 	// Decision ledger: the epoch's evidence and verdict, recorded after

@@ -283,21 +283,6 @@ func TestExpLocalityMapping(t *testing.T) {
 	}
 }
 
-func TestUnawareAndLatencyControllersRun(t *testing.T) {
-	for _, kind := range []ControllerKind{UnawareControl, LatencyControl} {
-		s := New(Config{
-			Apps:       uniformApps(16, "mcf"),
-			Controller: kind,
-			Params:     fastParams(),
-			Seed:       13,
-		})
-		s.Run(60_000)
-		if s.Metrics().SystemThroughput <= 0 {
-			t.Errorf("%v system made no progress", kind)
-		}
-	}
-}
-
 func TestControlTrafficInjected(t *testing.T) {
 	s := New(Config{
 		Apps:           uniformApps(16, "mcf"),
@@ -309,20 +294,6 @@ func TestControlTrafficInjected(t *testing.T) {
 	s.Run(50_000)
 	if s.ControlPackets() == 0 {
 		t.Error("no control packets accounted")
-	}
-}
-
-func TestRecordEpochs(t *testing.T) {
-	s := New(Config{
-		Apps:         uniformApps(16, "mcf"),
-		Controller:   Central,
-		Params:       fastParams(),
-		RecordEpochs: true,
-		Seed:         15,
-	})
-	s.Run(50_000)
-	if len(s.Samples()) != 5*16 {
-		t.Errorf("samples = %d, want 5 epochs x 16 nodes", len(s.Samples()))
 	}
 }
 
@@ -420,23 +391,5 @@ func TestWritebacksConserveFlits(t *testing.T) {
 	st := net.Stats()
 	if st.FlitsInjected != st.FlitsEjected {
 		t.Errorf("flits inj %d != ej %d after drain", st.FlitsInjected, st.FlitsEjected)
-	}
-}
-
-func TestSideBufferAndAdaptiveThroughSim(t *testing.T) {
-	s := New(Config{
-		Apps:       uniformApps(16, "mcf"),
-		SideBuffer: 4,
-		Adaptive:   true,
-		Params:     fastParams(),
-		Seed:       22,
-	})
-	s.Run(50_000)
-	m := s.Metrics()
-	if m.SystemThroughput <= 0 {
-		t.Error("side-buffered adaptive system made no progress")
-	}
-	if m.Net.BufferWrites == 0 {
-		t.Error("side buffer never used under all-mcf load")
 	}
 }

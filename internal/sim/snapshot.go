@@ -41,8 +41,8 @@ func init() {
 		Serialized: []string{
 			"cycle", "tokens", "misses", "selfhit", "writebacks",
 			"replyWheel", "cores", "l1s", "mapper",
-			"epochStartRetired", "epochStartMisses", "epochStats",
-			"epochs", "controlPackets", "samples", "decisions", "net",
+			"epochStartRetired", "epochStartMisses",
+			"epochs", "controlPackets", "decisions", "net",
 		},
 		Waived: map[string]string{
 			"corePolicy":   "hook: encoded by controller kind; a warm-start fork keeps the target's virgin policy",
@@ -54,8 +54,6 @@ func init() {
 			"top":          "construction: topology is config-derived",
 			"nics":         "construction: the fabric's NICs, which restore in place",
 			"policy":       "construction: interface view; the state lives in the concrete controller fields",
-			"unaware":      "construction: stateless beyond its Policy, which is serialized",
-			"latencyCtl":   "construction: stateless beyond its Policy, which is serialized",
 			"wheelLen":     "construction: derived from Config.L2Latency",
 			"ipfScratch":   "scratch: runEpoch rewrites every element before any read",
 			"epochNodes":   "scratch: runEpoch rewrites every element before the ledger copies it",
@@ -67,15 +65,12 @@ func init() {
 	snap.Cover(pendingReply{}, snap.Coverage{
 		Serialized: []string{"home", "dst", "token"},
 	})
-	snap.Cover(EpochSample{}, snap.Coverage{
-		Serialized: []string{"Epoch", "Node", "IPF", "Sigma", "Throttled"},
-	})
 }
 
 // NormalizeWarm maps cfg to its warmup configuration: the run every
 // grid point sharing this config prefix starts from. Measured knobs —
-// the congestion controller and its parameters, observability, epoch
-// recording, control-traffic injection — are zeroed; everything that
+// the congestion controller and its parameters, observability,
+// control-traffic injection — are zeroed; everything that
 // shapes the simulated workload and fabric (topology, apps, mapping,
 // packet sizes, fabric geometry, seed) is kept. Warmup is also zeroed:
 // the warmup run itself has no warmup.
@@ -84,9 +79,7 @@ func NormalizeWarm(cfg Config) Config {
 	cfg.Params = core.Params{}
 	cfg.StaticRate = 0
 	cfg.StaticRates = nil
-	cfg.LatencyThresh = 0
 	cfg.ControlTraffic = false
-	cfg.RecordEpochs = false
 	cfg.Obs = obs.Options{}
 	cfg.Warmup = 0
 	return cfg
@@ -262,9 +255,7 @@ func (s *Sim) resetForFork() {
 		s.epochStartRetired[i] = c.Retired()
 		s.epochStartMisses[i] = s.misses[i]
 	}
-	s.epochStats = s.net.Stats()
 	s.epochs = 0
 	s.controlPackets = 0
-	s.samples = s.samples[:0]
 	s.decisions = s.decisions[:0]
 }

@@ -40,7 +40,7 @@ func TestSnapshotCoverageComplete(t *testing.T) {
 		Sim{}, Config{},
 		bless.Fabric{}, buffered.Fabric{}, hierring.Fabric{},
 		core.Policy{}, core.Controller{}, core.Static{},
-		core.Distributed{}, core.Unaware{}, core.LatencyTriggered{},
+		core.Distributed{},
 		cache.XORInterleave{}, cache.Locality{}, cache.Grouped{}, cache.Fixed{},
 		cpu.Core{}, trace.Generator{}, obs.Observer{}, noc.NIC{},
 		noc.FlitPool{},
@@ -51,8 +51,8 @@ func TestSnapshotCoverageComplete(t *testing.T) {
 }
 
 // snapCase is one byte-identity scenario: a fabric plus the knobs that
-// light up its optional state (side buffers, adaptive load, random
-// arbitration streams, VC credits, ring bridges). digest pins the
+// light up its optional state (controller kinds, VC credits, ring
+// bridges). digest pins the
 // sha256 of the straight run's blob at the byte-identity cycle, so a
 // codec change that stays self-consistent still cannot silently change
 // the format.
@@ -97,18 +97,13 @@ func snapCases() []snapCase {
 				Spatial:        true,
 				Epochs:         true,
 			},
-			RecordEpochs: true,
 		}
 		cfg.Params.Epoch = 64
 		return cfg
 	}
 	bl := base(BLESS)
-	blMinBD := base(BLESS)
-	blMinBD.SideBuffer = 4
-	blMinBD.Adaptive = true
-	blMinBD.RandomArb = true
-	blMinBD.Controller = Distributed
-	blMinBD.ControlTraffic = false
+	blDist := base(BLESS)
+	blDist.Controller = Distributed
 	buf := base(Buffered)
 	buf.Controller = StaticUniform
 	buf.StaticRate = 0.6
@@ -120,10 +115,10 @@ func snapCases() []snapCase {
 		hr.Groups[i] = i / 8
 	}
 	return []snapCase{
-		{"bless", bl, "ef4c555f5cda3db3789605e77970850e9aa8a16e54e53544bd9a50c863d3e951"},
-		{"bless-minbd-random-distributed", blMinBD, "2f55ef5406518d164017924096e0314faf01d8151bb1f6a94b345535c4291f1a"},
-		{"buffered-static", buf, "cac0d12826ec5b3a4a2048b996e8a11828688c24d976c68d413160c2e543f64a"},
-		{"hierring-groupmap", hr, "c2f3ea5e0d49827654ad355b1d622c08a99c00b5c846b9c1ab16b3b13b047f9b"},
+		{"bless", bl, "8cda2eb796e723d1adb7c5acd8cc4c67c96a2d6227642605cd277ebd08f84b14"},
+		{"bless-distributed", blDist, "dc8f80d1c59fd26595b48cef2ecd77f600a2e220d5d7bde9e24ebc89527d3b13"},
+		{"buffered-static", buf, "bc3eaa3a6e3584ebe0ba9559629c7df4f8f6cdf8f78e07843aa84d544db48e72"},
+		{"hierring-groupmap", hr, "b9614a764da5163127f3454fd0541b621d84f5227aba6905d2fe8cd39c521953"},
 	}
 }
 

@@ -56,8 +56,8 @@ var growToPeak = []allocs.Grow{
 // in the obs case, the tracer and spatial grids — allocates only at the
 // growToPeak sites, within their budgets, over 40 epochs. Any other
 // allocating line, or a sanctioned one over budget, fails the case with
-// its file:line. The cases cover every fabric, controller
-// and optional router branch the closed loop can reach; the seeds are
+// its file:line. The cases cover every fabric, controller,
+// topology and the writeback path the closed loop can reach; the seeds are
 // fixed, so a failure is a real new allocation, not a flake.
 func TestClosedLoopSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
@@ -72,16 +72,8 @@ func TestClosedLoopSteadyStateAllocs(t *testing.T) {
 		{"buffered", func() Config { c := headline8x8(Central); c.Router = Buffered; return c }},
 		{"hierring", func() Config { c := headline8x8(Central); c.Router = HierRing; return c }},
 		{Distributed.String(), func() Config { return headline8x8(Distributed) }},
-		{"side-adaptive-writebacks", func() Config {
-			c := headline8x8(Central)
-			c.SideBuffer, c.Adaptive, c.Writebacks = 4, true, true
-			return c
-		}},
-		{"random-torus", func() Config {
-			c := headline8x8(Central)
-			c.RandomArb, c.Topo = true, topology.Torus
-			return c
-		}},
+		{"writebacks", func() Config { c := headline8x8(Central); c.Writebacks = true; return c }},
+		{"torus", func() Config { c := headline8x8(Central); c.Topo = topology.Torus; return c }},
 		{"obs", func() Config {
 			c := headline8x8(Central)
 			c.Obs = obs.Options{TraceSample: 1, Spatial: true}

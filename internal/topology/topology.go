@@ -10,8 +10,8 @@
 //
 // Routing queries sit on the fabrics' per-flit hot path, so New
 // precomputes a route table — the XY output port and the
-// productive-direction bitmask packed into one byte — and RouteEntry,
-// XYRoute and ProductiveMask are array loads. Both route properties are
+// productive-direction bitmask packed into one byte — and RouteEntry
+// and XYRoute are array loads. Both route properties are
 // translation-invariant: on a mesh they depend only on the signs of the
 // coordinate displacement from at to dst, on a torus only on the
 // displacement modulo each dimension. The table is therefore indexed by
@@ -375,15 +375,8 @@ func (t *Topology) yDir(ay, dy int) Port {
 	return North
 }
 
-// ProductiveMask returns the productive directions from at toward dst
-// as a bitmask (bit d set means direction Port(d) reduces the
-// distance).
-func (t *Topology) ProductiveMask(at, dst int) uint8 {
-	return uint8(t.rt[t.rtIndex(at, dst)]) & rtProdMask
-}
-
-// computeProductive is ProductiveMask in closed form: the directions
-// whose neighbour is nearer to dst.
+// computeProductive is RouteEntry's productive-direction mask in
+// closed form: the directions whose neighbour is nearer to dst.
 func (t *Topology) computeProductive(at, dst int) uint8 {
 	if at == dst {
 		return 0

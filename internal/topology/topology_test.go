@@ -187,8 +187,8 @@ func TestXYRouteTorusTakesShortWrap(t *testing.T) {
 	}
 }
 
-// Property: every direction in ProductiveMask strictly reduces
-// distance, and XYRoute's choice is always among them.
+// Property: every direction in RouteEntry's productive mask strictly
+// reduces distance, and XYRoute's choice is always among them.
 func TestProductiveDirs(t *testing.T) {
 	for _, kind := range []Kind{Mesh, Torus} {
 		top := New(kind, 6, 6)
@@ -199,7 +199,7 @@ func TestProductiveDirs(t *testing.T) {
 			if a == b {
 				continue
 			}
-			m := top.ProductiveMask(a, b)
+			_, m := top.RouteEntry(a, b)
 			if m == 0 {
 				t.Fatalf("%v: no productive dirs from %d to %d", kind, a, b)
 			}
@@ -252,8 +252,8 @@ func TestRouteTablesMatchComputation(t *testing.T) {
 					if want := top.computeXYRoute(a, b); xy != want || top.XYRoute(a, b) != want {
 						t.Fatalf("%v %dx%d XYRoute(%d,%d) = %v, computed %v", kind, dims[0], dims[1], a, b, xy, want)
 					}
-					if want := top.computeProductive(a, b); prod != want || top.ProductiveMask(a, b) != want {
-						t.Fatalf("%v %dx%d ProductiveMask(%d,%d) = %04b, computed %04b", kind, dims[0], dims[1], a, b, prod, want)
+					if want := top.computeProductive(a, b); prod != want {
+						t.Fatalf("%v %dx%d productive(%d,%d) = %04b, computed %04b", kind, dims[0], dims[1], a, b, prod, want)
 					}
 				}
 			}
@@ -286,9 +286,9 @@ func TestTableGating(t *testing.T) {
 	New(Mesh, 2049, 2049)
 }
 
-// TestProductiveMaskMatchesDirs checks the mask against its definition,
-// the set of directions whose neighbour is nearer to dst, on grids and
-// a line.
+// TestProductiveMaskMatchesDirs checks RouteEntry's productive mask
+// against its definition, the set of directions whose neighbour is
+// nearer to dst, on grids and a line.
 func TestProductiveMaskMatchesDirs(t *testing.T) {
 	for _, top := range []*Topology{New(Mesh, 6, 6), New(Torus, 6, 6), New(Mesh, 300, 1)} {
 		n := top.Nodes()
@@ -300,8 +300,8 @@ func TestProductiveMaskMatchesDirs(t *testing.T) {
 						dirs |= 1 << uint(d)
 					}
 				}
-				if m := top.ProductiveMask(a, b); m != dirs {
-					t.Fatalf("ProductiveMask(%d,%d) = %b, dirs give %b", a, b, m, dirs)
+				if _, m := top.RouteEntry(a, b); m != dirs {
+					t.Fatalf("productive(%d,%d) = %b, dirs give %b", a, b, m, dirs)
 				}
 			}
 		}
