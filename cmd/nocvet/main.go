@@ -10,8 +10,8 @@
 //	go run ./cmd/nocvet ./...                    # whole module, human-readable
 //	go run ./cmd/nocvet -json ./...              # machine-readable findings
 //	go run ./cmd/nocvet -list                    # list the rule set
-//	go run ./cmd/nocvet -rules handleleak ./...  # run a rule subset
-//	go run ./cmd/nocvet -explain handleleak      # long-form rule documentation
+//	go run ./cmd/nocvet -rules maprange ./...    # run a rule subset
+//	go run ./cmd/nocvet -explain maprange        # long-form rule documentation
 //
 // Exit status: 0 clean, 1 findings, 2 tool error (bad pattern, unknown
 // rule, unparseable or untypeable source).

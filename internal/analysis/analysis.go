@@ -225,7 +225,6 @@ func Rules() []*Analyzer {
 		RawConfig,
 		Goroutine,
 		PanicMsg,
-		HandleLeak,
 		StaleAllow,
 	}
 }

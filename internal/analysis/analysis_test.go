@@ -37,8 +37,6 @@ var fixtureCases = []struct {
 	{"goroutine_exempt_fleet", "nocsim/internal/fleet"},
 	{"panicmsg", "nocsim/internal/cache"},
 	{"panicmsg_main", "nocsim/cmd/probe"},
-	{"handleleak", "nocsim/internal/noc/leakfix"},
-	{"handleleak_clean", "nocsim/internal/noc/leakfix"},
 }
 
 func TestFixtures(t *testing.T) {

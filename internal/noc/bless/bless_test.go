@@ -18,17 +18,22 @@ func newFabric(k int, opts ...func(*Config)) *Fabric {
 	return New(cfg)
 }
 
-// runUntilDrained steps until no traffic remains or maxCycles elapse.
+// runUntilDrained steps until no traffic remains or maxCycles elapse,
+// then checks that the drained pool holds no slot: every handle is back
+// on the free list, once (stepbench's pool-conservation check at zero
+// flits in flight).
 func runUntilDrained(t *testing.T, f *Fabric, maxCycles int) {
 	t.Helper()
-	for i := 0; i < maxCycles; i++ {
-		if f.Drained() {
-			return
-		}
+	for i := 0; i < maxCycles && !f.Drained(); i++ {
 		f.Step()
 	}
 	if !f.Drained() {
 		t.Fatalf("network not drained after %d cycles (inflight=%d)", maxCycles, f.InFlight())
+	}
+	live := 0
+	f.Pool.Live(func(*noc.Flit) { live++ })
+	if held := f.Pool.Cap() - f.Pool.FreeSlots(); held != 0 || live != 0 {
+		t.Fatalf("drained pool holds %d slots (%d live)", held, live)
 	}
 }
 

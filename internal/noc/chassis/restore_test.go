@@ -61,6 +61,29 @@ func restore(net noc.Network, data []byte) error {
 	return r.Err()
 }
 
+// pooled returns the pooled chassis of net, or nil for the rings.
+func pooled(net noc.Network) *chassis.Mesh {
+	switch f := net.(type) {
+	case *bless.Fabric:
+		return &f.Mesh
+	case *buffered.Fabric:
+		return &f.Mesh
+	}
+	return nil
+}
+
+// checkPool repeats stepbench's pool-conservation check, as test
+// helpers do not cross packages: a restored pool holds exactly one slot
+// per flit in flight, and its free list no handle twice.
+func checkPool(t *testing.T, m *chassis.Mesh) {
+	t.Helper()
+	held, live := m.Pool.Cap()-m.Pool.FreeSlots(), 0
+	m.Pool.Live(func(*noc.Flit) { live++ })
+	if int64(held) != m.InFlight() || live != held {
+		t.Fatalf("pool holds %d slots (%d live) for %d flits in flight", held, live, m.InFlight())
+	}
+}
+
 // craftedCounts returns idle-fabric blobs whose pooled-flit count
 // claims 4,194,304 slots on a 4x4 fabric with a few hundred: the bless
 // pipeline count (the last word of an idle bless blob) and the
@@ -94,13 +117,7 @@ func TestRestoreBoundsPooledFlits(t *testing.T) {
 		}
 		t.Run(f.name, func(t *testing.T) {
 			net := f.new()
-			var m *chassis.Mesh
-			switch net := net.(type) {
-			case *bless.Fabric:
-				m = &net.Mesh
-			case *buffered.Fabric:
-				m = &net.Mesh
-			}
+			m := pooled(net)
 			capBefore := m.Pool.Cap()
 			if restore(net, data) == nil {
 				t.Fatal("restore of a crafted flit count succeeded")
@@ -114,7 +131,8 @@ func TestRestoreBoundsPooledFlits(t *testing.T) {
 
 // TestRestoreRoundTrip pins the seeds the fuzz target starts from: a
 // mid-run blob of every fabric restores into a fresh fabric of the same
-// configuration and re-encodes to the same bytes.
+// configuration, whose rebuilt pool holds one slot per flit in flight,
+// and re-encodes to the same bytes.
 func TestRestoreRoundTrip(t *testing.T) {
 	for _, f := range fabrics {
 		t.Run(f.name, func(t *testing.T) {
@@ -122,6 +140,9 @@ func TestRestoreRoundTrip(t *testing.T) {
 			net := f.new()
 			if err := restore(net, want); err != nil {
 				t.Fatal(err)
+			}
+			if m := pooled(net); m != nil {
+				checkPool(t, m)
 			}
 			if got := blob(net); string(got) != string(want) {
 				t.Errorf("re-encoded blob differs (%d vs %d bytes)", len(got), len(want))

@@ -5,6 +5,10 @@ import (
 
 	"nocsim/internal/allocs"
 	"nocsim/internal/core"
+	"nocsim/internal/noc"
+	"nocsim/internal/noc/bless"
+	"nocsim/internal/noc/buffered"
+	"nocsim/internal/noc/chassis"
 	"nocsim/internal/obs"
 	"nocsim/internal/topology"
 	"nocsim/internal/workload"
@@ -56,7 +60,8 @@ var growToPeak = []allocs.Grow{
 // in the obs case, the tracer and spatial grids — allocates only at the
 // growToPeak sites, within their budgets, over 40 epochs. Any other
 // allocating line, or a sanctioned one over budget, fails the case with
-// its file:line. The cases cover every fabric, controller,
+// its file:line. Between the measured epochs checkPool asserts the flit
+// pool's conservation. The cases cover every fabric, controller,
 // topology and the writeback path the closed loop can reach; the seeds are
 // fixed, so a failure is a real new allocation, not a flake.
 func TestClosedLoopSteadyStateAllocs(t *testing.T) {
@@ -85,11 +90,37 @@ func TestClosedLoopSteadyStateAllocs(t *testing.T) {
 			cfg := tc.cfg()
 			s := New(cfg)
 			s.Run(20_000)
-			sites := allocs.Measure(func() { s.Run(measuredEpochs * cfg.Params.Epoch) })
+			var sites []allocs.Site
+			for e := 0; e < measuredEpochs; e++ {
+				sites = append(sites, allocs.Measure(func() { s.Run(cfg.Params.Epoch) })...)
+				checkPool(t, s)
+			}
 			for _, site := range allocs.Unsanctioned(sites, growToPeak) {
 				t.Errorf("steady-state cycle allocates outside growToPeak or over its budget: %s", site)
 			}
 		})
+	}
+}
+
+// checkPool repeats stepbench's pool-conservation check, as test
+// helpers do not cross packages: at a cycle boundary a pooled fabric's
+// pool holds exactly one slot per flit in flight, and its free list no
+// handle twice. The hierarchical rings pool nothing.
+func checkPool(t *testing.T, s *Sim) {
+	t.Helper()
+	var m *chassis.Mesh
+	switch f := s.net.(type) {
+	case *bless.Fabric:
+		m = &f.Mesh
+	case *buffered.Fabric:
+		m = &f.Mesh
+	default:
+		return
+	}
+	held, live := m.Pool.Cap()-m.Pool.FreeSlots(), 0
+	m.Pool.Live(func(*noc.Flit) { live++ })
+	if int64(held) != m.InFlight() || live != held {
+		t.Fatalf("cycle %d: pool holds %d slots (%d live) for %d flits in flight", m.Cycle(), held, live, m.InFlight())
 	}
 }
 
