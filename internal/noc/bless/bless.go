@@ -48,9 +48,6 @@ type Config struct {
 	// destinations inflate latency far beyond the paper's flat Fig. 2(a)
 	// curve — so the wider NI is the faithful default.
 	EjectWidth int
-	// InjectWidth is the number of flits a node can inject per cycle;
-	// 0 means 1.
-	InjectWidth int
 	// Policy gates and observes injection; nil means noc.Open{}.
 	Policy noc.InjectionPolicy
 	// NoActiveSet forces every router to be stepped every cycle even
@@ -163,11 +160,10 @@ type Fabric struct {
 	chassis.Mesh
 	cfg Config
 
-	// ejectW and injectW mirror the Config fields the per-node loop
-	// consults every cycle, hoisted onto the Fabric so the hot path loads
-	// them without chasing the embedded Config.
-	ejectW  int
-	injectW int
+	// ejectW mirrors the Config field the per-node loop consults every
+	// cycle, hoisted onto the Fabric so the hot path loads it without
+	// chasing the embedded Config.
+	ejectW int
 
 	// in holds the incoming link pipelines as chassis link planes (see
 	// chassis.Mesh): one pool handle per link and stage, 0 empty.
@@ -192,13 +188,9 @@ func New(cfg Config) *Fabric {
 	if cfg.EjectWidth <= 0 {
 		cfg.EjectWidth = 2
 	}
-	if cfg.InjectWidth <= 0 {
-		cfg.InjectWidth = 1
-	}
 	f := &Fabric{
-		cfg:     cfg,
-		ejectW:  cfg.EjectWidth,
-		injectW: cfg.InjectWidth,
+		cfg:    cfg,
+		ejectW: cfg.EjectWidth,
 	}
 	f.Init(cfg.Topology, cfg.HopLatency, cfg.Policy, cfg.NoActiveSet, cfg.Probe)
 	f.in = make([]noc.Handle, f.PlaneLen())
@@ -209,7 +201,7 @@ func New(cfg Config) *Fabric {
 // each reading its arriving flits, arbitrating, and committing its
 // outputs onto the downstream link pipelines.
 func (f *Fabric) Step() {
-	st := f.BeginStep(f.injectW)
+	st := f.BeginStep(1)
 	for node, n := 0, f.Nodes(); node < n; node++ {
 		if a := f.Wake(node); a != 0 {
 			f.Settle(node, a, f.stepRouter(node, st))
@@ -349,34 +341,27 @@ func (f *Fabric) deflect(node int, h noc.Handle, dst int, free uint8, out *[maxD
 	return 1 << uint(best)
 }
 
-// inject moves up to InjectWidth flits from the NIC into free output
-// ports, consulting the policy for request flits, and reports the
-// starvation outcome. It returns the ports it claimed as a mask.
+// inject moves the NIC's head flit into a free output port, consulting
+// the policy for request flits, and reports the starvation outcome. It
+// returns the port it claimed as a mask, 0 when none.
 func (f *Fabric) inject(node int, nic *noc.NIC, free uint8, out *[maxDirs]noc.Handle) (taken uint8) {
-	wanted := false
-	injected := false
+	head := nic.Head()
 	throttled := false
-	for i := 0; i < f.injectW; i++ {
-		head := nic.Head()
-		if head == nil {
-			break
+	if head != nil {
+		p := f.toward(node, int(head.Dst), free)
+		switch {
+		case p == 0:
+			// no free output link: starved
+		case noc.ThrottledKind(head.Kind) && !f.Admit(node):
+			throttled = true // blocked by Algorithm 3's gate, not by the network
+		default:
+			fl := nic.Pop()
+			f.Injected(node, &fl)
+			out[bits.TrailingZeros8(p)&3] = f.Pool.Alloc(&fl)
+			taken = p
 		}
-		wanted = true
-		p := f.toward(node, int(head.Dst), free&^taken)
-		if p == 0 {
-			break // no free output link: starved
-		}
-		if noc.ThrottledKind(head.Kind) && !f.Admit(node) {
-			throttled = true
-			break // blocked by Algorithm 3's gate, not by the network
-		}
-		fl := nic.Pop()
-		f.Injected(node, &fl)
-		taken |= p
-		out[bits.TrailingZeros8(p)&3] = f.Pool.Alloc(&fl)
-		injected = true
 	}
-	f.Outcome(node, wanted, injected, throttled)
+	f.Outcome(node, head != nil, taken != 0, throttled)
 	return taken
 }
 

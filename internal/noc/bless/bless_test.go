@@ -376,7 +376,7 @@ func TestLivelockFreedomUnderSaturation(t *testing.T) {
 
 func TestNewDefaults(t *testing.T) {
 	f := New(Config{Topology: mesh(2)})
-	if f.cfg.HopLatency != 3 || f.cfg.EjectWidth != 2 || f.cfg.InjectWidth != 1 {
+	if f.cfg.HopLatency != 3 || f.cfg.EjectWidth != 2 {
 		t.Errorf("defaults not applied: %+v", f.cfg)
 	}
 	if f.Stats().Links != 8 {

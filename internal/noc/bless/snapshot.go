@@ -12,11 +12,10 @@ func init() {
 	snap.Cover(Fabric{}, snap.Coverage{
 		Serialized: []string{"Mesh"},
 		Waived: map[string]string{
-			"in":      "hook: occupied pipeline slots in scan order, by flit content",
-			"cfg":     "config: construction input",
-			"ejectW":  "construction: hoisted Config mirror",
-			"injectW": "construction: hoisted Config mirror",
-			"scr":     "scratch: every slot is written before it is read within one router step",
+			"in":     "hook: occupied pipeline slots in scan order, by flit content",
+			"cfg":    "config: construction input",
+			"ejectW": "construction: hoisted Config mirror",
+			"scr":    "scratch: every slot is written before it is read within one router step",
 		},
 	})
 	snap.CoverConfig(Config{})

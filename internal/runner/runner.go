@@ -10,7 +10,12 @@
 // max-of-runs instead of sum-of-runs.
 //
 // The pool is the only parallelism: it runs up to Scale.Parallel
-// simulations at once, and each simulation steps on one goroutine.
+// simulations at once, and each simulation steps on one goroutine. A
+// free worker takes the first pending run, in declaration order, that
+// does not wait on a warm prefix another worker is still computing, so
+// a cheap prefix's points run while an expensive one is built (perfbench
+// reads the remaining wait as runner.prefix_wait_ms). Each prefix's
+// checkpoint is dropped as soon as its last run has forked from it.
 package runner
 
 import (
@@ -77,11 +82,11 @@ type Plan struct {
 	stats    []Stat
 	progress *Progress
 
-	// warm single-flights the warm-prefix computation per (prefix
-	// digest, warmup cycle): concurrent sweep points forking from the
-	// same prefix share one simulation instead of racing to recompute it.
+	// wm guards warm and the pending runs of an Execute. warm holds the
+	// executing runs' warm prefixes, one entry per key, each dropped
+	// once its last run has forked from it.
 	wm   sync.Mutex
-	warm map[string]*warmEntry
+	warm map[warmKey]*warmEntry
 }
 
 // NewPlan starts an empty plan at the given scale, inheriting the
@@ -130,28 +135,30 @@ func (p *Plan) Execute() []sim.Metrics {
 	if len(local) == 0 {
 		return out
 	}
+	keys := p.prepareWarm(local)
+	pending := local
+	work := func() {
+		for {
+			i, ok := p.next(&pending, keys)
+			if !ok {
+				return
+			}
+			out[i] = p.execOne(i, keys[i])
+		}
+	}
 	pool := p.sc.pool(len(local))
 	if pool == 1 {
-		for _, i := range local {
-			out[i] = p.execOne(i)
-		}
+		work()
 		return out
 	}
-	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < pool; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				out[i] = p.execOne(i)
-			}
+			work()
 		}()
 	}
-	for _, i := range local {
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
 	return out
 }
@@ -205,8 +212,9 @@ func (p *Plan) executeRemote(out []sim.Metrics) (local []int) {
 	return local
 }
 
-// execOne assembles and runs one declared simulation.
-func (p *Plan) execOne(i int) sim.Metrics {
+// execOne assembles and runs one declared simulation; key is its warm
+// prefix (the zero key without a warmup).
+func (p *Plan) execOne(i int, key warmKey) sim.Metrics {
 	r := p.runs[i]
 	cfg := r.Config
 	nodes := nodesOf(cfg)
@@ -219,7 +227,8 @@ func (p *Plan) execOne(i int) sim.Metrics {
 	// a snapshot store; at is the cycle the simulation begins at, so
 	// remaining is what is left to actually step. A warm run's declared
 	// Cycles all lie after the warmup prefix.
-	s, at := p.startSim(cfg, r)
+	s, at := p.startSim(cfg, r, key)
+	p.forked(key)
 	remaining := r.Cycles
 	if cfg.Warmup > 0 {
 		remaining += cfg.Warmup

@@ -211,3 +211,90 @@ func TestWarmStaleStoreEntry(t *testing.T) {
 		t.Errorf("stale prefix not overwritten: %v", err)
 	}
 }
+
+// TestNextReadyFirst drives the picker on synthetic state: prefix a is
+// being computed, prefix b is unclaimed.
+func TestNextReadyFirst(t *testing.T) {
+	a, b := warmKey{"a", 10}, warmKey{"b", 10}
+	p := &Plan{warm: map[warmKey]*warmEntry{a: {claimed: true}, b: {}}}
+	keys := []warmKey{a, a, {}, b, b}
+	pending := []int{0, 1, 2, 3, 4}
+	take := func(want int) {
+		t.Helper()
+		if i, ok := p.next(&pending, keys); !ok || i != want {
+			t.Fatalf("next = %d, %v; want %d (pending %v)", i, ok, want, pending)
+		}
+	}
+	take(2) // runs 0 and 1 wait on a in flight; run 2 has no warmup
+	take(3) // b is unclaimed: the pick claims it
+	if !p.warm[b].claimed {
+		t.Error("picking run 3 did not claim prefix b")
+	}
+	take(0) // 0, 1 and 4 all wait on a prefix in flight: the first
+	p.warm[b].ready = true
+	take(4) // b is ready: run 4 goes ahead of run 1, still waiting on a
+	take(1)
+	if i, ok := p.next(&pending, keys); ok {
+		t.Errorf("next on an empty queue = %d, want none", i)
+	}
+}
+
+// comparePlan declares cmd/compare's plan on an 8x8 mesh: two warm
+// prefixes of very different cost, BLESS (shared by the baseline and
+// the throttled run) and the buffered router.
+func comparePlan(sc Scale) *Plan {
+	cat, _ := workload.CategoryByName("H")
+	w := workload.Generate(cat, 64, sc.Seed)
+	p := NewPlan(sc)
+	p.Add("compare/BLESS", Baseline(w, 8, 8, sc), sc.Cycles)
+	p.Add("compare/BLESS-Throttling", Controlled(w, 8, 8, sc), sc.Cycles)
+	p.Add("compare/Buffered", Baseline(w, 8, 8, sc, WithRouter(sim.Buffered)), sc.Cycles)
+	return p
+}
+
+func compareScale(t *testing.T, parallel int) Scale {
+	sc := warmScale(t, 0)
+	sc.Cycles, sc.Epoch, sc.Warmup = 600, 200, 400
+	sc.Parallel = parallel
+	return sc
+}
+
+// TestWarmDispatchAcrossPools checks ready-first dispatch over prefixes
+// of unequal cost: the metrics are identical at every pool size, each
+// prefix is filed once, and no prefix outlives Execute.
+func TestWarmDispatchAcrossPools(t *testing.T) {
+	var want []sim.Metrics
+	for _, parallel := range []int{1, 2, 4} {
+		sc := compareScale(t, parallel)
+		p := comparePlan(sc)
+		ms := p.Execute()
+		if want == nil {
+			want = ms
+		} else if !reflect.DeepEqual(ms, want) {
+			t.Errorf("parallel=%d metrics differ from parallel=1", parallel)
+		}
+		if w := sc.Snapshots.Stats().Writes; w != 2 {
+			t.Errorf("parallel=%d filed %d prefixes, want 2 (bless, buffered)", parallel, w)
+		}
+		if len(p.warm) != 0 {
+			t.Errorf("parallel=%d kept %d prefixes after Execute", parallel, len(p.warm))
+		}
+	}
+}
+
+// TestExecuteTwice checks that a released prefix is not restored from
+// nil: a second Execute of the same plan, with and without a store,
+// returns the first one's metrics.
+func TestExecuteTwice(t *testing.T) {
+	for _, stored := range []bool{true, false} {
+		sc := compareScale(t, 2)
+		if !stored {
+			sc.Snapshots = nil
+		}
+		p := comparePlan(sc)
+		first := p.Execute()
+		if again := p.Execute(); !reflect.DeepEqual(again, first) {
+			t.Errorf("store=%v: second Execute differs from the first", stored)
+		}
+	}
+}
