@@ -3,25 +3,31 @@ package cache
 import "nocsim/internal/snap"
 
 // Checkpoint codec for the L1 model and the stochastic address
-// mappers. L1 geometry (sets/ways/masks) is construction-derived; only
-// the line words (tag, LRU rank, dirty and valid bits) and counters
-// are encoded. The mappers' topology and member tables are likewise
-// construction-derived — their only mutable state is the per-source
-// random streams (and, for Locality, a scratch buffer that every draw
-// rewrites from scratch).
+// mappers. L1 geometry and layout (sets/ways/masks, hot run, stream
+// base) are construction-derived; only the hot sets' line words (tag,
+// LRU rank, dirty and valid bits), the stream counter and the stream
+// dirty ring are encoded. The mappers' topology and member tables are
+// likewise construction-derived — their only mutable state is the
+// per-source random streams (and, for Locality, a scratch buffer that
+// every draw rewrites from scratch).
 
 func init() {
+	layout := "construction: derived from L1Config and the trace layout"
 	snap.Cover(L1{}, snap.Coverage{
-		Serialized: []string{
-			"lines", "hits", "misses", "writebacks",
-		},
+		Serialized: []string{"lines", "streamed", "dirty"},
 		Waived: map[string]string{
-			"sets":      "construction: derived from L1Config",
-			"ways":      "construction: derived from L1Config",
-			"blockBits": "construction: derived from L1Config",
-			"setBits":   "construction: derived from L1Config",
-			"shift":     "construction: derived from L1Config",
-			"setMask":   "construction: derived from L1Config",
+			"ways":        layout,
+			"blockBits":   layout,
+			"setBits":     layout,
+			"setMask":     layout,
+			"shift":       layout,
+			"hotBlock":    layout,
+			"hotBlocks":   layout,
+			"hotSet":      layout,
+			"hotSets":     layout,
+			"streamBlock": layout,
+			"fifoSpan":    layout,
+			"ringMask":    layout,
 		},
 	})
 	snap.CoverConfig(L1Config{})
@@ -56,9 +62,9 @@ func init() {
 	})
 }
 
-// DecodeSnap checks what a miss relies on: the ranks of every set are a
-// permutation of 0..ways-1, so each set has exactly one LRU way to
-// evict.
+// DecodeSnap checks what a miss relies on: the ranks of every set with
+// line words are a permutation of 0..ways-1, so each such set has
+// exactly one LRU way to evict.
 func (c *L1) DecodeSnap(r *snap.Reader) {
 	ranks := c.ranks()
 	seen := make([]bool, c.ways)
@@ -67,7 +73,8 @@ func (c *L1) DecodeSnap(r *snap.Reader) {
 		for _, l := range c.lines[base : base+c.ways] {
 			rank := (l & ranks) >> rankShift
 			if rank >= uint64(c.ways) || seen[rank] {
-				r.Failf("cache set %d ranks are not a permutation of 0..%d", base/c.ways, c.ways-1)
+				r.Failf("cache set %d ranks are not a permutation of 0..%d",
+					(c.hotSet+uint64(base/c.ways))&c.setMask, c.ways-1)
 				return
 			}
 			seen[rank] = true

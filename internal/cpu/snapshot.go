@@ -109,6 +109,17 @@ func (c *Core) Awaiting(fn func(token uint64, younger int)) {
 	c.tokens.each(func(token uint64, slot int) { fn(token, c.younger(slot)) })
 }
 
+// Resume returns where a restored core's memory references resume, so
+// the system can check its L1 against them: the address of its pending
+// memory reference, if it holds one, and the number of stream blocks
+// its generator has emitted, the pending one included.
+func (c *Core) Resume() (pending uint64, hasPending bool, emitted int64) {
+	if c.hasPending && c.pending.IsMem {
+		pending, hasPending = c.pending.Addr, true
+	}
+	return pending, hasPending, c.gen.MissIntents()
+}
+
 // younger returns the number of occupied window entries younger than
 // slot, or -1 if slot is not occupied.
 func (c *Core) younger(slot int) int {

@@ -407,7 +407,6 @@ func New(cfg Config) *Sim {
 		if cfg.Apps[i] == nil {
 			continue
 		}
-		s.l1s[i] = cache.NewL1(cfg.L1)
 		gen := trace.New(trace.Config{
 			Profile:         *cfg.Apps[i],
 			FlitsPerMiss:    fpm,
@@ -417,9 +416,10 @@ func New(cfg Config) *Sim {
 			AddrBase:        uint64(i) << 40,
 			Seed:            cfg.Seed ^ uint64(i)*0x9e3779b97f4a7c15,
 		})
-		// Pre-warm the resident working set so measurements start
-		// without cold-miss noise (the paper's long runs amortise
-		// warmup; our scaled runs must not be polluted by it).
+		s.l1s[i] = cache.NewL1(cfg.L1, gen.HotAddresses(), gen.StreamBase())
+		// Pre-warm the hot blocks so measurements start without
+		// cold-miss noise (the paper's long runs amortise warmup; our
+		// scaled runs must not be polluted by it).
 		for _, a := range gen.HotAddresses() {
 			s.l1s[i].Warm(a)
 		}

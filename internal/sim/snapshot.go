@@ -148,6 +148,7 @@ func (s *Sim) DecodeSnap(r *snap.Reader) {
 		r.Failf("system cycle %d, fabric cycle %d", s.cycle, s.net.Cycle())
 	}
 	s.checkMisses(r)
+	s.checkStreams(r)
 	controller := ControllerKind(r.U8())
 	fork := controller != s.cfg.Controller
 	switch {
@@ -240,6 +241,35 @@ func (s *Sim) checkMisses(r *snap.Reader) {
 		head[f.Seq] = *f
 		carry(f.Seq, f.Token, f.Kind, f.Src, f.Dst)
 	})
+}
+
+// checkStreams fails r unless each core and its L1 agree on where the
+// trace resumes: a pending memory reference is a hot block or the L1's
+// next stream block, and the L1 has seen every stream block the
+// generator emitted but a pending one. Either mismatch would make the
+// core's next access panic.
+func (s *Sim) checkStreams(r *snap.Reader) {
+	for id, c := range s.cores {
+		if c == nil {
+			continue
+		}
+		l1 := s.l1s[id]
+		addr, pending, emitted := c.Resume()
+		seen := uint64(emitted)
+		if pending {
+			ok, stream := l1.Expects(addr)
+			if !ok {
+				r.Failf("core %d pending reference %#x is neither a hot block nor its L1's next stream block", id, addr)
+				continue
+			}
+			if stream {
+				seen--
+			}
+		}
+		if l1.Streamed() != seen {
+			r.Failf("L1 %d has seen %d stream blocks, but its core resumes after %d", id, l1.Streamed(), seen)
+		}
+	}
 }
 
 // resetForFork re-bases epoch bookkeeping at the fork point: the target

@@ -20,6 +20,7 @@ import (
 	"nocsim/internal/snap"
 	"nocsim/internal/topology"
 	"nocsim/internal/trace"
+	"nocsim/internal/workload"
 )
 
 // TestSnapshotCoverageComplete is the codec's rot guard: it walks the
@@ -115,10 +116,10 @@ func snapCases() []snapCase {
 		hr.Groups[i] = i / 8
 	}
 	return []snapCase{
-		{"bless", bl, "8cda2eb796e723d1adb7c5acd8cc4c67c96a2d6227642605cd277ebd08f84b14"},
-		{"bless-distributed", blDist, "dc8f80d1c59fd26595b48cef2ecd77f600a2e220d5d7bde9e24ebc89527d3b13"},
-		{"buffered-static", buf, "bc3eaa3a6e3584ebe0ba9559629c7df4f8f6cdf8f78e07843aa84d544db48e72"},
-		{"hierring-groupmap", hr, "b9614a764da5163127f3454fd0541b621d84f5227aba6905d2fe8cd39c521953"},
+		{"bless", bl, "0636c0faca96fbc726d92cd98cc59585c85de657f9428f224a098560eb6f5927"},
+		{"bless-distributed", blDist, "40bde5c23ba25a994caece5a461727af87fc0f2d828fa3649fea55d6e60755be"},
+		{"buffered-static", buf, "7fb99c90923f96f68d0cef61b4d6852c0d11c64afccb48e7cfcc954670a07e34"},
+		{"hierring-groupmap", hr, "c8fea2da98683409f7f03b079726834c26eab2a65f316220769999d1c1db065f"},
 	}
 }
 
@@ -217,6 +218,33 @@ func TestSnapshotByteIdentity(t *testing.T) {
 				t.Errorf("state blob diverged (%d vs %d bytes)", len(got), len(wantBlob))
 			}
 		})
+	}
+}
+
+// TestWarmBlobFootprint guards the blob a warm-start sweep stores and
+// forks from: a 16x16 HML warm prefix, per fabric the sweep workloads
+// run, stays under 1.5 MB. The L1s keep line words only for the sets
+// their hot blocks map to, so a blob is about 1.2 MB instead of the
+// 8.9 MB that full 4,096-line L1s cost.
+func TestWarmBlobFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two 16x16 warm prefixes")
+	}
+	cat, _ := workload.CategoryByName("HML")
+	for _, router := range []RouterKind{Buffered, HierRing} {
+		cfg := NormalizeWarm(Config{
+			Width: 16, Height: 16,
+			Apps:   workload.Generate(cat, 256, 1).Apps,
+			Router: router,
+			Seed:   1,
+		})
+		s := New(cfg)
+		s.Run(4000)
+		n := len(s.Snapshot())
+		t.Logf("%v: %d bytes", router, n)
+		if n > 1_500_000 {
+			t.Errorf("%v: 16x16 HML warm blob is %d bytes, want <= 1,500,000", router, n)
+		}
 	}
 }
 
@@ -377,6 +405,25 @@ func rankCorrupted(t testing.TB, cfg Config) []byte {
 	return out
 }
 
+// streamCorrupted returns a mid-run blob of cfg in which core 0's L1
+// counts one stream block more than its generator emitted: a decodable
+// blob whose next stream reference the L1 would not take.
+func streamCorrupted(t testing.TB, cfg Config) []byte {
+	s := New(cfg)
+	s.Run(200)
+	blob := s.Snapshot()
+	w := &snap.Writer{}
+	snap.Encode(w, s.l1s[0]) // an L1's encoding is its line words, stream counter and dirty ring
+	off := bytes.Index(blob, w.Bytes())
+	if off < 0 {
+		t.Fatal("L1 0 not found in its blob")
+	}
+	out := append([]byte(nil), blob...)
+	at := off + 4 + 8*int(binary.LittleEndian.Uint32(out[off:]))
+	binary.LittleEndian.PutUint64(out[at:], binary.LittleEndian.Uint64(out[at:])+1)
+	return out
+}
+
 // seqCorrupted returns a mid-run blob of cfg whose node-0 NIC packet
 // counter reads 2^39: a decodable blob whose counter sits past the
 // restore bound, where the Seq layout's headroom ends.
@@ -461,6 +508,11 @@ func FuzzSimRestore(f *testing.F) {
 		f.Fatal("a miss counter far ahead of an awaited token restored without error")
 	}
 	f.Add(uint8(0), bad)
+	bad = streamCorrupted(f, cases[2])
+	if _, err := Restore(cases[2], bad); err == nil {
+		f.Fatal("an L1 ahead of its core's stream restored without error")
+	}
+	f.Add(uint8(2), bad)
 	base := make([]uint64, len(cases))
 	for i, cfg := range cases {
 		var before, after runtime.MemStats

@@ -35,7 +35,7 @@ package snap
 import "fmt"
 
 // Version is the codec version; bump on any incompatible layout change.
-const Version = 4
+const Version = 5
 
 // magic prefixes every snapshot blob.
 var magic = [8]byte{'N', 'O', 'C', 'S', 'N', 'A', 'P', '1'}

@@ -3,20 +3,22 @@ package trace
 import "nocsim/internal/snap"
 
 // Checkpoint codec for the synthetic instruction generator. The
-// calibration outputs (memFrac, pMiss, hot set) are pure functions of
-// the Config, so a restored generator recomputes them in New and only
-// the dynamic stream position is encoded. New consumes two RNG draws
-// (initial phase and dwell); Decode overwrites the RNG state after
-// construction, so those draws leave no trace.
+// calibration outputs (memFrac, pMiss, hot set, stream base) are pure
+// functions of the Config, so a restored generator recomputes them in
+// New and only the dynamic stream position is encoded: the next stream
+// block is the one after the misses counted so far. New consumes two
+// RNG draws (initial phase and dwell); Decode overwrites the RNG state
+// after construction, so those draws leave no trace.
 
 func init() {
 	snap.Cover(Generator{}, snap.Coverage{
-		Serialized: []string{"r", "phase", "dwell", "streamPtr", "insns", "misses"},
+		Serialized: []string{"r", "phase", "dwell", "insns", "misses"},
 		Waived: map[string]string{
 			"cfg":     "construction: derived from sim.Config",
 			"memFrac": "construction: calibrated from cfg.Profile in New",
 			"pMiss":   "construction: calibrated from cfg.Profile in New",
 			"hot":     "construction: computed from cfg.AddrBase in New",
+			"stream":  "construction: computed from cfg.AddrBase in New",
 		},
 	})
 	snap.Cover(Instr{}, snap.Coverage{

@@ -3,14 +3,28 @@
 // traces (see DESIGN.md §1 for why the substitution is faithful).
 //
 // Each generator emits an infinite, deterministic instruction stream
-// (compute or memory-reference) whose L1 hit/miss behaviour is
-// controlled by construction: "hit" references revisit a small hot
-// working set that stays resident in the real L1 model, while "miss"
-// references stream through fresh blocks that can never be resident. The
-// miss probability is calibrated so that the application's cumulative
-// IPF (instructions per flit) matches its Table 1 mean, and it is
-// modulated by a two-phase Markov process to reproduce the temporal
-// intensity variation of Fig. 6 and the per-window IPF variance.
+// (compute or memory-reference) whose L1 hit/miss behaviour is set by
+// construction through a fixed address layout, which cache.L1 relies on:
+//
+//   - "hit" references revisit HotBlocks consecutive hot blocks starting
+//     at AddrBase;
+//   - "miss" references walk consecutive blocks from StreamBase
+//     (AddrBase + 1 GiB), each referenced once, in order, and never
+//     again, so a miss intent always misses;
+//   - hot blocks can be evicted. Stream blocks share the hot blocks'
+//     sets, and when enough of them land in a hot block's set between
+//     two of its references, LRU evicts it and its next reference
+//     misses. Realised misses therefore exceed miss intents wherever
+//     the miss probability is high: in matlab's intense phase every
+//     instruction is a memory reference and 87% of them are stream
+//     blocks, and at seed 1 with the default L1 29 hot references in
+//     2M instructions miss.
+//
+// The miss probability is calibrated so that the application's
+// cumulative IPF (instructions per flit) matches its Table 1 mean, and
+// it is modulated by a two-phase Markov process to reproduce the
+// temporal intensity variation of Fig. 6 and the per-window IPF
+// variance.
 //
 // Crucially, the stream is a pure function of the seed: network
 // congestion changes when an instruction issues, never which instruction
@@ -45,7 +59,8 @@ type Config struct {
 	FlitsPerMiss int
 	// BlockBytes is the cache block size; 0 means 32.
 	BlockBytes int
-	// HotBlocks is the resident working-set size in blocks; 0 means 64.
+	// HotBlocks is the number of consecutive hot blocks that hit
+	// references revisit; 0 means 64.
 	HotBlocks int
 	// PhaseDwellInsns is the mean phase length in instructions; 0 means
 	// 50000.
@@ -73,8 +88,8 @@ type Generator struct {
 	phase int
 	dwell int64
 
-	hot       []uint64
-	streamPtr uint64
+	hot    []uint64
+	stream uint64 // StreamBase
 
 	insns  int64
 	misses int64
@@ -138,14 +153,14 @@ func New(cfg Config) *Generator {
 		}
 	}
 
-	// Address layout: hot set in one region, streaming pointer far away
-	// so it never revisits a hot block.
+	// Address layout: hot blocks at AddrBase, the stream 1 GiB above
+	// them so it never reaches a hot block.
 	bb := uint64(cfg.BlockBytes)
 	g.hot = make([]uint64, cfg.HotBlocks)
 	for i := range g.hot {
 		g.hot[i] = cfg.AddrBase + uint64(i)*bb
 	}
-	g.streamPtr = cfg.AddrBase + 1<<30
+	g.stream = cfg.AddrBase + 1<<30
 	g.phase = g.r.Intn(2)
 	g.dwell = g.drawDwell()
 	return g
@@ -177,25 +192,29 @@ func (g *Generator) Next() Instr {
 	}
 	store := g.cfg.StoreFrac > 0 && g.r.Bool(g.cfg.StoreFrac)
 	if g.r.Bool(g.pMiss[g.phase]) {
+		addr := g.stream + uint64(g.misses)*uint64(g.cfg.BlockBytes)
 		g.misses++
-		addr := g.streamPtr
-		g.streamPtr += uint64(g.cfg.BlockBytes)
 		return Instr{IsMem: true, IsStore: store, Addr: addr}
 	}
 	return Instr{IsMem: true, IsStore: store, Addr: g.hot[g.r.Intn(len(g.hot))]}
 }
 
-// HotAddresses returns the resident working set, one address per hot
-// block; the simulator pre-warms the L1 with these so measurement starts
-// without cold-miss noise.
+// HotAddresses returns the hot blocks' addresses, consecutive from
+// AddrBase; the simulator pre-warms the L1 with these so measurement
+// starts without cold-miss noise.
 func (g *Generator) HotAddresses() []uint64 { return g.hot }
+
+// StreamBase returns the address of the first stream block; stream
+// block j is at StreamBase + j*BlockBytes.
+func (g *Generator) StreamBase() uint64 { return g.stream }
 
 // Emitted returns the number of instructions generated so far.
 func (g *Generator) Emitted() int64 { return g.insns }
 
-// MissIntents returns the number of miss-intent references generated;
-// the realised L1 miss count may differ by a handful of cold misses on
-// the hot set.
+// MissIntents returns the number of miss-intent references generated,
+// which is also the number of stream blocks emitted. The realised L1
+// miss count exceeds it by the hot references whose block the stream
+// had evicted (see the package doc).
 func (g *Generator) MissIntents() int64 { return g.misses }
 
 // TargetIPF returns the cumulative IPF the stream is calibrated to.
