@@ -79,8 +79,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Config assembly flows through the runner presets (nocvet's
-	// rawconfig rule): Baseline supplies the Table 2 defaults, the
+	// Config assembly flows through the runner presets (the rawconfig
+	// invariant): Baseline supplies the Table 2 defaults, the
 	// flags become With* options.
 	sc := runner.Scale{Cycles: *cycles, Epoch: *epoch, Seed: *seed}
 	opts := []runner.Option{runner.WithSeed(*seed)}

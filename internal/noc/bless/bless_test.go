@@ -432,10 +432,13 @@ func BenchmarkStep16x16Saturated(b *testing.B) {
 // every cycle of network latency is one hop's pipeline. Oldest-First
 // under seeded open-loop traffic, stopped and then drained, must give
 // HopLatency x LinkTraversals == NetFlitLatencySum exactly, on a mesh
-// and on a torus.
+// and on a torus. Before the drain the gap is the hops already taken by
+// the flits still in flight: a flit injected at cycle c has left a
+// router at c, c+H, c+2H, ..., so its age fixes its hop count.
 func TestLatencyEqualsHopLatency(t *testing.T) {
 	for _, kind := range []topology.Kind{topology.Mesh, topology.Torus} {
 		f := New(Config{Topology: topology.NewSquare(kind, 8)})
+		hop := int64(f.cfg.HopLatency)
 		r := rng.New(31)
 		for cycle := 0; cycle < 2000; cycle++ {
 			for n := 0; n < 64; n++ {
@@ -446,6 +449,24 @@ func TestLatencyEqualsHopLatency(t *testing.T) {
 				}
 			}
 			f.Step()
+			if cycle%97 != 0 {
+				continue
+			}
+			var hops, live int64
+			for _, fh := range f.Pool.HotPlane() {
+				if fh.Seq != 0 { // Free zeroes a slot; every live flit has a sequence number
+					hops += (f.Cycle() - fh.Inject + hop - 1) / hop
+					live++
+				}
+			}
+			s := f.Stats()
+			if live != f.InFlight() {
+				t.Fatalf("%v cycle %d: %d live pool slots, %d flits in flight", kind, f.Cycle(), live, f.InFlight())
+			}
+			if gap := hop*s.LinkTraversals - s.NetFlitLatencySum; gap != hop*hops {
+				t.Errorf("%v cycle %d: HopLatency x LinkTraversals - NetFlitLatencySum = %d, HopLatency x in-flight hops = %d (%d flits)",
+					kind, f.Cycle(), gap, hop*hops, live)
+			}
 		}
 		runUntilDrained(t, f, 200000)
 		s := f.Stats()

@@ -25,7 +25,7 @@
 //     counter hash) written alongside every observed run.
 //
 // Determinism contract: every collector is indexed by simulated cycle,
-// never the host clock (nocvet's wallclock rule holds here — only
+// never the host clock (the wallclock invariant holds here — only
 // internal/runner and cmd/ may time runs, and the manifest's elapsed
 // field is filled by them). Each simulation owns its collectors, so
 // exports are byte-identical at any -parallel setting. When a collector is disabled its fabric-side pointer is

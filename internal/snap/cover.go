@@ -12,8 +12,8 @@ import (
 // snapshot declares each of its fields as either serialized or waived
 // (with a reason). Verify then walks the reachable type graph from a
 // set of roots and fails if any struct in a simulator package has a
-// field that is neither — the reflection analogue of nocvet's
-// source-level invariants, aimed at the codec: adding a field to any
+// field that is neither — the reflection analogue of the
+// source-level invariants in invariants_test.go, aimed at the codec: adding a field to any
 // state struct without deciding its snapshot fate fails the build's
 // tests, not a future bug hunt.
 

@@ -175,3 +175,32 @@ func TestLoadPointString(t *testing.T) {
 		t.Error("empty LoadPoint string")
 	}
 }
+
+// TestAcceptedUnderBisectionBound sweeps an 8x8 mesh under uniform
+// traffic past its bisection bound. Half the traffic crosses the middle
+// cut, whose k links per direction carry one flit a cycle each, so no
+// fabric accepts more than 4/k flits/node/cycle; nor more than its
+// ejection width (2 for both fabrics). The window may also eject flits
+// that were stored in the fabric when it opened: at most buffered's
+// 64 nodes x 4 inputs x 4 VCs x 4 flits, which sets the tolerance.
+func TestAcceptedUnderBisectionBound(t *testing.T) {
+	const k, eject, measure = 8, 2.0, 3000
+	bound := math.Min(4.0/k, eject)
+	tol := 64 * 4 * 4 * 4 / (k * k * float64(measure))
+	rates := []float64{0.2, 0.4, 0.6, 0.8}
+	uniform := func(n noc.Network) Pattern { return Uniform{Nodes: n.Topology().Nodes()} }
+	for name, mk := range map[string]func() noc.Network{
+		"bless":    func() noc.Network { return bless.New(bless.Config{Topology: mesh(k)}) },
+		"buffered": func() noc.Network { return buffered.New(buffered.Config{Topology: mesh(k)}) },
+	} {
+		pts := Sweep(mk, uniform, rates, 1, 1000, measure, 11)
+		for _, p := range pts {
+			if p.Accepted > bound+tol {
+				t.Errorf("%s: %v exceeds the bound %.3f (+%.4f)", name, p, bound, tol)
+			}
+		}
+		if last := pts[len(pts)-1]; last.Accepted >= last.Offered {
+			t.Errorf("%s: %v is not saturated; the sweep does not reach the bound", name, last)
+		}
+	}
+}
