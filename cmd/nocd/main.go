@@ -30,15 +30,15 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	cacheDir := flag.String("cache", "nocd-cache", "content-addressed result cache directory")
-	queueCap := flag.Int("queue", 64, "job queue capacity (submissions beyond it get 429)")
-	jobs := flag.Int("jobs", 1, "concurrent jobs (with -peers, 0 or 1 auto-sizes to the fleet)")
+	queueCap := flag.Int("queue", 64, "job queue capacity, and the cap on dispatched jobs running at once (submissions beyond either get 429)")
+	jobs := flag.Int("jobs", 1, "queue workers: concurrent client jobs, so at 1 a sweep's points run one at a time (with -peers, 0 or 1 auto-sizes to the fleet); jobs dispatched by a coordinator start on arrival and need no worker")
 	jobTimeout := flag.Duration("job-timeout", 10*time.Minute, "per-job simulation budget, 0 disables")
 	sampleInterval := flag.Int64("sample-interval", 1000, "interval-sampler period for streamed run events")
 	snapDir := flag.String("snapdir", "", "checkpoint store directory (enables warm starts and run extension)")
 	snapCap := flag.Int64("snapcap", 0, "checkpoint store byte cap, oldest evicted first (0 = unlimited)")
 	parallel := flag.Int("parallel", 0, "concurrent simulations per job (0 = GOMAXPROCS)")
 	peers := flag.String("peers", "", "comma-separated peer daemon URLs; enables coordinator mode")
-	peerWindow := flag.Int("peer-window", 2, "jobs in flight per peer")
+	peerWindow := flag.Int("peer-window", 2, "jobs in flight per peer; each runs on the peer as it arrives, whatever the peer's -jobs")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "dead-peer health probe period")
 	stealAfter := flag.Duration("steal-after", 30*time.Second, "duplicate-steal a job in flight this long (<0 disables)")
 	flag.Parse()

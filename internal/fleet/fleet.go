@@ -38,7 +38,9 @@ type Config struct {
 	// coordinator fans jobs out to. Empty means no coordinator: the
 	// sweep API still works, executing every job locally.
 	Peers []string
-	// Window bounds the jobs in flight per peer. 0 means 2.
+	// Window bounds the jobs in flight per peer. A peer starts each
+	// dispatched job on arrival, so this is also how many jobs run on
+	// the peer at once. 0 means 2.
 	Window int
 	// ProbeInterval is the health-probe period for dead peers (and the
 	// steal-scan heartbeat). 0 means 2s.

@@ -123,25 +123,32 @@ func (c *Cache) Contains(key string) bool {
 // (nil, error) and counts as a miss: the caller logs it, re-simulates,
 // and the subsequent Put overwrites the bad file.
 func (c *Cache) Get(key string) (*Entry, error) {
+	e, err := c.read(key)
+	if e == nil {
+		c.count(&c.misses)
+	} else {
+		c.count(&c.hits)
+	}
+	return e, err
+}
+
+// read is Get without the hit/miss accounting: the daemon reads a
+// finished job's stored results back through it.
+func (c *Cache) read(key string) (*Entry, error) {
 	raw, err := os.ReadFile(c.path(key))
 	if errors.Is(err, fs.ErrNotExist) {
-		c.count(&c.misses)
 		return nil, nil
 	}
 	if err != nil {
-		c.count(&c.misses)
 		return nil, fmt.Errorf("serve: reading cache entry %s: %w", short(key), err)
 	}
 	var e Entry
 	if err := json.Unmarshal(raw, &e); err != nil {
-		c.count(&c.misses)
 		return nil, fmt.Errorf("serve: decoding cache entry %s: %w", short(key), err)
 	}
 	if err := e.Verify(key); err != nil {
-		c.count(&c.misses)
 		return nil, err
 	}
-	c.count(&c.hits)
 	return &e, nil
 }
 

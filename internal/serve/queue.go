@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -31,10 +32,14 @@ type job struct {
 	direct bool      // coordinator fan-out: execute in-process, never re-delegate
 	born   time.Time // submission instant; anchors the job's trace
 
-	mu         sync.Mutex
-	state      string
-	errMsg     string
+	mu     sync.Mutex
+	state  string
+	errMsg string
+	// results holds one entry per run once the job is done. A run whose
+	// result the cache holds (stored) keeps only its summary; its
+	// metrics and manifest are read back from the cache on request.
 	results    []RunResult
+	stored     []bool
 	events     []json.RawMessage
 	eventsDone bool
 	spans      []jobSpan
@@ -82,8 +87,10 @@ func (j *job) emit(ev any) {
 // finish records the job's terminal state and closes the event stream:
 // the final event is appended and eventsDone set under one critical
 // section, so a streamer that observes done has necessarily been handed
-// every event.
-func (j *job) finish(results []RunResult, errMsg string) {
+// every event. stored[i] reports that the cache holds results[i]: that
+// run keeps only its summary, so a finished job does not hold a second
+// copy of what is on disk.
+func (j *job) finish(results []RunResult, stored []bool, errMsg string) {
 	st := stateDone
 	if errMsg != "" {
 		st = stateFailed
@@ -92,7 +99,12 @@ func (j *job) finish(results []RunResult, errMsg string) {
 	j.mu.Lock()
 	j.state = st
 	j.errMsg = errMsg
-	j.results = results
+	for i := range results {
+		if stored[i] {
+			results[i].Metrics, results[i].Manifest = sim.Metrics{}, obs.Manifest{}
+		}
+	}
+	j.results, j.stored = results, stored
 	j.events = append(j.events, last)
 	j.eventsDone = true
 	j.signalLocked()
@@ -112,15 +124,10 @@ func (j *job) eventsSince(n int) ([]json.RawMessage, bool, <-chan struct{}) {
 	return j.events[n:], j.eventsDone, j.changed
 }
 
-// response snapshots the job as its GET /v1/runs/{id} body.
-func (j *job) response() JobResponse {
-	jr, _ := j.watch()
-	return jr
-}
-
 // watch snapshots the job together with a channel closed on its next
-// change after the snapshot.
-func (j *job) watch() (JobResponse, <-chan struct{}) {
+// change after the snapshot, and the summary-only results the snapshot
+// holds (see finish).
+func (j *job) watch() (JobResponse, []bool, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return JobResponse{
@@ -129,10 +136,43 @@ func (j *job) watch() (JobResponse, <-chan struct{}) {
 		PlanKey: j.key,
 		Error:   j.errMsg,
 		Results: j.results,
-	}, j.changed
+	}, j.stored, j.changed
+}
+
+// response snapshots the job as its GET /v1/runs/{id} body, reading the
+// metrics and manifest of every stored run back from the cache. The
+// reads are not cache hits or misses. A stored entry that cannot be
+// read back, or no longer carries the run's counters hash, is an error:
+// a result is never answered with its metrics missing.
+func (s *Server) response(j *job) (JobResponse, <-chan struct{}, error) {
+	jr, stored, changed := j.watch()
+	if jr.Results == nil {
+		return jr, changed, nil
+	}
+	jr.Results = slices.Clone(jr.Results)
+	for i := range jr.Results {
+		if !stored[i] {
+			continue
+		}
+		res := &jr.Results[i]
+		e, err := s.cache.read(res.Key)
+		if err == nil && e == nil {
+			err = fmt.Errorf("serve: cache entry %s is gone", short(res.Key))
+		}
+		if err == nil && e.Manifest.CountersHash != res.CountersHash {
+			err = fmt.Errorf("serve: cache entry %s holds counters hash %s, the job reported %s",
+				short(res.Key), e.Manifest.CountersHash, res.CountersHash)
+		}
+		if err != nil {
+			return JobResponse{}, changed, fmt.Errorf("job %s: reading back run %q: %w", j.id, res.Label, err)
+		}
+		res.Metrics, res.Manifest = e.Metrics, e.Manifest
+	}
+	return jr, changed, nil
 }
 
 // Start launches the queue workers. Call once, before serving requests.
+// Dispatched jobs do not need them: each starts at submission.
 func (s *Server) Start() {
 	for w := 0; w < s.cfg.Jobs; w++ {
 		s.wg.Add(1)
@@ -146,7 +186,8 @@ func (s *Server) Start() {
 }
 
 // Drain stops intake (further submissions get 503), closes the queue
-// and blocks until every accepted job has finished. Safe to call once.
+// and blocks until every accepted job, queued or dispatched, has
+// finished. Safe to call once.
 func (s *Server) Drain() {
 	s.mu.Lock()
 	s.draining = true
@@ -172,7 +213,7 @@ func (s *Server) runJob(j *job) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.release(j)
-			j.finish(nil, fmt.Sprintf("%v", r))
+			j.finish(nil, nil, fmt.Sprintf("%v", r))
 			s.tele.countJob(stateFailed)
 			s.logf("job %s panicked: %v", j.id, r)
 		}
@@ -184,9 +225,9 @@ func (s *Server) runJob(j *job) {
 	}()
 	j.setState(stateRunning)
 	j.emit(jobEvent{Type: "job", Job: j.id, State: stateRunning})
-	results, errMsg := s.execute(j)
+	results, stored, errMsg := s.execute(j)
 	s.release(j)
-	j.finish(results, errMsg)
+	j.finish(results, stored, errMsg)
 	if errMsg == "" {
 		s.tele.countJob(stateDone)
 	} else {
@@ -194,10 +235,16 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
-// release removes the job from the dedup set.
+// release removes the job from the dedup set and, for a dispatched
+// job, frees its admission slot; runJob calls it once per job, strictly
+// before the job turns terminal, so a client that saw a job finish can
+// always submit into the slot it freed.
 func (s *Server) release(j *job) {
 	s.mu.Lock()
 	delete(s.active, j.key)
+	if j.direct {
+		s.direct--
+	}
 	s.mu.Unlock()
 }
 
@@ -219,8 +266,10 @@ type DelegatedJob struct {
 // simulating in-process. It is the daemon's one execution path, so
 // every result, cached, delegated or fresh, is counted and streamed
 // here, and every result not read from the cache is filed here.
-func (s *Server) execute(j *job) ([]RunResult, string) {
-	results := make([]RunResult, len(j.runs))
+// stored[i] reports that the cache holds results[i].
+func (s *Server) execute(j *job) (results []RunResult, stored []bool, errMsg string) {
+	results = make([]RunResult, len(j.runs))
+	stored = make([]bool, len(j.runs))
 	var miss []int
 	for i, r := range j.runs {
 		lookup := time.Now()
@@ -240,10 +289,11 @@ func (s *Server) execute(j *job) ([]RunResult, string) {
 			Metrics:      e.Metrics,
 			Manifest:     e.Manifest,
 		}
+		stored[i] = true
 		s.record(j, results[i])
 	}
 	if len(miss) == 0 {
-		return results, ""
+		return results, stored, ""
 	}
 	if s.delegate != nil && !j.direct {
 		runs := make([]runner.ResolvedRun, len(miss))
@@ -254,25 +304,25 @@ func (s *Server) execute(j *job) ([]RunResult, string) {
 		switch {
 		case !handled: // every peer is dead: simulate below
 		case errMsg != "":
-			return nil, errMsg
+			return nil, nil, errMsg
 		case len(res) != len(runs):
-			return nil, fmt.Sprintf("serve: delegate returned %d results for %d runs", len(res), len(runs))
+			return nil, nil, fmt.Sprintf("serve: delegate returned %d results for %d runs", len(res), len(runs))
 		default:
 			for k, i := range miss {
 				if err := checkDelegated(runs[k], res[k]); err != nil {
-					return nil, err.Error()
+					return nil, nil, err.Error()
 				}
-				s.file(res[k])
+				stored[i] = s.file(res[k])
 				s.record(j, res[k])
 				results[i] = res[k]
 			}
-			return results, ""
+			return results, stored, ""
 		}
 	}
-	if errMsg := s.simulate(j, miss, results); errMsg != "" {
-		return nil, errMsg
+	if errMsg := s.simulate(j, miss, results, stored); errMsg != "" {
+		return nil, nil, errMsg
 	}
-	return results, ""
+	return results, stored, ""
 }
 
 // checkDelegated verifies a result the delegate returned for run r
@@ -302,21 +352,25 @@ func (s *Server) record(j *job, res RunResult) {
 		Cached: res.Cached, CountersHash: res.CountersHash})
 }
 
-// file writes one result's entry to the result cache: the one write
-// path, for fresh and delegated results alike. A write failure degrades
-// to a log line; it never fails the job.
-func (s *Server) file(res RunResult) {
+// file writes one result's entry to the result cache, the one write
+// path for fresh and delegated results alike, and reports whether it
+// succeeded. A write failure degrades to a log line; it never fails the
+// job, which then keeps the whole result in memory.
+func (s *Server) file(res RunResult) bool {
 	e := &Entry{Key: res.Key, Manifest: res.Manifest, Metrics: res.Metrics}
 	if err := s.cache.Put(e); err != nil {
 		s.logf("caching %q: %v (result served uncached)", res.Label, err)
+		return false
 	}
+	return true
 }
 
 // simulate runs the job's missed runs (indices into j.runs) in-process
-// through the runner, filling their slots of results, and returns a
-// failure message or "". Fresh results are verified by construction:
-// the counters hash is computed from the metrics being stored.
-func (s *Server) simulate(j *job, miss []int, results []RunResult) string {
+// through the runner, filling their slots of results and stored, and
+// returns a failure message or "". Fresh results are verified by
+// construction: the counters hash is computed from the metrics being
+// stored.
+func (s *Server) simulate(j *job, miss []int, results []RunResult, stored []bool) string {
 	sc := j.sc
 	sc.Remote = nil // the daemon is the remote; execute in-process
 	sc.ObsDir = ""
@@ -411,7 +465,7 @@ func (s *Server) simulate(j *job, miss []int, results []RunResult) string {
 		if err != nil {
 			return err.Error()
 		}
-		s.file(res)
+		stored[i] = s.file(res)
 		s.record(j, res)
 		results[i] = res
 	}

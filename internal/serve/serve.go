@@ -57,10 +57,16 @@ type Config struct {
 	Scale runner.Scale
 	// CacheDir roots the content-addressed result cache.
 	CacheDir string
-	// QueueCap bounds the accepted-but-unstarted jobs; submissions
-	// beyond it are rejected with 429. 0 means 64.
+	// QueueCap bounds the accepted-but-unstarted client jobs, and
+	// separately the dispatched jobs (DispatchHeader) running at once;
+	// submissions beyond either bound are rejected with 429. 0 means 64.
 	QueueCap int
-	// Jobs is the number of queue workers (concurrent jobs). 0 means 1.
+	// Jobs is the number of queue workers: how many client jobs run at
+	// once. 0 means 1. Dispatched jobs do not wait for a worker; each
+	// starts on arrival, because its coordinator's window already paces
+	// them. So a peerless daemon at Jobs 1 runs a sweep's single-run
+	// point jobs one at a time, while a peer runs as many dispatched
+	// jobs at once as its coordinator keeps in flight.
 	Jobs int
 	// JobTimeout bounds one job's simulation time; a job that exceeds it
 	// is failed and its partial results discarded. 0 disables.
@@ -93,6 +99,7 @@ type Server struct {
 	seq       int64
 	draining  bool
 	inflight  int
+	direct    int // dispatched jobs started and not yet finished
 	jobsTotal int64
 	// changed is closed and replaced whenever a worker dequeues a job or
 	// a job turns terminal (see Changed).
@@ -239,10 +246,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // (shared by submit and extend).
 func (s *Server) enqueue(w http.ResponseWriter, sc runner.Scale, runs []runner.ResolvedRun, direct bool) {
 	resp, code := s.submit(sc, runs, direct)
-	switch code {
-	case http.StatusServiceUnavailable:
+	switch {
+	case code == http.StatusServiceUnavailable:
 		s.fail(w, code, "draining; not accepting new jobs")
-	case http.StatusTooManyRequests:
+	case code == http.StatusTooManyRequests && direct:
+		s.fail(w, code, "%d dispatched jobs running; retry later", s.cfg.QueueCap)
+	case code == http.StatusTooManyRequests:
 		s.fail(w, code, "queue full (%d jobs); retry later", s.cfg.QueueCap)
 	default:
 		s.writeJSON(w, code, resp)
@@ -258,12 +267,18 @@ func (s *Server) Submit(sc runner.Scale, runs []runner.ResolvedRun) (SubmitRespo
 	return s.submit(sc, runs, false)
 }
 
-// submit dedups, admits and queues a resolved plan. direct marks
-// coordinator fan-out traffic that must execute in-process rather than
-// be re-delegated. The queue send stays inside the s.mu critical
-// section alongside the draining check: Drain sets draining and closes
-// the queue under the same mutex, so a send can never hit a closed
-// channel.
+// submit dedups, admits and starts or queues a resolved plan. direct
+// marks coordinator fan-out traffic: the coordinator's window already
+// admitted and paced it, so it starts at once on its own goroutine
+// instead of waiting for a queue worker, and it must execute in-process
+// rather than be re-delegated. At most QueueCap direct jobs run at a
+// time; the next one gets 429, which the coordinator retries. The queue
+// send and the goroutine start stay inside the s.mu critical section
+// alongside the draining check: Drain sets draining and closes the
+// queue under the same mutex, so a send can never hit a closed channel
+// and every direct job is on s.wg before Drain waits on it. The job's
+// submit instant and queued event are recorded before either, so no
+// worker's event can precede them.
 func (s *Server) submit(sc runner.Scale, runs []runner.ResolvedRun, direct bool) (SubmitResponse, int) {
 	key := planKey(runs)
 	cached := 0
@@ -285,6 +300,10 @@ func (s *Server) submit(sc runner.Scale, runs []runner.ResolvedRun, direct bool)
 			CachedRuns: cached, TotalRuns: len(runs), PlanKey: key,
 		}, http.StatusOK
 	}
+	if direct && s.direct >= s.cfg.QueueCap || !direct && len(s.queue) == cap(s.queue) {
+		s.mu.Unlock()
+		return SubmitResponse{}, http.StatusTooManyRequests
+	}
 	s.seq++
 	j := &job{
 		id:      fmt.Sprintf("job-%06d", s.seq),
@@ -296,19 +315,22 @@ func (s *Server) submit(sc runner.Scale, runs []runner.ResolvedRun, direct bool)
 		born:    time.Now(),
 		changed: make(chan struct{}),
 	}
-	select {
-	case s.queue <- j:
-	default:
-		s.seq--
-		s.mu.Unlock()
-		return SubmitResponse{}, http.StatusTooManyRequests
-	}
-	s.jobs[j.id] = j
-	s.active[key] = j
-	s.mu.Unlock()
-
 	j.addInstant("submit", j.born)
 	j.emit(jobEvent{Type: "job", Job: j.id, State: stateQueued})
+	s.jobs[j.id] = j
+	s.active[key] = j
+	if direct {
+		s.direct++
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			s.runJob(j)
+		}()
+	} else {
+		s.queue <- j // never blocks: every send holds s.mu and saw room
+	}
+	s.mu.Unlock()
+
 	s.logf("job %s accepted: %d runs, %d cached, plan %s", j.id, len(runs), cached, short(key))
 	return SubmitResponse{
 		ID: j.id, Status: stateQueued,
@@ -326,12 +348,19 @@ func (s *Server) JobStatus(id string) (JobResponse, bool) {
 // JobWatch is JobStatus plus a channel closed on the job's next state
 // change or event after the snapshot, so an in-process caller can wait
 // for a non-terminal job without polling it.
+//
+// A done job's results carry the metrics and manifest read back from
+// the cache, as GET /v1/runs/{id} does; when that read-back fails the
+// snapshot reports the job failed with the read error instead.
 func (s *Server) JobWatch(id string) (JobResponse, <-chan struct{}, bool) {
 	j := s.job(id)
 	if j == nil {
 		return JobResponse{}, nil, false
 	}
-	jr, ch := j.watch()
+	jr, ch, err := s.response(j)
+	if err != nil {
+		jr = JobResponse{ID: j.id, Status: stateFailed, PlanKey: j.key, Error: err.Error()}
+	}
 	return jr, ch, true
 }
 
@@ -400,7 +429,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, j.response())
+	jr, _, err := s.response(j)
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	s.writeJSON(w, http.StatusOK, jr)
 }
 
 // handleEvents streams a job's event buffer as NDJSON: the backlog is

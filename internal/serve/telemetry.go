@@ -174,12 +174,20 @@ type spanArgs struct {
 	Label string `json:"label"`
 }
 
+// instantArgs anchors an instant event on the wall clock, in
+// microseconds since the Unix epoch.
+type instantArgs struct {
+	UnixUS int64 `json:"unix_us"`
+}
+
 // handleTrace answers GET /v1/jobs/{id}/trace (and the /v1/runs alias)
 // with the job's lifecycle spans as Chrome trace-event JSON — the same
 // envelope the flit tracer exports, so a job opens in Perfetto next to
 // its simulations. Timestamps are microseconds since submission;
 // job-level spans ride track (pid 1, tid 1) and each run label gets
-// its own tid in first-seen order.
+// its own tid in first-seen order. The submit instant carries its
+// wall-clock time (args.unix_us), so the traces of several jobs can be
+// laid on one timeline.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
@@ -218,6 +226,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			ev.Ph = "i"
 			ev.S = "t"
 			ev.Dur = 0
+			ev.Args = &instantArgs{UnixUS: sp.start.UnixMicro()}
 		}
 		events = append(events, ev)
 	}
