@@ -124,9 +124,9 @@ func (j *job) eventsSince(n int) ([]json.RawMessage, bool, <-chan struct{}) {
 	return j.events[n:], j.eventsDone, j.changed
 }
 
-// watch snapshots the job together with a channel closed on its next
-// change after the snapshot, and the summary-only results the snapshot
-// holds (see finish).
+// watch snapshots the job together with which of its results are
+// summaries to read back from the cache (see finish) and a channel
+// closed on its next change after the snapshot.
 func (j *job) watch() (JobResponse, []bool, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
