@@ -16,9 +16,9 @@
 // forbids elsewhere: wall-clock reads (request latency metrics and job
 // deadlines — neither of which can reach a cached or reported result;
 // a timed-out job is discarded, never cached) and
-// goroutines outside the runner's pools (the HTTP listener and the
-// queue workers, which sit strictly above the runner and share no
-// simulator state).
+// goroutines outside the runner's pools (the HTTP listener, the queue
+// workers and one goroutine per running dispatched job, all of which
+// sit strictly above the runner and share no simulator state).
 package serve
 
 import (
