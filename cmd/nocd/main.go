@@ -1,10 +1,11 @@
 // Command nocd is the simulation-as-a-service daemon: it accepts run
 // plans over HTTP (POST /v1/runs) and parameter grids (POST
-// /v1/sweeps), executes them on a bounded job queue through the
-// runner, and answers repeat submissions from a content-addressed
-// result cache. With -peers it becomes a fleet coordinator whose peer
-// daemons pull jobs from one queue, with duplicate steals of stalled
-// jobs, retry-on-peer-death and peer-aware caching. See internal/serve for the API and the
+// /v1/sweeps), starts each job as it arrives, runs at most -parallel
+// simulations at once through the runner, and answers repeat
+// submissions from a content-addressed result cache. With -peers it
+// becomes a fleet coordinator that hands its cache misses to peer
+// daemons through one pull queue, with duplicate steals of stalled
+// jobs and retry-on-peer-death. See internal/serve for the API and the
 // determinism argument that makes the cache sound, and internal/fleet
 // for the distribution layer.
 //
@@ -30,15 +31,14 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	cacheDir := flag.String("cache", "nocd-cache", "content-addressed result cache directory")
-	queueCap := flag.Int("queue", 64, "job queue capacity, and the cap on dispatched jobs running at once (submissions beyond either get 429)")
-	jobs := flag.Int("jobs", 1, "queue workers: concurrent client jobs, so at 1 a sweep's points run one at a time (with -peers, 0 or 1 auto-sizes to the fleet); jobs dispatched by a coordinator start on arrival and need no worker")
+	queueCap := flag.Int("queue", 64, "jobs accepted and not yet finished, client and dispatched alike (the next submission gets 429)")
 	jobTimeout := flag.Duration("job-timeout", 10*time.Minute, "per-job simulation budget, 0 disables")
 	sampleInterval := flag.Int64("sample-interval", 1000, "interval-sampler period for streamed run events")
 	snapDir := flag.String("snapdir", "", "checkpoint store directory (enables warm starts and run extension)")
 	snapCap := flag.Int64("snapcap", 0, "checkpoint store byte cap, oldest evicted first (0 = unlimited)")
-	parallel := flag.Int("parallel", 0, "concurrent simulations per job (0 = GOMAXPROCS)")
+	parallel := flag.Int("parallel", 0, "run slots: simulations the daemon runs at once over all its jobs (0 = GOMAXPROCS); cache hits and delegated runs need none")
 	peers := flag.String("peers", "", "comma-separated peer daemon URLs; enables coordinator mode")
-	peerWindow := flag.Int("peer-window", 2, "jobs in flight per peer; each runs on the peer as it arrives, whatever the peer's -jobs")
+	peerWindow := flag.Int("peer-window", 2, "jobs in flight per peer; a peer simulates each as soon as it has a free run slot, so more than the peer's -parallel only wait there")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "dead-peer health probe period")
 	stealAfter := flag.Duration("steal-after", 30*time.Second, "duplicate-steal a job in flight this long (<0 disables)")
 	flag.Parse()
@@ -52,18 +52,11 @@ func main() {
 			peerList = append(peerList, p)
 		}
 	}
-	if len(peerList) > 0 && *jobs <= 1 {
-		// A coordinator's workers mostly block on remote jobs; size the
-		// queue worker pool to keep every peer window full plus slack
-		// for cache-hit and local-fallback jobs.
-		*jobs = len(peerList)**peerWindow + 2
-	}
 
 	srv, err := serve.New(serve.Config{
 		Scale:          sc,
 		CacheDir:       *cacheDir,
 		QueueCap:       *queueCap,
-		Jobs:           *jobs,
 		JobTimeout:     *jobTimeout,
 		SampleInterval: *sampleInterval,
 		SnapDir:        *snapDir,

@@ -39,8 +39,9 @@ type Config struct {
 	// sweep API still works, executing every job locally.
 	Peers []string
 	// Window bounds the jobs in flight per peer. A peer starts each
-	// dispatched job on arrival, so this is also how many jobs run on
-	// the peer at once. 0 means 2.
+	// dispatched job on arrival and simulates it once it has a free run
+	// slot, so at most this many of the coordinator's jobs run on the
+	// peer at once, fewer when the peer has fewer slots. 0 means 2.
 	Window int
 	// ProbeInterval is the health-probe period for dead peers (and the
 	// steal-scan heartbeat). 0 means 2s.

@@ -28,14 +28,13 @@ import (
 func testScale() runner.Scale { return runner.DefaultScale() }
 
 // testServeConfig is the base daemon configuration: fresh temp cache,
-// enough workers to keep a small sweep moving.
+// room for a small sweep's jobs.
 func testServeConfig(t *testing.T) serve.Config {
 	t.Helper()
 	return serve.Config{
 		Scale:          testScale(),
 		CacheDir:       t.TempDir(),
 		QueueCap:       32,
-		Jobs:           4,
 		SampleInterval: 500,
 	}
 }

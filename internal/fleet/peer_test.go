@@ -65,15 +65,49 @@ func slowGrid() SweepSpec {
 	}
 }
 
+// TestPeerlessSweepRunsPointsAtOnce pins the run slots on a daemon
+// without peers, configured as nocd's defaults once were (one queue
+// worker) but with two run slots: a sweep's two point jobs simulate at
+// the same time, with the counters hashes of local -parallel 1
+// execution.
+func TestPeerlessSweepRunsPointsAtOnce(t *testing.T) {
+	cfg := testServeConfig(t)
+	cfg.Jobs = 1
+	cfg.Scale.Parallel = 2
+	_, _, ts := startDaemon(t, cfg, Config{})
+
+	spec := slowGrid()
+	want := referenceHashes(t, spec)
+	res, err := NewClient(ts.URL).Sweep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Done != 2 || res.Failed != 0 {
+		t.Fatalf("sweep done %d, failed %d; want 2/0", res.Done, res.Failed)
+	}
+	for _, pt := range res.Points {
+		if pt.CountersHash != want[pt.Label] {
+			t.Errorf("point %q hash %s, want %s (local -parallel 1)", pt.Label, pt.CountersHash, want[pt.Label])
+		}
+	}
+	a := peerRunSpan(t, ts.URL, res.Points[0].Job)
+	b := peerRunSpan(t, ts.URL, res.Points[1].Job)
+	if !a.start.Before(b.end) || !b.start.Before(a.end) {
+		t.Fatalf("peerless daemon ran its sweep's two points one after the other: run spans [%v, %v] and [%v, %v]",
+			a.start.Format(time.StampMicro), a.end.Format(time.StampMicro),
+			b.start.Format(time.StampMicro), b.end.Format(time.StampMicro))
+	}
+}
+
 // TestPeerRunsDispatchedJobsAtOnce pins dispatched execution on a peer
-// at one queue worker: the two jobs its coordinator keeps in flight
+// with two run slots: the two jobs its coordinator keeps in flight
 // run at the same time, not one after the other, with the counters
 // hashes of local -parallel 1 execution. Draining the peer while a
 // dispatched job runs waits for that job, and dispatches after it get
 // 503.
 func TestPeerRunsDispatchedJobsAtOnce(t *testing.T) {
 	cfg := testServeConfig(t)
-	cfg.Jobs = 1
+	cfg.Scale.Parallel = 2
 	peer, err := serve.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -162,13 +162,13 @@ func (sw *sweeps) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // run drives every point to a terminal state: points are submitted as
-// fast as the daemon's admission allows (a 429 retries once a worker
-// dequeues a job, 503 fails the remainder — the daemon is draining)
+// fast as the daemon's admission allows (a 429 retries once a job
+// finishes, 503 fails the remainder — the daemon is draining)
 // and followed to completion, emitting each point's event as it
 // settles. Identical points resolve to the same plan key and dedup
 // onto one job. A pass over the points that makes no progress blocks
 // on the daemon's change signal, taken before the pass, so it wakes on
-// the first dequeue or job completion after anything it read.
+// the first job completion after anything it read.
 func (sw *sweeps) run(rec *sweepRec, sc runner.Scale, runs []runner.ResolvedRun, emit func(any)) {
 	n := len(runs)
 	jobs := make([]string, n)  // job id per point; "" = unsubmitted
@@ -196,7 +196,7 @@ func (sw *sweeps) run(rec *sweepRec, sc runner.Scale, runs []runner.ResolvedRun,
 					jobs[i] = resp.ID
 					progressed = true
 				case http.StatusTooManyRequests:
-					continue // backpressure; retry after the next dequeue
+					continue // backpressure; retry after the next completion
 				case http.StatusServiceUnavailable:
 					draining = true
 					sw.settle(rec, i, PointEvent{

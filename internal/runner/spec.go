@@ -241,7 +241,7 @@ func (r RunSpec) Resolve(sc Scale) (sim.Config, int64, error) {
 
 // validateRawConfig rejects the raw-config shapes that would panic the
 // simulator's constructor, so a malformed submission becomes a 400
-// instead of a dead queue worker, and the enum values the constructor
+// instead of a failed daemon job, and the enum values the constructor
 // does not know, which its default arms would otherwise run as the
 // open baseline, BLESS, a mesh or the XOR mapping under a cache key of
 // their own.

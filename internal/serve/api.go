@@ -74,9 +74,14 @@ type ErrorResponse struct {
 
 // HealthResponse answers GET /healthz.
 type HealthResponse struct {
-	Status     string `json:"status"`
-	QueueDepth int    `json:"queue_depth"`
-	InFlight   int    `json:"in_flight"`
+	Status string `json:"status"`
+	// QueueDepth counts the unfinished jobs still queued: waiting for
+	// run slots, or not yet past their cache lookups.
+	QueueDepth int `json:"queue_depth"`
+	// InFlight counts the unfinished jobs running: simulating on their
+	// run slots, delegated, or answered from cache. QueueDepth plus
+	// InFlight is what QueueCap bounds.
+	InFlight int `json:"in_flight"`
 	// Jobs counts jobs completed (done or failed) since startup.
 	Jobs int64 `json:"jobs"`
 }

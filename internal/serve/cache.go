@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"time"
 
 	"nocsim/internal/obs"
 	"nocsim/internal/runner"
@@ -66,7 +67,8 @@ type CacheStats struct {
 // are crash-safe: marshal to a temp file in the shard directory, then
 // rename into place, so a reader can never observe a torn entry.
 type Cache struct {
-	dir string
+	dir     string
+	orphans int // staging files OpenCache removed
 
 	mu      sync.Mutex
 	entries int64
@@ -76,23 +78,38 @@ type Cache struct {
 	writes  int64
 }
 
-// OpenCache opens (creating if needed) the cache rooted at dir and
-// counts what it already holds.
+// orphanAge is how old a staging file must be before OpenCache removes
+// it: a writer killed between CreateTemp and Rename leaves one behind,
+// while a live writer's file is at most seconds old.
+const orphanAge = time.Minute
+
+// OpenCache opens (creating if needed) the cache rooted at dir, counts
+// what it already holds and removes orphaned staging files (put-*.tmp
+// older than orphanAge).
 func OpenCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: creating cache dir %s: %w", dir, err)
 	}
 	c := &Cache{dir: dir}
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".json") {
+		if err != nil || d.IsDir() {
 			return err
+		}
+		staged := strings.HasPrefix(d.Name(), "put-") && strings.HasSuffix(d.Name(), ".tmp")
+		if !staged && !strings.HasSuffix(d.Name(), ".json") {
+			return nil
 		}
 		info, err := d.Info()
 		if err != nil {
 			return err
 		}
-		c.entries++
-		c.bytes += info.Size()
+		switch {
+		case !staged:
+			c.entries++
+			c.bytes += info.Size()
+		case time.Since(info.ModTime()) > orphanAge && os.Remove(path) == nil:
+			c.orphans++
+		}
 		return nil
 	})
 	if err != nil {
@@ -100,6 +117,9 @@ func OpenCache(dir string) (*Cache, error) {
 	}
 	return c, nil
 }
+
+// Orphans reports how many staging files opening the cache removed.
+func (c *Cache) Orphans() int { return c.orphans }
 
 // path maps a key to its sharded on-disk location.
 func (c *Cache) path(key string) string {
@@ -180,18 +200,22 @@ func (c *Cache) Put(e *Entry) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("serve: staging cache entry %s: %w", short(e.Key), err)
 	}
-	_, statErr := os.Stat(path)
+	// The stat and the rename share one critical section, so concurrent
+	// Puts of one key each replace exactly the file they counted.
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	old, statErr := os.Stat(path)
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("serve: committing cache entry %s: %w", short(e.Key), err)
 	}
-	c.mu.Lock()
 	if statErr != nil { // key was new
 		c.entries++
+	} else {
+		c.bytes -= old.Size()
 	}
 	c.bytes += int64(len(b))
 	c.writes++
-	c.mu.Unlock()
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"nocsim/internal/noc"
 	"nocsim/internal/obs"
@@ -209,4 +210,87 @@ func FuzzCacheEntry(f *testing.F) {
 			t.Fatalf("Get returned an entry that fails verification: %v", err)
 		}
 	})
+}
+
+// TestCacheOverwriteBytes pins the byte count across an overwrite: the
+// replaced file's size leaves the count as the new one's enters, so it
+// equals what a fresh open counts on disk.
+func TestCacheOverwriteBytes(t *testing.T) {
+	dir := t.TempDir()
+	c, err := serve.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := strings.Repeat("34", 32)
+	for range 2 {
+		if err := c.Put(fakeEntry(key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh, err := serve.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.Stats().Bytes, fresh.Stats().Bytes; got != want {
+		t.Fatalf("bytes after a repeat Put = %d, a fresh open counts %d", got, want)
+	}
+}
+
+// TestOrphanSweep plants a staging file that a killed writer would
+// leave in the result cache and in the checkpoint store: reopening
+// removes both, keeps a live writer's fresh one, and leaves both stores
+// working.
+func TestOrphanSweep(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.SnapDir = t.TempDir()
+	old := time.Now().Add(-2 * time.Minute)
+	plant := func(dir, name string, mtime time.Time) string {
+		t.Helper()
+		path := filepath.Join(dir, "ab", name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(path, mtime, mtime); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	orphans := []string{
+		plant(cfg.CacheDir, "put-1.tmp", old),
+		plant(cfg.SnapDir, ".snap-1", old),
+	}
+	live := plant(cfg.CacheDir, "put-2.tmp", time.Now())
+
+	s, err := serve.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range orphans {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("orphan %s survived the reopen (stat: %v)", path, err)
+		}
+	}
+	if _, err := os.Stat(live); err != nil {
+		t.Errorf("a live writer's staging file was removed: %v", err)
+	}
+	if got := s.Cache().Orphans() + s.Snapshots().Orphans(); got != 2 {
+		t.Errorf("reopen counted %d orphans, want 2", got)
+	}
+
+	key := strings.Repeat("ab", 32)
+	if err := s.Cache().Put(fakeEntry(key)); err != nil {
+		t.Fatal(err)
+	}
+	if e, err := s.Cache().Get(key); err != nil || e == nil {
+		t.Fatalf("cache Get after the sweep = (%v, %v)", e, err)
+	}
+	if err := s.Snapshots().Put(key, 100, key, []byte("blob")); err != nil {
+		t.Fatal(err)
+	}
+	if blob, ok := s.Snapshots().Get(key, 100, key); !ok || string(blob) != "blob" {
+		t.Fatalf("store Get after the sweep = (%q, %v)", blob, ok)
+	}
 }

@@ -25,8 +25,18 @@ func slowPlan(seed int) string {
 // to the handler, returning the status code and the decoded answer.
 func dispatch(t *testing.T, s *serve.Server, plan string) (int, serve.SubmitResponse) {
 	t.Helper()
+	return post(t, s, plan, true)
+}
+
+// post submits a plan straight to the handler, as coordinator fan-out
+// traffic when dispatched is set, and returns the status code and the
+// decoded answer.
+func post(t *testing.T, s *serve.Server, plan string, dispatched bool) (int, serve.SubmitResponse) {
+	t.Helper()
 	req := httptest.NewRequest(http.MethodPost, "/v1/runs", strings.NewReader(plan))
-	req.Header.Set(serve.DispatchHeader, "1")
+	if dispatched {
+		req.Header.Set(serve.DispatchHeader, "1")
+	}
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)
 	var sub serve.SubmitResponse
@@ -53,16 +63,17 @@ func awaitDone(t *testing.T, s *serve.Server, id string) serve.JobResponse {
 	}
 }
 
-// TestDispatchedAdmission pins the bound on dispatched jobs: they start
-// on arrival without queue workers, at most QueueCap run at once, the
-// next gets 429, and a finished one frees its slot.
+// TestDispatchedAdmission pins the bound on dispatched jobs: at most
+// QueueCap are accepted and unfinished, the next gets 429, and a
+// finished one frees its room.
 func TestDispatchedAdmission(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.QueueCap = 2
-	s, err := serve.New(cfg) // no queue workers: dispatched jobs need none
+	s, err := serve.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Start()
 	t.Cleanup(s.Drain)
 
 	var ids []string
@@ -81,6 +92,80 @@ func TestDispatchedAdmission(t *testing.T) {
 	}
 	if code, _ := dispatch(t, s, slowPlan(3)); code != http.StatusAccepted {
 		t.Fatalf("dispatch after a job finished: HTTP %d, want 202", code)
+	}
+}
+
+// runSpan reads a job's trace and returns its "run" span on the wall
+// clock, in microseconds since the Unix epoch, through the submit
+// instant's unix_us anchor.
+func runSpan(t *testing.T, s *serve.Server, id string) (start, end int64) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/trace", nil))
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ts   int64  `json:"ts"`
+			Dur  int64  `json:"dur"`
+			Args struct {
+				UnixUS int64 `json:"unix_us"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatalf("trace of %s: %v", id, err)
+	}
+	var born int64
+	for _, ev := range doc.TraceEvents {
+		switch ev.Name {
+		case "submit":
+			born = ev.Args.UnixUS
+		case "run":
+			start, end = ev.Ts, ev.Ts+ev.Dur
+		}
+	}
+	if born == 0 || end == 0 {
+		t.Fatalf("trace of %s lacks a submit anchor or a run span", id)
+	}
+	return born + start, born + end
+}
+
+// TestRunSlotsBoundSimulation pins the one bound on in-process
+// simulation: at one run slot, two dispatched jobs and a client job,
+// all accepted at once, simulate one at a time.
+func TestRunSlotsBoundSimulation(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Scale.Parallel = 1
+	cfg.QueueCap = 4
+	s, err := serve.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	t.Cleanup(s.Drain)
+
+	var ids []string
+	for seed, dispatched := range []bool{true, true, false} {
+		code, sub := post(t, s, slowPlan(seed+1), dispatched)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d (dispatched %v): HTTP %d, want 202", seed+1, dispatched, code)
+		}
+		ids = append(ids, sub.ID)
+	}
+	spans := make([][2]int64, len(ids))
+	for i, id := range ids {
+		if jr := awaitDone(t, s, id); jr.Status != "done" {
+			t.Fatalf("job %s %s: %s", id, jr.Status, jr.Error)
+		}
+		spans[i][0], spans[i][1] = runSpan(t, s, id)
+	}
+	for a := range spans {
+		for b := a + 1; b < len(spans); b++ {
+			if spans[a][0] < spans[b][1] && spans[b][0] < spans[a][1] {
+				t.Errorf("jobs %s and %s simulated at once on one run slot: run spans %v and %v (unix us)",
+					ids[a], ids[b], spans[a], spans[b])
+			}
+		}
 	}
 }
 

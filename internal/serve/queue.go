@@ -20,10 +20,10 @@ const (
 	stateFailed  = "failed"
 )
 
-// job is one accepted plan moving through the queue. The immutable
-// fields are set at submission; everything mutable is guarded by mu.
-// Lock ordering: the server's mu is never acquired while holding a
-// job's mu (workers touch s.mu first, then j.mu, or each alone).
+// job is one accepted plan until it finishes. The immutable fields are
+// set at submission; everything mutable is guarded by mu. Lock
+// ordering: the server's mu is never acquired while holding a job's mu
+// (jobs touch s.mu first, then j.mu, or each alone).
 type job struct {
 	id     string
 	key    string
@@ -72,7 +72,7 @@ func (j *job) setState(st string) {
 // emit appends one event to the job's stream buffer. Marshal failures
 // are impossible for the event shapes used (plain structs of strings,
 // bools and floats), so they are swallowed rather than crashing a
-// worker.
+// job.
 func (j *job) emit(ev any) {
 	b, err := json.Marshal(ev)
 	if err != nil {
@@ -84,13 +84,13 @@ func (j *job) emit(ev any) {
 	j.mu.Unlock()
 }
 
-// finish records the job's terminal state and closes the event stream:
-// the final event is appended and eventsDone set under one critical
-// section, so a streamer that observes done has necessarily been handed
-// every event. stored[i] reports that the cache holds results[i]: that
-// run keeps only its summary, so a finished job does not hold a second
-// copy of what is on disk.
-func (j *job) finish(results []RunResult, stored []bool, errMsg string) {
+// finish records the job's terminal state, which it returns, and closes
+// the event stream: the final event is appended and eventsDone set
+// under one critical section, so a streamer that observes done has
+// necessarily been handed every event. stored[i] reports that the cache
+// holds results[i]: that run keeps only its summary, so a finished job
+// does not hold a second copy of what is on disk.
+func (j *job) finish(results []RunResult, stored []bool, errMsg string) string {
 	st := stateDone
 	if errMsg != "" {
 		st = stateFailed
@@ -109,6 +109,7 @@ func (j *job) finish(results []RunResult, stored []bool, errMsg string) {
 	j.eventsDone = true
 	j.signalLocked()
 	j.mu.Unlock()
+	return st
 }
 
 // eventsSince returns the buffered events from index n on, whether the
@@ -171,80 +172,63 @@ func (s *Server) response(j *job) (JobResponse, <-chan struct{}, error) {
 	return jr, changed, nil
 }
 
-// Start launches the queue workers. Call once, before serving requests.
-// Dispatched jobs do not need them: each starts at submission.
+// Start opens the run slots: jobs accepted before it wait, and none
+// simulates until it is called. Later calls do nothing.
 func (s *Server) Start() {
-	for w := 0; w < s.cfg.Jobs; w++ {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			for j := range s.queue {
-				s.runJob(j)
-			}
-		}()
-	}
+	s.start.Do(func() {
+		for range cap(s.slots) {
+			s.slots <- struct{}{}
+		}
+	})
 }
 
-// Drain stops intake (further submissions get 503), closes the queue
-// and blocks until every accepted job, queued or dispatched, has
-// finished. Safe to call once.
+// Drain stops intake (further submissions get 503) and blocks until
+// every accepted job has finished. On a daemon that was never started
+// it opens the run slots first, so its jobs can finish.
 func (s *Server) Drain() {
 	s.mu.Lock()
 	s.draining = true
-	close(s.queue)
 	s.mu.Unlock()
+	s.Start()
 	s.wg.Wait()
 }
 
-// runJob executes one job on a worker goroutine, translating a panic
-// out of the execution stack (the runner panics on infrastructure
-// failures) into a failed job instead of a dead worker. The job leaves
-// the dedup set strictly before it turns observable as done/failed, so
-// a client that saw a terminal state and resubmits always gets a fresh
-// job (which then hits the cache) rather than a stale dedup answer.
-func (s *Server) runJob(j *job) {
+// takeSlots blocks until the job holds one run slot, then takes up to
+// want-1 more that are free without waiting, and returns how many it
+// holds. No job waits while it holds a slot, so two jobs can never wait
+// on each other. The job's queue wait ends here.
+func (s *Server) takeSlots(j *job, want int) int {
+	<-s.slots
+	held := 1
+more:
+	for held < want {
+		select {
+		case <-s.slots:
+			held++
+		default:
+			break more
+		}
+	}
 	wait := time.Since(j.born)
 	s.tele.observe(s.tele.queueWait, wait)
 	j.addSpan("queue", "", j.born, wait)
-	s.mu.Lock()
-	s.inflight++
-	s.signalLocked() // a queue slot freed up
-	s.mu.Unlock()
-	defer func() {
-		if r := recover(); r != nil {
-			s.release(j)
-			j.finish(nil, nil, fmt.Sprintf("%v", r))
-			s.tele.countJob(stateFailed)
-			s.logf("job %s panicked: %v", j.id, r)
-		}
-		s.mu.Lock()
-		s.inflight--
-		s.jobsTotal++
-		s.signalLocked() // the job is terminal
-		s.mu.Unlock()
-	}()
-	j.setState(stateRunning)
-	j.emit(jobEvent{Type: "job", Job: j.id, State: stateRunning})
-	results, stored, errMsg := s.execute(j)
-	s.release(j)
-	j.finish(results, stored, errMsg)
-	if errMsg == "" {
-		s.tele.countJob(stateDone)
-	} else {
-		s.tele.countJob(stateFailed)
-	}
+	return held
 }
 
-// release removes the job from the dedup set and, for a dispatched
-// job, frees its admission slot; runJob calls it once per job, strictly
-// before the job turns terminal, so a client that saw a job finish can
-// always submit into the slot it freed.
-func (s *Server) release(j *job) {
+// runJob executes one job on its own goroutine. The job leaves the
+// dedup set, freeing its QueueCap admission, strictly before it turns
+// observable as done/failed, so a client that saw a terminal state and
+// resubmits always gets a fresh job (which then hits the cache) rather
+// than a stale dedup answer.
+func (s *Server) runJob(j *job) {
+	results, stored, errMsg := s.execute(j)
 	s.mu.Lock()
 	delete(s.active, j.key)
-	if j.direct {
-		s.direct--
-	}
+	s.mu.Unlock()
+	s.tele.countJob(j.finish(results, stored, errMsg))
+	s.mu.Lock()
+	s.jobsTotal++
+	s.signalLocked() // the job is terminal
 	s.mu.Unlock()
 }
 
@@ -263,11 +247,18 @@ type DelegatedJob struct {
 
 // execute answers every run of the job: from the result cache, else
 // from the delegate (unless the job is itself dispatched work), else by
-// simulating in-process. It is the daemon's one execution path, so
-// every result, cached, delegated or fresh, is counted and streamed
-// here, and every result not read from the cache is filed here.
-// stored[i] reports that the cache holds results[i].
+// simulating in-process on the run slots it holds. It is the daemon's
+// one execution path, so every result, cached, delegated or fresh, is
+// counted and streamed here, and every result not read from the cache
+// is filed here. stored[i] reports that the cache holds results[i]. A
+// panic out of the runner (infrastructure failures) fails the job.
 func (s *Server) execute(j *job) (results []RunResult, stored []bool, errMsg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			results, stored, errMsg = nil, nil, fmt.Sprintf("%v", r)
+			s.logf("job %s panicked: %v", j.id, r)
+		}
+	}()
 	results = make([]RunResult, len(j.runs))
 	stored = make([]bool, len(j.runs))
 	var miss []int
@@ -290,12 +281,30 @@ func (s *Server) execute(j *job) (results []RunResult, stored []bool, errMsg str
 			Manifest:     e.Manifest,
 		}
 		stored[i] = true
-		s.record(j, results[i])
+	}
+	delegated := len(miss) > 0 && s.delegate != nil && !j.direct
+	held := 0
+	defer func() {
+		for range held {
+			s.slots <- struct{}{}
+		}
+	}()
+	if len(miss) > 0 && !delegated {
+		held = s.takeSlots(j, len(miss))
+	}
+	// The job runs once it holds its run slots or needs none; the runs
+	// the cache answered (so far exactly the stored ones) stream next.
+	j.setState(stateRunning)
+	j.emit(jobEvent{Type: "job", Job: j.id, State: stateRunning})
+	for i, ok := range stored {
+		if ok {
+			s.record(j, results[i])
+		}
 	}
 	if len(miss) == 0 {
 		return results, stored, ""
 	}
-	if s.delegate != nil && !j.direct {
+	if delegated {
 		runs := make([]runner.ResolvedRun, len(miss))
 		for k, i := range miss {
 			runs[k] = j.runs[i]
@@ -303,6 +312,7 @@ func (s *Server) execute(j *job) (results []RunResult, stored []bool, errMsg str
 		res, errMsg, handled := s.delegate(DelegatedJob{ID: j.id, Scale: j.sc, Runs: runs, Span: j.addSpan})
 		switch {
 		case !handled: // every peer is dead: simulate below
+			held = s.takeSlots(j, len(miss))
 		case errMsg != "":
 			return nil, nil, errMsg
 		case len(res) != len(runs):
@@ -319,7 +329,7 @@ func (s *Server) execute(j *job) (results []RunResult, stored []bool, errMsg str
 			return results, stored, ""
 		}
 	}
-	if errMsg := s.simulate(j, miss, results, stored); errMsg != "" {
+	if errMsg := s.simulate(j, miss, results, stored, held); errMsg != "" {
 		return nil, nil, errMsg
 	}
 	return results, stored, ""
@@ -366,12 +376,13 @@ func (s *Server) file(res RunResult) bool {
 }
 
 // simulate runs the job's missed runs (indices into j.runs) in-process
-// through the runner, filling their slots of results and stored, and
-// returns a failure message or "". Fresh results are verified by
-// construction: the counters hash is computed from the metrics being
-// stored.
-func (s *Server) simulate(j *job, miss []int, results []RunResult, stored []bool) string {
+// through the runner, at most one per run slot the job holds, filling
+// their entries of results and stored, and returns a failure message or
+// "". Fresh results are verified by construction: the counters hash is
+// computed from the metrics being stored.
+func (s *Server) simulate(j *job, miss []int, results []RunResult, stored []bool, slots int) string {
 	sc := j.sc
+	sc.Parallel = slots
 	sc.Remote = nil // the daemon is the remote; execute in-process
 	sc.ObsDir = ""
 	sc.Obs = obs.Options{SampleInterval: s.cfg.SampleInterval, Epochs: true}

@@ -1,7 +1,8 @@
 // Package serve is the simulation-as-a-service layer: a long-running
-// daemon (cmd/nocd) that accepts run plans over HTTP, executes them on
-// a bounded job queue layered over the runner, and answers repeat
-// submissions from a content-addressed on-disk result cache.
+// daemon (cmd/nocd) that accepts run plans over HTTP, starts each as it
+// arrives, bounds the simulations it runs at once by one pool of run
+// slots layered over the runner, and answers repeat submissions from a
+// content-addressed on-disk result cache.
 //
 // The cache is sound because of — and only because of — the simulator's
 // determinism contract: a run's results are a pure function of its
@@ -16,9 +17,9 @@
 // forbids elsewhere: wall-clock reads (request latency metrics and job
 // deadlines — neither of which can reach a cached or reported result;
 // a timed-out job is discarded, never cached) and
-// goroutines outside the runner's pools (the HTTP listener, the queue
-// workers and one goroutine per running dispatched job, all of which
-// sit strictly above the runner and share no simulator state).
+// goroutines outside the runner's pools (the HTTP listener and one
+// goroutine per accepted job, all of which sit strictly above the
+// runner and share no simulator state).
 package serve
 
 import (
@@ -53,20 +54,18 @@ const MaxBodyBytes = 1 << 20
 type Config struct {
 	// Scale is the base execution scale; submitted plans may override
 	// cycles, epoch and seed (runner.ScaleSpec) but never the execution
-	// resources.
+	// resources. Parallel sets the run slots (0 = GOMAXPROCS).
 	Scale runner.Scale
 	// CacheDir roots the content-addressed result cache.
 	CacheDir string
-	// QueueCap bounds the accepted-but-unstarted client jobs, and
-	// separately the dispatched jobs (DispatchHeader) running at once;
-	// submissions beyond either bound are rejected with 429. 0 means 64.
+	// QueueCap bounds the jobs accepted and not yet finished, client
+	// and dispatched (DispatchHeader) alike; the next submission is
+	// rejected with 429. 0 means 64. The run slots bound how many of
+	// them simulate at once.
 	QueueCap int
-	// Jobs is the number of queue workers: how many client jobs run at
-	// once. 0 means 1. Dispatched jobs do not wait for a worker; each
-	// starts on arrival, because its coordinator's window already paces
-	// them. So a peerless daemon at Jobs 1 runs a sweep's single-run
-	// point jobs one at a time, while a peer runs as many dispatched
-	// jobs at once as its coordinator keeps in flight.
+	// Jobs is ignored: every accepted job starts on arrival, and the
+	// run slots (Scale.Parallel) are the only bound on simulation. The
+	// field stays so existing callers still compile.
 	Jobs int
 	// JobTimeout bounds one job's simulation time; a job that exceeds it
 	// is failed and its partial results discarded. 0 disables.
@@ -85,7 +84,7 @@ type Config struct {
 	Log io.Writer
 }
 
-// Server is the daemon: cache, queue, and HTTP surface.
+// Server is the daemon: cache, jobs, run slots and HTTP surface.
 type Server struct {
 	cfg   Config
 	cache *Cache
@@ -95,25 +94,24 @@ type Server struct {
 
 	mu        sync.Mutex
 	jobs      map[string]*job // by id, append-only
-	active    map[string]*job // by plan key, queued or running only
+	active    map[string]*job // by plan key, accepted and not yet finished
 	seq       int64
 	draining  bool
-	inflight  int
-	direct    int // dispatched jobs started and not yet finished
 	jobsTotal int64
-	// changed is closed and replaced whenever a worker dequeues a job or
-	// a job turns terminal (see Changed).
-	changed chan struct{}
+	changed   chan struct{} // closed and replaced as each job finishes (see Changed)
 
-	queue chan *job
-	wg    sync.WaitGroup
+	// slots holds one token per simulation the daemon may run at once
+	// (takeSlots); it stays empty until Start fills it.
+	slots chan struct{}
+	start sync.Once
+	wg    sync.WaitGroup // one per accepted job
 
 	em        sync.Mutex
 	endpoints map[string]*endpointStats
 
-	// Fleet extension points, installed (before Start) by the fleet
-	// layer; both nil on a standalone daemon. delegate may execute a
-	// job's cache misses elsewhere; extraMetrics appends a subsystem
+	// Fleet extension points, installed by the fleet layer before any
+	// submission; both nil on a standalone daemon. delegate may execute
+	// a job's cache misses elsewhere; extraMetrics appends a subsystem
 	// section to /metrics.
 	delegate     func(DelegatedJob) (results []RunResult, errMsg string, handled bool)
 	extraMetrics func(io.Writer)
@@ -125,14 +123,16 @@ type endpointStats struct {
 	seconds float64
 }
 
-// New builds a Server over the given cache directory. Call Start (or
-// ListenAndServe, which does) before submitting work.
+// New builds a Server over the given cache directory. It accepts jobs
+// at once, but none simulates until Start (or ListenAndServe, which
+// calls it) opens the run slots.
 func New(cfg Config) (*Server, error) {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
 	}
-	if cfg.Jobs <= 0 {
-		cfg.Jobs = 1
+	slots := cfg.Scale.Parallel
+	if slots <= 0 {
+		slots = runtime.GOMAXPROCS(0)
 	}
 	if cfg.SampleInterval <= 0 {
 		cfg.SampleInterval = 1000
@@ -141,12 +141,14 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	orphans := cache.Orphans()
 	var snaps *snap.Store
 	if cfg.SnapDir != "" {
 		snaps, err = snap.NewStore(cfg.SnapDir, cfg.SnapCap)
 		if err != nil {
 			return nil, err
 		}
+		orphans += snaps.Orphans()
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -155,7 +157,7 @@ func New(cfg Config) (*Server, error) {
 		tele:      newTelemetry(),
 		jobs:      make(map[string]*job),
 		active:    make(map[string]*job),
-		queue:     make(chan *job, cfg.QueueCap),
+		slots:     make(chan struct{}, slots),
 		endpoints: make(map[string]*endpointStats),
 		changed:   make(chan struct{}),
 	}
@@ -169,6 +171,7 @@ func New(cfg Config) (*Server, error) {
 	s.route("GET /v1/cache/stats", s.handleCacheStats)
 	s.route("GET /healthz", s.handleHealth)
 	s.route("GET /metrics", s.handleMetrics)
+	s.logf("removed %d orphaned staging files", orphans)
 	return s, nil
 }
 
@@ -195,8 +198,8 @@ func (s *Server) Route(pattern string, h http.HandlerFunc) { s.route(pattern, h)
 // offered the cache misses of every non-dispatched job; returning
 // handled=false falls back to in-process execution. The daemon
 // verifies, files, counts and streams every result the delegate
-// returns, as it does its own. Install before Start: workers read the
-// field unguarded.
+// returns, as it does its own. Install before the first submission:
+// jobs read the field unguarded.
 func (s *Server) SetDelegate(d func(DelegatedJob) ([]RunResult, string, bool)) { s.delegate = d }
 
 // SetExtraMetrics installs a subsystem section renderer appended to
@@ -223,8 +226,8 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 }
 
 // handleSubmit accepts a PlanSpec, resolves and validates it atomically
-// against the daemon's base scale, dedups it against queued/running
-// work, and enqueues it — or answers 429 when the queue is full, 503
+// against the daemon's base scale, dedups it against unfinished work,
+// and starts it — or answers 429 when QueueCap jobs are unfinished, 503
 // when draining.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
@@ -239,46 +242,40 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.enqueue(w, sc, runs, r.Header.Get(DispatchHeader) != "")
+	s.admit(w, sc, runs, r.Header.Get(DispatchHeader) != "")
 }
 
-// enqueue admits a resolved plan via submit and writes the HTTP answer
+// admit passes a resolved plan to submit and writes the HTTP answer
 // (shared by submit and extend).
-func (s *Server) enqueue(w http.ResponseWriter, sc runner.Scale, runs []runner.ResolvedRun, direct bool) {
+func (s *Server) admit(w http.ResponseWriter, sc runner.Scale, runs []runner.ResolvedRun, direct bool) {
 	resp, code := s.submit(sc, runs, direct)
 	switch {
 	case code == http.StatusServiceUnavailable:
 		s.fail(w, code, "draining; not accepting new jobs")
-	case code == http.StatusTooManyRequests && direct:
-		s.fail(w, code, "%d dispatched jobs running; retry later", s.cfg.QueueCap)
 	case code == http.StatusTooManyRequests:
-		s.fail(w, code, "queue full (%d jobs); retry later", s.cfg.QueueCap)
+		s.fail(w, code, "queue full (%d unfinished jobs); retry later", s.cfg.QueueCap)
 	default:
 		s.writeJSON(w, code, resp)
 	}
 }
 
-// Submit enqueues a resolved plan from in-process callers (the fleet
+// Submit starts a resolved plan from in-process callers (the fleet
 // sweep layer), with the same dedup and admission control as the HTTP
 // path. The returned status code is 202 (accepted), 200 (deduped onto
-// an active job), 429 (queue full) or 503 (draining); the response is
-// meaningful for the first two.
+// an unfinished job), 429 (queue full) or 503 (draining); the response
+// is meaningful for the first two.
 func (s *Server) Submit(sc runner.Scale, runs []runner.ResolvedRun) (SubmitResponse, int) {
 	return s.submit(sc, runs, false)
 }
 
-// submit dedups, admits and starts or queues a resolved plan. direct
-// marks coordinator fan-out traffic: the coordinator's window already
-// admitted and paced it, so it starts at once on its own goroutine
-// instead of waiting for a queue worker, and it must execute in-process
-// rather than be re-delegated. At most QueueCap direct jobs run at a
-// time; the next one gets 429, which the coordinator retries. The queue
-// send and the goroutine start stay inside the s.mu critical section
-// alongside the draining check: Drain sets draining and closes the
-// queue under the same mutex, so a send can never hit a closed channel
-// and every direct job is on s.wg before Drain waits on it. The job's
-// submit instant and queued event are recorded before either, so no
-// worker's event can precede them.
+// submit dedups, admits (429 once QueueCap jobs are unfinished) and
+// starts a resolved plan on its own goroutine. direct marks coordinator
+// fan-out traffic, which must execute in-process rather than be
+// re-delegated. The goroutine starts inside the s.mu critical section
+// alongside the draining check: Drain sets draining under the same
+// mutex, so every job is on s.wg before Drain waits on it. The job's
+// submit instant and queued event are recorded before it starts, so
+// none of its own events can precede them.
 func (s *Server) submit(sc runner.Scale, runs []runner.ResolvedRun, direct bool) (SubmitResponse, int) {
 	key := planKey(runs)
 	cached := 0
@@ -300,7 +297,7 @@ func (s *Server) submit(sc runner.Scale, runs []runner.ResolvedRun, direct bool)
 			CachedRuns: cached, TotalRuns: len(runs), PlanKey: key,
 		}, http.StatusOK
 	}
-	if direct && s.direct >= s.cfg.QueueCap || !direct && len(s.queue) == cap(s.queue) {
+	if len(s.active) >= s.cfg.QueueCap {
 		s.mu.Unlock()
 		return SubmitResponse{}, http.StatusTooManyRequests
 	}
@@ -319,16 +316,11 @@ func (s *Server) submit(sc runner.Scale, runs []runner.ResolvedRun, direct bool)
 	j.emit(jobEvent{Type: "job", Job: j.id, State: stateQueued})
 	s.jobs[j.id] = j
 	s.active[key] = j
-	if direct {
-		s.direct++
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.runJob(j)
-		}()
-	} else {
-		s.queue <- j // never blocks: every send holds s.mu and saw room
-	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.runJob(j)
+	}()
 	s.mu.Unlock()
 
 	s.logf("job %s accepted: %d runs, %d cached, plan %s", j.id, len(runs), cached, short(key))
@@ -364,10 +356,10 @@ func (s *Server) JobWatch(id string) (JobResponse, <-chan struct{}, bool) {
 	return jr, ch, true
 }
 
-// Changed returns a channel closed the next time any worker dequeues a
-// job (a queue slot frees up) or any job turns terminal. Take it before
-// reading the state it guards — submitting, or reading JobStatus — and
-// a wait on it cannot miss the change it waits for.
+// Changed returns a channel closed the next time any job turns
+// terminal, which is also when its QueueCap admission frees up. Take it
+// before reading the state it guards — submitting, or reading
+// JobStatus — and a wait on it cannot miss the change it waits for.
 func (s *Server) Changed() <-chan struct{} {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -381,7 +373,7 @@ func (s *Server) signalLocked() {
 	s.changed = make(chan struct{})
 }
 
-// handleExtend accepts {"cycles": N} and enqueues a new job covering
+// handleExtend accepts {"cycles": N} and starts a new job covering
 // the referenced job's runs for N more cycles each. With a checkpoint
 // store configured, each extended run resumes from the original's
 // final-state checkpoint and only simulates the added tail; without
@@ -419,7 +411,7 @@ func (s *Server) handleExtend(w http.ResponseWriter, r *http.Request) {
 		runs[i] = rr
 	}
 	s.logf("job %s: extending %d runs by %d cycles", j.id, len(runs), req.Cycles)
-	s.enqueue(w, j.sc, runs, r.Header.Get(DispatchHeader) != "")
+	s.admit(w, j.sc, runs, r.Header.Get(DispatchHeader) != "")
 }
 
 // handleJob answers a job's current status and, once done, results.
@@ -478,15 +470,23 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	s.writeJSON(w, http.StatusOK, s.health())
+}
+
+// health snapshots the daemon's load, as /healthz answers it and
+// /metrics renders it.
+func (s *Server) health() HealthResponse {
 	s.mu.Lock()
-	h := HealthResponse{
-		Status:     "ok",
-		QueueDepth: len(s.queue),
-		InFlight:   s.inflight,
-		Jobs:       s.jobsTotal,
+	defer s.mu.Unlock()
+	h := HealthResponse{Status: "ok", Jobs: s.jobsTotal}
+	for _, j := range s.active {
+		if j.getState() == stateQueued {
+			h.QueueDepth++
+		} else {
+			h.InFlight++
+		}
 	}
-	s.mu.Unlock()
-	s.writeJSON(w, http.StatusOK, h)
+	return h
 }
 
 // handleMetrics emits the daemon's Prometheus-style text page in a
@@ -498,9 +498,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // le="10" before le="2.5".
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	cs := s.cache.Stats()
-	s.mu.Lock()
-	depth, inflight, jobs := len(s.queue), s.inflight, s.jobsTotal
-	s.mu.Unlock()
+	h := s.health()
 
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "nocd_build_info{go_version=%q,goos=%q,goarch=%q} 1\n",
@@ -511,9 +509,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "nocd_cache_misses_total %d\n", cs.Misses)
 	fmt.Fprintf(w, "nocd_cache_writes_total %d\n", cs.Writes)
 	fmt.Fprintf(w, "nocd_cache_hit_ratio %g\n", cs.HitRatio)
-	fmt.Fprintf(w, "nocd_queue_depth %d\n", depth)
-	fmt.Fprintf(w, "nocd_inflight_jobs %d\n", inflight)
-	fmt.Fprintf(w, "nocd_jobs_total %d\n", jobs)
+	fmt.Fprintf(w, "nocd_queue_depth %d\n", h.QueueDepth)
+	fmt.Fprintf(w, "nocd_inflight_jobs %d\n", h.InFlight)
+	fmt.Fprintf(w, "nocd_jobs_total %d\n", h.Jobs)
 	if s.snaps != nil {
 		ss := s.snaps.Stats()
 		fmt.Fprintf(w, "nocd_snap_entries %d\n", ss.Entries)
@@ -570,7 +568,7 @@ func (s *Server) httpServer() *http.Server {
 }
 
 // ListenAndServe runs the daemon until a signal arrives on stop, then
-// drains: intake closes (503), queued jobs finish, the HTTP server
+// drains: intake closes (503), accepted jobs finish, the HTTP server
 // shuts down gracefully, and the method returns nil for a clean drain.
 func (s *Server) ListenAndServe(addr string, stop <-chan os.Signal) error {
 	ln, err := net.Listen("tcp", addr)
@@ -581,8 +579,8 @@ func (s *Server) ListenAndServe(addr string, stop <-chan os.Signal) error {
 	hs := s.httpServer()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-	s.logf("listening on %s (cache %s, queue %d, %d workers)",
-		ln.Addr(), s.cfg.CacheDir, s.cfg.QueueCap, s.cfg.Jobs)
+	s.logf("listening on %s (cache %s, queue %d, %d run slots)",
+		ln.Addr(), s.cfg.CacheDir, s.cfg.QueueCap, cap(s.slots))
 
 	select {
 	case sig := <-stop:
@@ -598,10 +596,7 @@ func (s *Server) ListenAndServe(addr string, stop <-chan os.Signal) error {
 		return fmt.Errorf("serve: shutdown: %w", err)
 	}
 	cs := s.cache.Stats()
-	s.mu.Lock()
-	jobs := s.jobsTotal
-	s.mu.Unlock()
-	s.logf("drained cleanly; %d jobs served, cache %d hits / %d misses", jobs, cs.Hits, cs.Misses)
+	s.logf("drained cleanly; %d jobs served, cache %d hits / %d misses", s.health().Jobs, cs.Hits, cs.Misses)
 	return nil
 }
 

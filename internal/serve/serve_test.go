@@ -33,12 +33,11 @@ func testConfig(t *testing.T) serve.Config {
 		Scale:          sc,
 		CacheDir:       t.TempDir(),
 		QueueCap:       8,
-		Jobs:           1,
 		SampleInterval: 500,
 	}
 }
 
-// startServer builds a daemon, starts its queue workers, and serves its
+// startServer builds a daemon, opens its run slots, and serves its
 // handler from an httptest server; everything is torn down with t.
 func startServer(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server) {
 	t.Helper()

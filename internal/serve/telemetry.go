@@ -146,7 +146,8 @@ func (t *telemetry) write(w io.Writer, withSnap bool) {
 
 // jobSpan is one recorded lifecycle interval of a job. Spans are
 // appended in wall-clock order on whichever goroutine performed the
-// work (queue worker, runner pool), guarded by the job's mutex.
+// work (the job's own goroutine, runner pool), guarded by the job's
+// mutex.
 type jobSpan struct {
 	name    string
 	label   string // run label; "" for job-level spans

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 )
 
 // Store is a content-addressed on-disk checkpoint store. A checkpoint
@@ -29,8 +30,9 @@ import (
 // read counts as a corrupt entry, which is deleted and reported via
 // Stats — the repair path mirrors the result cache's.
 type Store struct {
-	dir string
-	cap int64 // max total bytes; 0 = unlimited
+	dir     string
+	cap     int64 // max total bytes; 0 = unlimited
+	orphans int   // staging files NewStore removed
 
 	mu      sync.Mutex
 	hits    int64
@@ -55,14 +57,65 @@ type StoreStats struct {
 // magic inside, which the simulator checks on restore).
 var storeMagic = [8]byte{'N', 'O', 'C', 'S', 'T', 'O', 'R', '1'}
 
+// orphanAge is how old a staging file must be before NewStore removes
+// it: a writer killed between CreateTemp and Rename leaves one behind,
+// while a live writer's file is at most seconds old.
+const orphanAge = time.Minute
+
 // NewStore opens (creating if needed) a checkpoint store rooted at
-// dir. capBytes caps the store's total size; 0 means unlimited.
+// dir, removing orphaned staging files (see Orphans). capBytes caps the
+// store's total size; 0 means unlimited.
 func NewStore(dir string, capBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("snap: create store dir: %w", err)
 	}
-	return &Store{dir: dir, cap: capBytes}, nil
+	s := &Store{dir: dir, cap: capBytes}
+	if err := s.sweepOrphans(); err != nil {
+		return nil, fmt.Errorf("snap: sweeping store dir: %w", err)
+	}
+	return s, nil
 }
+
+// sweepOrphans removes the staging files (.snap-*) older than
+// orphanAge. Their age is read against the file system's own clock, the
+// mtime of a fresh probe file, since the simulator's packages never
+// read the wall clock; the probe is made only when a staging file is
+// found.
+func (s *Store) sweepOrphans() error {
+	var staged []entry
+	err := filepath.WalkDir(s.dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasPrefix(d.Name(), ".snap-") {
+			return err
+		}
+		if info, err := d.Info(); err == nil { // else a racing rename
+			staged = append(staged, entry{path: path, mtime: info.ModTime().UnixNano()})
+		}
+		return nil
+	})
+	if err != nil || len(staged) == 0 {
+		return err
+	}
+	probe, err := os.CreateTemp(s.dir, ".probe-*")
+	if err != nil {
+		return err
+	}
+	info, err := probe.Stat()
+	probe.Close()
+	os.Remove(probe.Name())
+	if err != nil {
+		return err
+	}
+	cutoff := info.ModTime().Add(-orphanAge).UnixNano()
+	for _, e := range staged {
+		if e.mtime < cutoff && os.Remove(e.path) == nil {
+			s.orphans++
+		}
+	}
+	return nil
+}
+
+// Orphans reports how many staging files opening the store removed.
+func (s *Store) Orphans() int { return s.orphans }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
